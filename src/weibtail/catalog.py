@@ -13,15 +13,20 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
-from scipy import special as sps
-from scipy import stats as sstats
-
 from . import slowly_varying as sv
 from .model import Family, WeibullTypeModel
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_LN2 = math.log(2.0)
+_EPS = math.ulp(1.0)
+_LENTZ_TINY = 1e-300
+_GAMMA_MAX_TERMS = 1000
+# The gamma hazard recurrence h' = h(psi + h) cancels, losing ~eps x^(j+1) at
+# order j; from here on (and from 2 * shape, where the asymptotic series
+# starts out decreasing) the hazard block comes from the large-x series.
+_GAMMA_LARGE_X = 50.0
 
 
 def weibull_type(
@@ -89,8 +94,10 @@ def normal() -> WeibullTypeModel:
 
     Tail evaluation goes through erfc/erfcx and log_ndtr, accurate to a
     few ulp arbitrarily deep in the tail; the hazard derivatives use the
-    Mills-ratio recurrence h' = h(h - x).
+    Mills-ratio recurrence h' = h(h - x).  ``scipy.special`` is imported
+    here, so only the Normal model pays for it.
     """
+    from scipy import special as sps
 
     def hazard_block(x: float) -> Tuple[float, float, float, float]:
         if x < 50.0:
@@ -176,25 +183,114 @@ def logistic() -> WeibullTypeModel:
     )
 
 
+def _log1mexp(v: float) -> float:
+    """log(1 - e^v) for v <= 0, accurate at both ends."""
+    return math.log(-math.expm1(v)) if v > -_LN2 else math.log1p(-math.exp(v))
+
+
 def gamma_model(shape: float = 2.0) -> WeibullTypeModel:
     """Gamma(shape) with unit scale (theta = 1; excluded from asymptotics).
 
     shape = 1 collapses to the Exponential; the interesting members here
     have shape != 1 (their penultimate index decays like 1/log^2 n rather
     than 1/n, one reason the theta = 1 row is not treated uniformly).
+
+    The regularized incomplete gammas P and Q are evaluated in log space:
+    the power series for P below x = shape + 1 and the continued fraction
+    for Gamma(shape, x) above (DLMF 8.7.1, §8.9), so log Q stays finite
+    arbitrarily deep in the tail.
     """
     if not shape > 0.0:
         raise ValueError("shape must be positive")
-    dist = sstats.gamma(shape)
+    a = shape
+    lga = math.lgamma(a)
+    lga1 = math.lgamma(a + 1.0)
+    x_large = max(_GAMMA_LARGE_X, 2.0 * a)
 
-    def hazard_block(x: float, a: float = shape) -> Tuple[float, float, float, float]:
-        h = math.exp(dist.logpdf(x) - dist.logsf(x))
-        psi = (a - 1.0) / x - 1.0  # f'/f
-        psi1 = -(a - 1.0) / (x * x)
-        psi2 = 2.0 * (a - 1.0) / (x**3)
-        h1 = h * (psi + h)
-        h2 = h1 * (psi + h) + h * (psi1 + h1)
-        h3 = h2 * (psi + h) + 2.0 * h1 * (psi1 + h1) + h * (psi2 + h2)
+    def log_pdf(x: float) -> float:
+        if x > 0.0:
+            return (a - 1.0) * math.log(x) - x - lga
+        if x == 0.0 and a <= 1.0:
+            return 0.0 if a == 1.0 else math.inf
+        return -math.inf
+
+    def tail(x: float) -> Tuple[float, float, float]:
+        """(log P(a, x), log Q(a, x), hazard f/Q)."""
+        if x <= 0.0:
+            return -math.inf, 0.0, math.exp(log_pdf(x))
+        if x < a + 1.0:
+            # P = x^a e^-x / Gamma(a + 1) * sum_n x^n / ((a + 1) ... (a + n))
+            term = total = 1.0
+            ap = a
+            for _ in range(_GAMMA_MAX_TERMS):
+                ap += 1.0
+                term *= x / ap
+                total += term
+                if term <= _EPS * total:
+                    break
+            log_p = a * math.log(x) - x - lga1 + math.log(total)
+            log_q = _log1mexp(log_p)
+            return log_p, log_q, math.exp(log_pdf(x) - log_q)
+        if x == math.inf:
+            return 0.0, -math.inf, 1.0
+        # Gamma(a, x) = e^-x x^a cf, cf by the modified Lentz algorithm;
+        # the hazard x^(a-1) e^-x / Gamma(a, x) is then 1 / (x cf) exactly.
+        b = x + 1.0 - a
+        c = 1.0 / _LENTZ_TINY
+        d = 1.0 / b
+        cf = d
+        for i in range(1, _GAMMA_MAX_TERMS):
+            an = -i * (i - a)
+            b += 2.0
+            d = an * d + b
+            if abs(d) < _LENTZ_TINY:
+                d = _LENTZ_TINY
+            c = b + an / c
+            if abs(c) < _LENTZ_TINY:
+                c = _LENTZ_TINY
+            d = 1.0 / d
+            delta = d * c
+            cf *= delta
+            if abs(delta - 1.0) <= _EPS:
+                break
+        log_q = a * math.log(x) - x - lga + math.log(cf)
+        return _log1mexp(log_q), log_q, 1.0 / (x * cf)
+
+    def hazard_block(x: float) -> Tuple[float, float, float, float]:
+        if x < x_large:
+            h = tail(x)[2]
+            psi = (a - 1.0) / x - 1.0  # f'/f
+            psi1 = -(a - 1.0) / (x * x)
+            psi2 = 2.0 * (a - 1.0) / (x**3)
+            h1 = h * (psi + h)
+            h2 = h1 * (psi + h) + h * (psi1 + h1)
+            h3 = h2 * (psi + h) + 2.0 * h1 * (psi1 + h1) + h * (psi2 + h2)
+            return h, h1, h2, h3
+        # The recurrence cancels in psi + h and its derivatives for large x.
+        # Instead r = 1/h = e^x x^(1-a) Gamma(a, x) ~ sum_k (a-1)...(a-k) x^-k
+        # (DLMF 8.11.2), summed with its first three derivatives and cut at
+        # its smallest term; x >= 2a keeps the terms decreasing from the start.
+        r, r1, r2, r3 = 1.0, 0.0, 0.0, 0.0
+        term, prev = 1.0, math.inf
+        for k in range(1, _GAMMA_MAX_TERMS):
+            term *= (a - k) / x
+            mag = abs(term)
+            if mag == 0.0 or mag >= prev:
+                break
+            r += term
+            r1 -= k * term
+            r2 += k * (k + 1) * term
+            r3 -= k * (k + 1) * (k + 2) * term
+            if k * k * k * mag <= _EPS * abs(r1):
+                break
+            prev = mag
+        r1 /= x
+        r2 /= x * x
+        r3 /= x**3
+        h = 1.0 / r
+        h1 = -r1 * h * h
+        h2 = (2.0 * r1 * r1 - r * r2) * h**3
+        h3 = (6.0 * r * r1 * r2 - 6.0 * r1**3 - r * r * r3) * h**4
         return h, h1, h2, h3
 
     return WeibullTypeModel(
@@ -202,11 +298,11 @@ def gamma_model(shape: float = 2.0) -> WeibullTypeModel:
         theta=1.0,
         label=f"gamma(shape={shape:g})",
         support_lower=0.0,
-        classical_cdf=lambda x: float(dist.cdf(x)),
-        classical_density=lambda x: float(dist.pdf(x)),
-        classical_log_cdf=lambda x: float(dist.logcdf(x)),
-        classical_log_sf=lambda x: float(dist.logsf(x)),
-        classical_log_pdf=lambda x: float(dist.logpdf(x)),
+        classical_cdf=lambda x: math.exp(tail(x)[0]),
+        classical_density=lambda x: math.exp(log_pdf(x)),
+        classical_log_cdf=lambda x: tail(x)[0],
+        classical_log_sf=lambda x: tail(x)[1],
+        classical_log_pdf=log_pdf,
         hazard_derivs=hazard_block,
     )
 

@@ -115,13 +115,15 @@ def _require_support(model: WeibullTypeModel, x: float) -> None:
 def _classical_log_sf(model: WeibullTypeModel, x: float) -> float:
     if model.classical_log_sf is not None:
         return model.classical_log_sf(x)
-    return math.log1p(-model.classical_cdf(x))
+    p = model.classical_cdf(x)
+    return math.log1p(-p) if p < 1.0 else -math.inf  # sf rounded to 0
 
 
 def _classical_log_cdf(model: WeibullTypeModel, x: float) -> float:
     if model.classical_log_cdf is not None:
         return model.classical_log_cdf(x)
-    return math.log(model.classical_cdf(x))
+    p = model.classical_cdf(x)
+    return math.log(p) if p > 0.0 else -math.inf
 
 
 def _classical_log_pdf(model: WeibullTypeModel, x: float) -> float:

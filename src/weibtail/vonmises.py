@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
-from .errors import InsufficientGridError, ThetaOneExcludedError
+from .errors import InsufficientGridError, ThetaOneExcludedError, WeibtailError
 from .model import WeibullTypeModel, k_derivative, k_function
 
 VERDICT_ABS = 0.05
@@ -86,7 +86,9 @@ def condition_sweep(model: WeibullTypeModel, t_grid: Sequence[float]) -> Conditi
     Needs >= 5 ascending points spanning >= 4 decades, all interior to the
     support.  Uses closed-form k-derivatives when the model offers them
     (all built-ins do), Richardson differentiation of k otherwise; a
-    condition is not confirmed when more than 20% of its points fail.
+    condition is not confirmed when more than 20% of its points fail.  A
+    point fails on a typed :class:`WeibtailError`; any other exception is
+    a bug and propagates.
     """
     grid = tuple(float(t) for t in t_grid)
     if len(grid) < 5:
@@ -116,7 +118,7 @@ def condition_sweep(model: WeibullTypeModel, t_grid: Sequence[float]) -> Conditi
             seqs["penultimate_cond"].append(_ratio(phi_pp, k * phi_p))
             seqs["anderson"].append(_ratio(k2, k * k1))
             seqs["gomes84"].append(_ratio(phi_p, k * phi_v * phi_v))
-        except Exception:
+        except WeibtailError:
             for name in CONDITIONS:
                 seqs[name].append(math.inf)  # recorded evaluation failure
 

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -232,6 +233,7 @@ def test_subprocess_entrypoint():
     proc = subprocess.run(
         [sys.executable, "-m", "weibtail.cli", "models", "--format", "json"],
         capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)

@@ -233,9 +233,27 @@ def test_k_numeric_fallback_without_hazard_block():
 
 
 def test_k_tail_underflow_classical():
-    g = wt.gamma_model(2.0)
+    # a cdf-only classical model: at x = 40 the cdf rounds to 1.0, so the
+    # survival it implies is exactly 0 and k is undefined
+    base = wt.exponential()
+    bare = wt.WeibullTypeModel(
+        family=wt.Family.CLASSICAL,
+        theta=1.0,
+        label="cdf-only-exponential",
+        support_lower=0.0,
+        classical_cdf=base.classical_cdf,
+        classical_density=base.classical_density,
+    )
+    assert bare.classical_cdf(40.0) == 1.0
     with pytest.raises(TailUnderflowError):
-        wt.k_function(g, 1e6)  # survival underflows to zero
+        wt.k_function(bare, 40.0)
+    # the gamma tail is evaluated in log space: log Q(2, 1e6) ~ -1e6 is finite
+    k = wt.k_function(wt.gamma_model(2.0), 1e6)
+    with mp.workdps(50):
+        x = mp.mpf(10) ** 6
+        exact = x * mp.exp(-x) / mp.gammainc(2, x, mp.inf)  # hazard; g'(H) = 1 here
+    assert math.isfinite(k)
+    assert float(abs((mp.mpf(k) - exact) / exact)) < 1e-14
 
 
 # ------------------------------------------------------- regular variation

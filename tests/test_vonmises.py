@@ -1,11 +1,12 @@
 """Limit-functional sweeps: decay verdicts, the 1/(1-theta) limit, identities."""
 
+import dataclasses
 import math
 
 import pytest
 
 import weibtail as wt
-from weibtail.errors import InsufficientGridError, ThetaOneExcludedError
+from weibtail.errors import InsufficientGridError, TailUnderflowError, ThetaOneExcludedError
 from weibtail.model import k_derivatives_analytic
 from weibtail.vonmises import condition_sweep, gomes84_closed_form, phi
 
@@ -135,3 +136,22 @@ def test_report_sequences_lengths():
     report = condition_sweep(wt.pure_weibull(theta=0.5), GRID)
     for name in ("first_order", "second_order", "penultimate_cond", "anderson", "gomes84"):
         assert len(getattr(report, name)) == len(GRID)
+
+
+def test_sweep_records_typed_failures_and_propagates_bugs():
+    base = wt.exponential()
+
+    def hazard_block(x):
+        if x > 1e3:
+            raise TailUnderflowError(f"refused at {x!r}")
+        return base.hazard_derivs(x)
+
+    report = condition_sweep(dataclasses.replace(base, hazard_derivs=hazard_block), GRID)
+    assert all(math.isinf(v) for v in report.first_order[1:])
+    assert report.verdicts["first_order"].reason == "eval_failure"
+
+    def broken(x):
+        raise TypeError("bug in a user hazard block")
+
+    with pytest.raises(TypeError):
+        condition_sweep(dataclasses.replace(base, hazard_derivs=broken), GRID)
