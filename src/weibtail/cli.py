@@ -150,19 +150,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_norm = sub.add_parser("norming", help="norming constants per block size")
     add_common(p_norm)
-    p_norm.set_defaults(func=cmd_norming)
+    p_norm.set_defaults(func=cmd_table)
 
     p_pen = sub.add_parser("penultimate", help="penultimate tail index per block size")
     add_common(p_pen)
-    p_pen.set_defaults(func=cmd_penultimate)
+    p_pen.set_defaults(func=cmd_table)
 
     p_err = sub.add_parser("errors", help="ultimate vs penultimate sup errors")
     add_common(p_err, with_grid=True)
-    p_err.set_defaults(func=cmd_errors)
+    p_err.set_defaults(func=cmd_table)
 
     p_vm = sub.add_parser("vonmises", help="condition sweep along a diverging grid")
     add_common(p_vm, with_log_n=False, with_t_grid=True)
-    p_vm.set_defaults(func=cmd_vonmises)
+    p_vm.set_defaults(func=cmd_table)
 
     p_rep = sub.add_parser("report", help="combined JSON report (all sections)")
     add_common(p_rep, with_grid=True, with_t_grid=True)
@@ -274,7 +274,7 @@ def cmd_models(args, parser=None) -> int:
     return 0
 
 
-def _norming_rows(model: WeibullTypeModel, cfg: RunConfig) -> List[Dict]:
+def _norming_rows(model: WeibullTypeModel, cfg: RunConfig):
     rows = []
     for ln in cfg.log_n_list:
         nc = compute_norming(model, ln)
@@ -284,17 +284,7 @@ def _norming_rows(model: WeibullTypeModel, cfg: RunConfig) -> List[Dict]:
             "b_asymptotic": nc.b_asymptotic,
             "a_scale": nc.a_scale,
         })
-    return rows
-
-
-def cmd_norming(args, parser=None) -> int:
-    cfg, model = _resolve(args, parser)
-    rows = _norming_rows(model, cfg)
-    if cfg.output_format == "json":
-        _emit(cfg.output_path, _render_json("norming", _model_meta(cfg, model), rows))
-    else:
-        _emit(cfg.output_path, _render_csv("norming", rows))
-    return 0
+    return rows, rows
 
 
 def _penultimate_rows(model: WeibullTypeModel, cfg: RunConfig):
@@ -328,17 +318,7 @@ def _penultimate_rows(model: WeibullTypeModel, cfg: RunConfig):
     return flat, nested
 
 
-def cmd_penultimate(args, parser=None) -> int:
-    cfg, model = _resolve(args, parser)
-    flat, nested = _penultimate_rows(model, cfg)
-    if cfg.output_format == "json":
-        _emit(cfg.output_path, _render_json("penultimate", _model_meta(cfg, model), nested))
-    else:
-        _emit(cfg.output_path, _render_csv("penultimate", flat))
-    return 0
-
-
-def _error_rows(model: WeibullTypeModel, cfg: RunConfig) -> List[Dict]:
+def _error_rows(model: WeibullTypeModel, cfg: RunConfig):
     rows = []
     for ln in cfg.log_n_list:
         cmp_ = pen_mod.error_comparison(model, ln, cfg.grid, gamma_mode=cfg.gamma_mode)
@@ -352,21 +332,11 @@ def _error_rows(model: WeibullTypeModel, cfg: RunConfig) -> List[Dict]:
             "remainder_max_deviation": cmp_.remainder_max_deviation,
             "n_clipped": cmp_.n_clipped,
         })
-    return rows
+    return rows, rows
 
 
-def cmd_errors(args, parser=None) -> int:
-    cfg, model = _resolve(args, parser)
-    rows = _error_rows(model, cfg)
-    if cfg.output_format == "json":
-        _emit(cfg.output_path, _render_json("errors", _model_meta(cfg, model), rows))
-    else:
-        _emit(cfg.output_path, _render_csv("errors", rows))
-    return 0
-
-
-def _vonmises_payload(model: WeibullTypeModel, t_grid: Sequence[float]):
-    report = vm_mod.condition_sweep(model, t_grid)
+def _vonmises_rows(model: WeibullTypeModel, cfg: RunConfig):
+    report = vm_mod.condition_sweep(model, cfg.t_grid)
     point_rows = []
     for i, t in enumerate(report.t_grid):
         point_rows.append({
@@ -407,31 +377,38 @@ def _vonmises_payload(model: WeibullTypeModel, t_grid: Sequence[float]):
     return point_rows + [verdict_row], json_payload
 
 
-def cmd_vonmises(args, parser=None) -> int:
+# command -> rows builder: (model, cfg) -> (CSV rows, JSON rows)
+_TABLE_ROWS = {
+    "norming": _norming_rows,
+    "penultimate": _penultimate_rows,
+    "errors": _error_rows,
+    "vonmises": _vonmises_rows,
+}
+
+
+def cmd_table(args, parser=None) -> int:
     cfg, model = _resolve(args, parser)
-    csv_rows, json_payload = _vonmises_payload(model, cfg.t_grid)
+    csv_rows, json_payload = _TABLE_ROWS[args.command](model, cfg)
     if cfg.output_format == "json":
-        _emit(cfg.output_path, _render_json("vonmises", _model_meta(cfg, model), json_payload))
+        _emit(cfg.output_path, _render_json(args.command, _model_meta(cfg, model), json_payload))
     else:
-        _emit(cfg.output_path, _render_csv("vonmises", csv_rows))
+        _emit(cfg.output_path, _render_csv(args.command, csv_rows))
     return 0
 
 
 def cmd_report(args, parser=None) -> int:
     cfg, model = _resolve(args, parser)
-    norming_rows = _norming_rows(model, cfg)
+    norming_rows, _ = _norming_rows(model, cfg)
     _, pen_rows = _penultimate_rows(model, cfg)
-    error_rows = _error_rows(model, cfg)
-    for row in error_rows:
+    error_rows, _ = _error_rows(model, cfg)
+    # both lists follow cfg.log_n_list, so rows pair by position
+    for row, prow in zip(error_rows, pen_rows):
         # informational only: penultimate residual against the stated rate
-        rate = None
-        for prow in pen_rows:
-            if prow["log_n"] == row["log_n"]:
-                rate = prow["gamma_prime_exact"]
+        rate = prow["gamma_prime_exact"]
         row["penultimate_residual_ratio"] = (
             row["sup_error_penultimate"] / abs(rate) if rate else None
         )
-    _, vm_payload = _vonmises_payload(model, cfg.t_grid)
+    _, vm_payload = _vonmises_rows(model, cfg)
 
     doc = {
         "meta": {

@@ -9,10 +9,13 @@ Gumbel-scale transform of the cdf:
 * ``CLASSICAL``    cdf/density supplied directly:  T = g(-log sf), reusing
   the same g because 1 - F = exp(log sf) tautologically.
 
-k = T' is the hazard-like object of the Gumbel domain; its first three
-derivatives follow from the composition rule using the chain weights in
-:mod:`weibtail.numerics` plus family-specific H-derivatives (the slowly
-varying spec for tail families, hazard recurrences for classical models).
+k = T' is the hazard-like object of the Gumbel domain.  :func:`k_jet`
+returns k and its first derivatives at one point as a :class:`KJet`: by the
+composition rule from the chain weights in :mod:`weibtail.numerics` and one
+block of family-specific H-derivatives (the slowly varying spec for tail
+families, hazard recurrences for classical models), or by Richardson
+differentiation of k for classical models without hazard recurrences.
+``KJet.phi`` = (1/k)' = -k'/k^2 is the one place that shape is formed.
 This module also evaluates the generalized extreme value cdf/density with
 a series-corrected branch through gamma = 0.
 """
@@ -245,14 +248,23 @@ def gumbel_coordinate_inverse(model: WeibullTypeModel, t: float) -> float:
         return cumulative_hazard_inverse(model, t)
     if model.family is Family.TAIL_EXP:
         return cumulative_hazard_inverse(model, exact_level_for_gumbel_coordinate(t))
+
+    def coordinate(z: float) -> float:
+        try:
+            return gumbel_coordinate(model, z)
+        except OutsideTailRegionError:
+            # F(z) rounds to 0, as near the support endpoint of a
+            # large-shape gamma: below every level, a lower bracket end
+            return -math.inf
+
     if math.isfinite(model.support_lower):
         return _invert_increasing(
-            lambda z: gumbel_coordinate(model, z),
+            coordinate,
             t,
             lo_start=model.support_lower + 1e-9 * max(1.0, abs(model.support_lower)),
             lo_fixed=True,
         )
-    return _invert_increasing(lambda z: gumbel_coordinate(model, z), t, two_sided=True)
+    return _invert_increasing(coordinate, t, two_sided=True)
 
 
 def log_cdf(model: WeibullTypeModel, x: float) -> float:
@@ -334,48 +346,40 @@ def k_function(model: WeibullTypeModel, x: float) -> float:
     return _hazard_value(model, x) * g1
 
 
-def k_derivatives_analytic(model: WeibullTypeModel, x: float) -> Tuple[float, float, float, float]:
-    """(k, k', k'', k''') by the composition rule T = g(H)."""
-    d1, d2, d3, d4 = hazard_derivative_block(model, x)
-    g1, g2, g3, g4 = _chain_weights(model, x)
-    k0 = d1 * g1
-    k1 = d2 * g1 + d1 * d1 * g2
-    k2 = d3 * g1 + 3.0 * d1 * d2 * g2 + d1**3 * g3
-    k3 = (
-        d4 * g1
-        + (4.0 * d1 * d3 + 3.0 * d2 * d2) * g2
-        + 6.0 * d1 * d1 * d2 * g3
-        + d1**4 * g4
-    )
-    return k0, k1, k2, k3
-
-
 @dataclass(frozen=True)
-class KDerivativeEstimate:
-    value: float
+class KJet:
+    """(k, k', ..., k^(order)) at one point and the path that produced it.
+
+    On the numeric path ``errors[j - 1]`` is the Richardson error estimate
+    of k^(j) and ``low_confidence`` is set when any order missed its
+    tolerance; the analytic path carries neither.
+    """
+
+    values: Tuple[float, ...]
     method: str  # "analytic" | "numeric"
-    error: Optional[float] = None
+    errors: Optional[Tuple[float, ...]] = None
     low_confidence: bool = False
 
+    @property
+    def phi(self) -> float:
+        """(1/k)' = -k'/k^2; at x = b_n this is the penultimate shape gamma_n."""
+        k, k1 = self.values[0], self.values[1]
+        return -k1 / (k * k)
 
-def k_derivative_estimate(
-    model: WeibullTypeModel,
-    x: float,
-    order: int,
-    method: str = "auto",
-    cfg: Optional[numerics.DiffConfig] = None,
-) -> KDerivativeEstimate:
-    """k^(order)(x) with the path used and, for the numeric path, the
-    Richardson error estimate.
 
-    ``method``: "analytic" (closed chain; tail families always, classical
-    only with hazard recurrences), "numeric" (Richardson on k itself), or
-    "auto" preferring analytic.  Third-order numeric differentiation of
-    classical models without hazard recurrences raises the extrapolation
-    depth, since that path is the only one available there.
+def k_jet(model: WeibullTypeModel, x: float, order: int = 3, method: str = "auto") -> KJet:
+    """k and its first ``order`` derivatives at x.
+
+    ``method``: "analytic" (the composition rule T = g(H) on one hazard
+    block; tail families always, classical models only with hazard
+    recurrences), "numeric" (Richardson differentiation of k itself, one
+    estimate per order up to ``order``), or "auto" preferring analytic.
+    Third-order numeric differentiation of classical models without hazard
+    recurrences raises the extrapolation depth, since that path is the
+    only one available there.
     """
     if not 1 <= order <= 3:
-        raise ValueError("k_derivative order must be in [1, 3]")
+        raise ValueError("k_jet order must be in [1, 3]")
     if method not in ("auto", "analytic", "numeric"):
         raise ValueError(f"unknown method {method!r}")
     if method == "auto":
@@ -383,19 +387,39 @@ def k_derivative_estimate(
     if method == "analytic":
         if not model.analytic_k_path:
             raise TailUnderflowError(f"{model.label}: analytic k path unavailable")
-        value = k_derivatives_analytic(model, x)[order]
-        return KDerivativeEstimate(value=value, method="analytic")
-    if cfg is None:
-        levels = 4 if (order == 3 and not model.analytic_k_path) else 3
-        cfg = numerics.DiffConfig(richardson_levels=levels)
-    est = numerics.derivative(lambda t: k_function(model, t), x, order, cfg, tol=1e-5)
-    return KDerivativeEstimate(
-        value=est.value, method="numeric", error=est.error, low_confidence=est.low_confidence
+        g1, g2, g3, g4 = _chain_weights(model, x)
+        d1, d2, d3, d4 = hazard_derivative_block(model, x)
+        values = (
+            d1 * g1,
+            d2 * g1 + d1 * d1 * g2,
+            d3 * g1 + 3.0 * d1 * d2 * g2 + d1**3 * g3,
+            d4 * g1
+            + (4.0 * d1 * d3 + 3.0 * d2 * d2) * g2
+            + 6.0 * d1 * d1 * d2 * g3
+            + d1**4 * g4,
+        )
+        return KJet(values=values[: order + 1], method="analytic")
+    k0 = k_function(model, x)
+    ests = [
+        numerics.derivative(
+            lambda t: k_function(model, t),
+            x,
+            j,
+            numerics.DiffConfig(richardson_levels=4 if j == 3 and not model.analytic_k_path else 3),
+            tol=1e-5,
+        )
+        for j in range(1, order + 1)
+    ]
+    return KJet(
+        values=(k0, *(e.value for e in ests)),
+        method="numeric",
+        errors=tuple(e.error for e in ests),
+        low_confidence=any(e.low_confidence for e in ests),
     )
 
 
 def k_derivative(model: WeibullTypeModel, x: float, order: int, method: str = "auto") -> float:
-    return k_derivative_estimate(model, x, order, method).value
+    return k_jet(model, x, order, method).values[order]
 
 
 def rv_ratios(model: WeibullTypeModel, x: float) -> Tuple[float, float, float]:
@@ -404,12 +428,7 @@ def rv_ratios(model: WeibullTypeModel, x: float) -> Tuple[float, float, float]:
     Regular-variation diagnostics: the limits are (c-1), (c-1)(c-2) and
     (c-1)(c-2)(c-3) with c = 1/theta.
     """
-    k0, k1, k2, k3 = k_derivatives_analytic(model, x) if model.analytic_k_path else (
-        k_function(model, x),
-        k_derivative(model, x, 1),
-        k_derivative(model, x, 2),
-        k_derivative(model, x, 3),
-    )
+    k0, k1, k2, k3 = k_jet(model, x).values
     if k0 == 0.0:
         raise TailUnderflowError(f"k(x) = 0 at x={x!r}")
     return x * k1 / k0, x * x * k2 / k0, x**3 * k3 / k0
@@ -436,8 +455,9 @@ class GevPoint:
             )
 
 
-def _gumbel_argument(gamma: float, x: float) -> float:
-    """w with G_gamma(x) = exp(-e^-w); w = log1p(gamma x)/gamma.
+def _gumbel_argument(gamma: float, x):
+    """w with G_gamma(x) = exp(-e^-w); w = log1p(gamma x)/gamma, for a
+    scalar or an array x.
 
     Tiny |gamma| goes through the series x(1 - gx/2 + (gx)^2/3) so the map
     is continuous through gamma = 0.
@@ -445,7 +465,7 @@ def _gumbel_argument(gamma: float, x: float) -> float:
     if abs(gamma) < _GEV_SERIES_GAMMA:
         t = gamma * x
         return x * (1.0 - t / 2.0 + t * t / 3.0)
-    return math.log1p(gamma * x) / gamma
+    return np.log1p(gamma * x) / gamma
 
 
 def gev_cdf(p: GevPoint) -> float:
@@ -466,12 +486,7 @@ def gev_density(p: GevPoint) -> float:
 
 def gev_cdf_array(gamma: float, xs: np.ndarray) -> np.ndarray:
     """Vectorized G_gamma over points already inside the support."""
-    xs = np.asarray(xs, dtype=float)
-    if gamma == 0.0 or abs(gamma) < _GEV_SERIES_GAMMA:
-        t = gamma * xs
-        w = xs * (1.0 - t / 2.0 + t * t / 3.0)
-    else:
-        w = np.log1p(gamma * xs) / gamma
+    w = _gumbel_argument(gamma, np.asarray(xs, dtype=float))
     with np.errstate(over="ignore"):
         return np.exp(-np.exp(-w))
 

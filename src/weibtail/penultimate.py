@@ -30,17 +30,15 @@ from .errors import (
     ThetaOneExcludedError,
 )
 from .model import (
+    KJet,
     WeibullTypeModel,
     gev_cdf_array,
     gumbel_cdf_array,
     gumbel_coordinate,
     gumbel_coordinate_inverse,
     gumbel_density_array,
-    k_derivative,
-    k_function,
+    k_jet,
 )
-from .norming import location as _norming_location
-from .norming import norming as _norming
 
 # Default evaluation window: covers all but ~1e-3 of the Gumbel mass.
 DEFAULT_GRID: Tuple[float, float, int] = (-3.0, 6.0, 1000)
@@ -92,21 +90,23 @@ class ErrorComparison:
     n_clipped: int
 
 
+def _location_jet(model: WeibullTypeModel, log_n: float) -> Tuple[float, KJet]:
+    """(b_n, (k, k') at b_n): the one root solve and one k-jet every
+    quantity of this module starts from."""
+    if not log_n > 0.0:
+        raise InvalidBlockSizeError(f"log n must be positive, got {log_n!r}")
+    b = gumbel_coordinate_inverse(model, log_n)
+    return b, k_jet(model, b, 1)
+
+
 def gamma_of_t(model: WeibullTypeModel, t: float) -> float:
-    """phi evaluated at the exact level: -k'(x)/k^2(x) at -log(-log F(x)) = t."""
-    x = gumbel_coordinate_inverse(model, t)
-    k = k_function(model, x)
-    k1 = k_derivative(model, x, 1)
-    return -k1 / (k * k)
+    """phi evaluated at the exact level: -k'(x)/k^2(x) at -log(-log F(x)) = t > 0."""
+    return _location_jet(model, t)[1].phi
 
 
 def penultimate_index(model: WeibullTypeModel, log_n: float) -> PenultimateIndex:
-    if not log_n > 0.0:
-        raise InvalidBlockSizeError(f"log n must be positive, got {log_n!r}")
-    b_exact, _ = _norming_location(model, log_n)
-    k = k_function(model, b_exact)
-    k1 = k_derivative(model, b_exact, 1)
-    gamma_exact = -k1 / (k * k)
+    b_exact, jet = _location_jet(model, log_n)
+    gamma_exact = jet.phi
     theta = model.theta
     if model.theta_is_one:
         return PenultimateIndex(
@@ -116,7 +116,7 @@ def penultimate_index(model: WeibullTypeModel, log_n: float) -> PenultimateIndex
             error=ThetaOneExcludedError.code,
         )
     c = 1.0 / theta
-    bk = b_exact * k
+    bk = b_exact * jet.values[0]
     return PenultimateIndex(
         log_n=log_n,
         gamma_exact=gamma_exact,
@@ -170,10 +170,9 @@ def error_comparison(
     penultimate sup and counted in ``n_clipped``.
     """
     xs = _validate_grid(grid_spec)
-    nc = _norming(model, log_n)
-    b, a = nc.b_exact, nc.a_scale
+    b, jet = _location_jet(model, log_n)
     if gamma_mode == "exact":
-        gamma_n = gamma_of_t(model, log_n)
+        gamma_n = jet.phi
     elif gamma_mode == "asymptotic":
         if model.theta_is_one:
             raise ThetaOneExcludedError(
@@ -183,7 +182,7 @@ def error_comparison(
     else:
         raise ValueError(f"unknown gamma_mode {gamma_mode!r}")
 
-    fn = _maxima_curve(model, log_n, xs, b, a)
+    fn = _maxima_curve(model, log_n, xs, b, 1.0 / jet.values[0])
     g0 = gumbel_cdf_array(xs)
     diff_ult = np.abs(fn - g0)
     i_ult = int(np.argmax(diff_ult))
@@ -199,7 +198,7 @@ def error_comparison(
     i_pen = int(np.argmax(diff_pen))
 
     try:
-        remainder = _remainder_deviation(model, xs, fn, g0, b)
+        remainder = _remainder_deviation(model, xs, fn, g0, -jet.phi)
     except DegenerateProfileError:
         remainder = None
 
@@ -217,11 +216,8 @@ def error_comparison(
 
 
 def _remainder_deviation(model: WeibullTypeModel, xs: np.ndarray, fn: np.ndarray,
-                         g0: np.ndarray, b: float) -> float:
-    """max |R - 1| with R = (F^n - G_0) / ((x^2/2) k'(b)/k^2(b) g_0(x))."""
-    k = k_function(model, b)
-    k1 = k_derivative(model, b, 1)
-    rate = k1 / (k * k)
+                         g0: np.ndarray, rate: float) -> float:
+    """max |R - 1| with R = (F^n - G_0) / ((x^2/2) rate g_0(x)), rate = k'(b)/k^2(b)."""
     den = 0.5 * xs * xs * rate * gumbel_density_array(xs)
     mask = np.abs(den) > REMAINDER_DENOMINATOR_CUTOFF
     if not mask.any():
@@ -244,7 +240,7 @@ def remainder_profile(
     grid (the exact-Gumbel fixture).
     """
     xs = _validate_grid(grid_spec)
-    nc = _norming(model, log_n)
-    fn = _maxima_curve(model, log_n, xs, nc.b_exact, nc.a_scale)
+    b, jet = _location_jet(model, log_n)
+    fn = _maxima_curve(model, log_n, xs, b, 1.0 / jet.values[0])
     g0 = gumbel_cdf_array(xs)
-    return _remainder_deviation(model, xs, fn, g0, nc.b_exact)
+    return _remainder_deviation(model, xs, fn, g0, -jet.phi)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import InsufficientGridError, ThetaOneExcludedError, WeibtailError
-from .model import WeibullTypeModel, k_derivative, k_function
+from .model import WeibullTypeModel, k_jet
 
 VERDICT_ABS = 0.05
 VERDICT_SHRINK = 0.5
@@ -59,9 +59,7 @@ class ConditionReport:
 
 def phi(model: WeibullTypeModel, t: float) -> float:
     """(1/k)'(t) = -k'(t)/k^2(t); argument is the distribution's x axis."""
-    k = k_function(model, t)
-    k1 = k_derivative(model, t, 1)
-    return -k1 / (k * k)
+    return k_jet(model, t, 1).phi
 
 
 def gomes84_closed_form(theta: float) -> float:
@@ -106,13 +104,11 @@ def condition_sweep(model: WeibullTypeModel, t_grid: Sequence[float]) -> Conditi
     seqs: Dict[str, list] = {name: [] for name in CONDITIONS}
     for t in grid:
         try:
-            k = k_function(model, t)
-            k1 = k_derivative(model, t, 1)
-            k2 = k_derivative(model, t, 2)
-            k3 = k_derivative(model, t, 3)
-            phi_v = -k1 / (k * k)
+            jet = k_jet(model, t)
+            k, k1, k2, k3 = jet.values
+            phi_v = jet.phi
             phi_p = -(k2 * k - 2.0 * k1 * k1) / k**3
-            phi_pp = 6.0 * (k1 / (k * k)) * (k2 / k - (k1 / k) ** 2) - k3 / (k * k)
+            phi_pp = -6.0 * phi_v * (k2 / k - (k1 / k) ** 2) - k3 / (k * k)
             seqs["first_order"].append(phi_v)
             seqs["second_order"].append(_ratio(phi_p, k * phi_v))
             seqs["penultimate_cond"].append(_ratio(phi_pp, k * phi_p))

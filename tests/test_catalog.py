@@ -74,15 +74,28 @@ def test_gamma_hazard_block_against_mpmath(shape):
             assert float(abs((g - r) / r)) <= tol, (shape, x, order)
 
 
-@pytest.mark.parametrize("shape", SHAPES)
-@pytest.mark.parametrize("log_n", [500.0, 600.0, 700.0])
-def test_gamma_norming_far_tail(shape, log_n):
+def _assert_gamma_norming(shape, log_n):
+    """b_n is finite and on its level -log(-log F(b_n)) = log n by 30-digit
+    mpmath, within the benchmark oracle's 1e-10 max(1, log n)."""
     nc = wt.norming(wt.gamma_model(shape), log_n)
     assert all(math.isfinite(v) for v in (nc.b_exact, nc.b_asymptotic, nc.a_scale))
     with mp.workdps(30):
         q = mp.gammainc(mp.mpf(shape), mp.mpf(nc.b_exact), mp.inf, regularized=True)
         t = -mp.log(-mp.log1p(-q))
     assert float(abs(t - log_n)) <= 1e-10 * max(1.0, log_n)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("log_n", [500.0, 600.0, 700.0])
+def test_gamma_norming_far_tail(shape, log_n):
+    _assert_gamma_norming(shape, log_n)
+
+
+@pytest.mark.parametrize("shape", [50.0, 100.5, 1000.0])
+@pytest.mark.parametrize("log_n", [1.0, 20.0])
+def test_gamma_norming_large_shape(shape, log_n):
+    # F rounds to 0 at the bracket's start just above the support endpoint
+    _assert_gamma_norming(shape, log_n)
 
 
 _IMPORT_PROBE = """

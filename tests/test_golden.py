@@ -66,6 +66,11 @@ def _cases():
         cases[f"report-{key}.json"] = [
             "report", *flags, "--log-n", log_n, "--grid", "-3:6:200", "--format", "json"
         ]
+    # a repeated log n: report pairs each error row with its penultimate row
+    cases["report-pw-theta2-repeated.json"] = [
+        "report", *MODELS["pw-theta2"][0], "--log-n", "10,10,40", "--grid", "-3:6:200",
+        "--format", "json",
+    ]
     return cases
 
 

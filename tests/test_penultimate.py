@@ -1,10 +1,12 @@
 """Penultimate index, classification, error curves, remainder structure."""
 
+import dataclasses
 import math
 
 import pytest
 
 import weibtail as wt
+from weibtail import numerics
 from weibtail.errors import (
     DegenerateProfileError,
     GridSupportEmptyError,
@@ -175,3 +177,33 @@ def test_remainder_bounded_positive_window():
     m = wt.pure_weibull(theta=2.0)
     dev = wt.remainder_profile(m, 40.0, (0.5, 3.0, 400))
     assert dev < 0.5
+
+
+# ------------------------------------------------------------- work counts
+
+@pytest.mark.parametrize("build", [wt.normal, lambda: wt.gamma_model(2.0)])
+def test_one_solve_one_hazard_block(monkeypatch, build):
+    # every quantity starts from one root solve for b_n and one k-jet there
+    counts = {"solve": 0, "hazard": 0}
+    solve = numerics.solve_increasing
+
+    def counted_solve(*args, **kwargs):
+        counts["solve"] += 1
+        return solve(*args, **kwargs)
+
+    def counted_hazard(x):
+        counts["hazard"] += 1
+        return base.hazard_derivs(x)
+
+    monkeypatch.setattr(numerics, "solve_increasing", counted_solve)
+    base = build()
+    m = dataclasses.replace(base, hazard_derivs=counted_hazard)
+    grid = (1e2, 1e4, 1e6, 1e8, 1e10)
+    for call, expected in (
+        (lambda: wt.penultimate_index(m, 20.0), {"solve": 1, "hazard": 1}),
+        (lambda: wt.error_comparison(m, 20.0, (-3.0, 6.0, 200)), {"solve": 1, "hazard": 1}),
+        (lambda: wt.condition_sweep(m, grid), {"solve": 0, "hazard": len(grid)}),
+    ):
+        counts.update(solve=0, hazard=0)
+        call()
+        assert counts == expected

@@ -7,7 +7,7 @@ import pytest
 
 import weibtail as wt
 from weibtail.errors import InsufficientGridError, TailUnderflowError, ThetaOneExcludedError
-from weibtail.model import k_derivatives_analytic
+from weibtail.model import k_jet
 from weibtail.vonmises import condition_sweep, gomes84_closed_form, phi
 
 GRID = [1e2, 1e4, 1e6, 1e8, 1e10]
@@ -92,7 +92,7 @@ def test_second_order_identity():
     # anderson term minus twice k'/k^2, not the reverse)
     m = wt.pure_weibull(theta=2.0)
     for t in (1e3, 1e5, 1e7):
-        k0, k1, k2, _ = k_derivatives_analytic(m, t)
+        k0, k1, k2, _ = k_jet(m, t).values
         phi_v = -k1 / k0**2
         phi_p = -(k2 * k0 - 2.0 * k1 * k1) / k0**3
         lhs = phi_p / (k0 * phi_v)
