@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
+import numpy as np
+
 from . import slowly_varying as sv
 from .model import Family, WeibullTypeModel
 
@@ -128,6 +130,7 @@ def normal() -> WeibullTypeModel:
         classical_log_sf=lambda x: float(sps.log_ndtr(-x)),
         classical_log_pdf=lambda x: -0.5 * x * x - _LOG_SQRT_2PI,
         hazard_derivs=hazard_block,
+        classical_log_sf_array=lambda x: sps.log_ndtr(-x),
     )
 
 
@@ -148,6 +151,7 @@ def exponential() -> WeibullTypeModel:
         classical_log_sf=lambda x: -x if x > 0.0 else 0.0,
         classical_log_pdf=lambda x: -x if x > 0.0 else -math.inf,
         hazard_derivs=hazard_block,
+        classical_log_sf_array=lambda x: np.where(x > 0.0, -x, 0.0),
     )
 
 
@@ -161,6 +165,14 @@ def logistic() -> WeibullTypeModel:
         if x >= 0.0:
             return -x - math.log1p(math.exp(-x))
         return -math.log1p(math.exp(x))
+
+    def log_sf_array(x: np.ndarray) -> np.ndarray:
+        out = np.empty_like(x)
+        pos = x >= 0.0
+        xp, xn = x[pos], x[~pos]
+        out[pos] = -xp - np.log1p(np.exp(-xp))
+        out[~pos] = -np.log1p(np.exp(xn))
+        return out
 
     def hazard_block(x: float) -> Tuple[float, float, float, float]:
         h = F(x)
@@ -180,12 +192,21 @@ def logistic() -> WeibullTypeModel:
         classical_log_sf=log_sf,
         classical_log_pdf=lambda x: log_sf(x) + log_sf(-x),
         hazard_derivs=hazard_block,
+        classical_log_sf_array=log_sf_array,
     )
 
 
 def _log1mexp(v: float) -> float:
     """log(1 - e^v) for v <= 0, accurate at both ends."""
     return math.log(-math.expm1(v)) if v > -_LN2 else math.log1p(-math.exp(v))
+
+
+def _log1mexp_array(v: np.ndarray) -> np.ndarray:
+    out = np.empty_like(v)
+    near = v > -_LN2
+    out[near] = np.log(-np.expm1(v[near]))
+    out[~near] = np.log1p(-np.exp(v[~near]))
+    return out
 
 
 def gamma_model(shape: float = 2.0) -> WeibullTypeModel:
@@ -256,6 +277,58 @@ def gamma_model(shape: float = 2.0) -> WeibullTypeModel:
         log_q = a * math.log(x) - x - lga + math.log(cf)
         return _log1mexp(log_q), log_q, 1.0 / (x * cf)
 
+    def log_sf_array(x: np.ndarray) -> np.ndarray:
+        """log Q(a, x) over an array: ``tail``'s series and continued
+        fraction, each point stopped at the step where ``tail`` stops."""
+        out = np.zeros_like(x)  # x <= 0
+        out[x == math.inf] = -math.inf
+        pos = np.flatnonzero((x > 0.0) & (x < a + 1.0))
+        if pos.size:
+            xp = x[pos]
+            total = np.empty_like(xp)
+            live, xl = np.arange(pos.size), xp
+            term = tot = np.ones_like(xp)
+            ap = a
+            for _ in range(_GAMMA_MAX_TERMS):
+                ap += 1.0
+                term = term * (xl / ap)
+                tot = tot + term
+                done = term <= _EPS * tot
+                total[live[done]] = tot[done]
+                live, xl, term, tot = live[~done], xl[~done], term[~done], tot[~done]
+                if not live.size:
+                    break
+            total[live] = tot
+            out[pos] = _log1mexp_array(a * np.log(xp) - xp - lga1 + np.log(total))
+        pos = np.flatnonzero((x >= a + 1.0) & (x < math.inf))
+        if pos.size:
+            xc = x[pos]
+            cf_out = np.empty_like(xc)
+            live = np.arange(pos.size)
+            b = xc + 1.0 - a
+            c = np.full_like(xc, 1.0 / _LENTZ_TINY)
+            d = 1.0 / b
+            cf = d
+            for i in range(1, _GAMMA_MAX_TERMS):
+                an = -i * (i - a)
+                b = b + 2.0
+                d = an * d + b
+                d[np.abs(d) < _LENTZ_TINY] = _LENTZ_TINY
+                c = b + an / c
+                c[np.abs(c) < _LENTZ_TINY] = _LENTZ_TINY
+                d = 1.0 / d
+                delta = d * c
+                cf = cf * delta
+                done = np.abs(delta - 1.0) <= _EPS
+                cf_out[live[done]] = cf[done]
+                keep = ~done
+                live, b, c, d, cf = live[keep], b[keep], c[keep], d[keep], cf[keep]
+                if not live.size:
+                    break
+            cf_out[live] = cf
+            out[pos] = a * np.log(xc) - xc - lga + np.log(cf_out)
+        return out
+
     def hazard_block(x: float) -> Tuple[float, float, float, float]:
         if x < x_large:
             h = tail(x)[2]
@@ -304,6 +377,7 @@ def gamma_model(shape: float = 2.0) -> WeibullTypeModel:
         classical_log_sf=lambda x: tail(x)[1],
         classical_log_pdf=log_pdf,
         hazard_derivs=hazard_block,
+        classical_log_sf_array=log_sf_array,
     )
 
 

@@ -30,6 +30,12 @@ class BracketMissError(WeibtailError):
     code = "bracket_miss"
 
 
+class NoConvergenceError(WeibtailError):
+    """A root solve used up its iteration budget short of the tolerance."""
+
+    code = "no_convergence"
+
+
 class EvalFailureError(WeibtailError):
     """A function evaluation returned a non-finite value."""
 

@@ -34,11 +34,12 @@ from .errors import (
     BelowRangeError,
     BelowSupportError,
     BracketMissError,
+    DomainError,
     OutsideSupportError,
     OutsideTailRegionError,
     TailUnderflowError,
 )
-from .slowly_varying import SlowlyVaryingSpec
+from .slowly_varying import ArrayFn, SlowlyVaryingSpec
 
 ScalarFn = Callable[[float], float]
 # (H', H'', H''', H'''') of the classical hazard H = -log(1 - F); the first
@@ -59,7 +60,9 @@ class WeibullTypeModel:
     ``theta`` is the Weibull-tail coefficient for the exponential-tail
     families and the known reference value for classical models.  Classical
     models must supply cdf/density plus log-space variants accurate deep in
-    the tail; ``hazard_derivs`` unlocks the analytic k-derivative path.
+    the tail; ``hazard_derivs`` unlocks the analytic k-derivative path, and
+    ``classical_log_sf_array`` (``classical_log_sf`` over a float array)
+    the array evaluation of :func:`gumbel_coordinate_array`.
     """
 
     family: Family
@@ -73,6 +76,7 @@ class WeibullTypeModel:
     classical_log_sf: Optional[ScalarFn] = None
     classical_log_pdf: Optional[ScalarFn] = None
     hazard_derivs: Optional[HazardDerivs] = None
+    classical_log_sf_array: Optional[ArrayFn] = None
 
     def __post_init__(self):
         if not self.theta > 0.0:
@@ -232,6 +236,53 @@ def gumbel_coordinate(model: WeibullTypeModel, x: float) -> float:
     if math.isinf(h):
         raise TailUnderflowError(f"F(x) = 1 at double precision, x={x!r}")
     return numerics.log_neg_log_cdf_from_H(h)
+
+
+def _saturated_coordinate(model: WeibullTypeModel, x: float) -> float:
+    try:
+        return gumbel_coordinate(model, x)
+    except (BelowSupportError, DomainError, OutsideTailRegionError):
+        return -math.inf  # F = 0
+    except TailUnderflowError:
+        return math.inf  # F = 1 at double precision
+
+
+def gumbel_coordinate_array(model: WeibullTypeModel, xs: np.ndarray) -> np.ndarray:
+    """T(x) = -log(-log F(x)) over an array, saturated rather than raising:
+    -inf where F = 0 (below the support or the slowly varying domain, a
+    non-positive l, or H <= 0) and +inf where F = 1 at double precision.
+
+    In the LOG_CDF_EXP family T = H, so H = 0 at the support endpoint is a
+    finite T = 0.  Models with an array form (``l.value_array``, or
+    ``classical_log_sf_array``) are evaluated in one pass; the rest call
+    :func:`gumbel_coordinate` point by point with the same saturation.
+    """
+    if model.family is Family.CLASSICAL:
+        array_form = model.classical_log_sf_array
+    else:
+        array_form = model.l.value_array
+    if array_form is None:
+        return np.fromiter((_saturated_coordinate(model, x) for x in xs), float, len(xs))
+    t = np.full(xs.shape, -math.inf)
+    if model.family is Family.CLASSICAL:
+        idx = np.arange(xs.size)
+        h = -array_form(xs)
+    else:
+        # support_lower >= l.domain_lower, so this also keeps l in its domain
+        idx = np.flatnonzero(xs >= model.support_lower)
+        z = xs[idx]
+        l = array_form(z)
+        good = np.isfinite(l) & (l > 0.0)
+        idx, z, l = idx[good], z[good], l[good]
+        with np.errstate(over="ignore"):
+            h = np.power(z, 1.0 / model.theta) * l
+        if model.family is Family.LOG_CDF_EXP:
+            t[idx] = h
+            return t
+    t[idx[h == math.inf]] = math.inf
+    inside = (h > 0.0) & (h < math.inf)
+    t[idx[inside]] = numerics.log_neg_log_cdf_from_H_array(h[inside])
+    return t
 
 
 def exact_level_for_gumbel_coordinate(t: float) -> float:

@@ -1,5 +1,5 @@
-"""Scalar numerical kernel: log-space tail probabilities, Richardson
-central differences, and monotone root finding.
+"""Numerical kernel: log-space tail probabilities, Richardson central
+differences, and monotone root finding.
 
 Everything here is a pure function of its arguments (no caches, no
 globals), so concurrent use needs no locking.  Block sizes are carried as
@@ -14,9 +14,12 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
+import numpy as np
+
 from .errors import (
     BracketMissError,
     EvalFailureError,
+    NoConvergenceError,
     OutsideTailRegionError,
     StencilFailureError,
 )
@@ -151,7 +154,9 @@ def solve_increasing(
     """Solve f(x) = target for increasing f on the bracket.
 
     Safeguarded bisection with secant acceleration on alternate steps;
-    terminates when |f(x) - target| <= rel_tol * max(1, |target|).  The
+    terminates when |f(x) - target| <= rel_tol * max(1, |target|), or
+    returns the best point seen once the bracket is down to a few ulp.
+    Raises NoConvergenceError when ``max_iter`` steps reach neither.  The
     endpoint values may be +/-inf (treated purely by sign), which lets
     callers grow brackets into overflow territory without special cases.
     """
@@ -192,7 +197,10 @@ def solve_increasing(
             # x spacing exhausted; the residual target may be unreachable
             # for extremely steep f, so return the best point seen.
             return best_x
-    return best_x
+    raise NoConvergenceError(
+        f"target {target!r} not reached in {max_iter} iterations; "
+        f"best |f(x) - target| = {best_g!r} at x = {best_x!r}"
+    )
 
 
 def _residual(f: Callable[[float], float], x: float, target: float) -> float:
@@ -250,6 +258,18 @@ def log_neg_log_cdf_from_H(h_value: float) -> float:
         one_minus_f = -math.expm1(-h_value)  # = F(x), in (0, 1)
         return -math.log(-math.log(one_minus_f))
     return h_value - log_neg_log_cdf_margin(h_value)
+
+
+def log_neg_log_cdf_from_H_array(h: np.ndarray) -> np.ndarray:
+    """:func:`log_neg_log_cdf_from_H` over an array of H in (0, inf), with
+    the same closed form and series on either side of the switch."""
+    out = np.empty_like(h)
+    low = h < _SERIES_SWITCH
+    out[low] = -np.log(-np.log(-np.expm1(-h[low])))
+    high = h[~low]
+    s = np.exp(-high)
+    out[~low] = high - np.log1p(s * (0.5 + s * (1.0 / 3.0 + s * (0.25 + s * 0.2))))
+    return out
 
 
 def log_neg_log_cdf_margin(h_value: float) -> float:

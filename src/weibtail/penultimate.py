@@ -19,14 +19,10 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import (
-    BelowSupportError,
     DegenerateProfileError,
-    DomainError,
     GridSupportEmptyError,
     InsufficientGridError,
     InvalidBlockSizeError,
-    OutsideTailRegionError,
-    TailUnderflowError,
     ThetaOneExcludedError,
 )
 from .model import (
@@ -34,7 +30,7 @@ from .model import (
     WeibullTypeModel,
     gev_cdf_array,
     gumbel_cdf_array,
-    gumbel_coordinate,
+    gumbel_coordinate_array,
     gumbel_coordinate_inverse,
     gumbel_density_array,
     k_jet,
@@ -132,6 +128,8 @@ def _validate_grid(grid_spec: Tuple[float, float, int]) -> np.ndarray:
     lo, hi, count = grid_spec
     if count < 100:
         raise InsufficientGridError(f"grid needs at least 100 points, got {count}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(hi - lo)):
+        raise InsufficientGridError(f"grid needs finite lo, hi and hi - lo, got {lo!r}:{hi!r}")
     if not lo < hi:
         raise InsufficientGridError("grid needs lo < hi")
     return np.linspace(lo, hi, int(count))
@@ -139,20 +137,11 @@ def _validate_grid(grid_spec: Tuple[float, float, int]) -> np.ndarray:
 
 def _maxima_curve(model: WeibullTypeModel, log_n: float, xs: np.ndarray,
                   b: float, a: float) -> np.ndarray:
-    """F^n(a x + b) on the grid, via exp(-e^(log n - T(z)))."""
-    exponents = np.empty_like(xs)
-    for i, x in enumerate(xs):
-        z = b + a * x
-        try:
-            exponents[i] = log_n - gumbel_coordinate(model, z)
-        except (BelowSupportError, DomainError, OutsideTailRegionError):
-            # F = 0 region: F^n vanishes beyond double resolution
-            exponents[i] = math.inf
-        except TailUnderflowError:
-            # F = 1 at double precision: F^n is 1 to the same resolution
-            exponents[i] = -math.inf
+    """F^n(a x + b) on the grid, via exp(-e^(log n - T(z))); T = -inf where
+    F = 0 gives F^n = 0, T = +inf where F = 1 gives F^n = 1."""
+    t = gumbel_coordinate_array(model, b + a * xs)
     with np.errstate(over="ignore"):
-        return np.exp(-np.exp(exponents))
+        return np.exp(-np.exp(log_n - t))
 
 
 def error_comparison(
@@ -204,7 +193,7 @@ def error_comparison(
 
     return ErrorComparison(
         log_n=log_n,
-        grid=tuple(float(v) for v in xs),
+        grid=tuple(xs.tolist()),
         sup_error_ultimate=float(diff_ult[i_ult]),
         sup_error_penultimate=float(diff_pen[i_pen]),
         argmax_ultimate=float(xs[i_ult]),

@@ -13,10 +13,13 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
+import numpy as np
+
 from . import numerics
 from .errors import DomainError, InsufficientGridError
 
 ScalarFn = Callable[[float], float]
+ArrayFn = Callable[[np.ndarray], np.ndarray]
 
 # Verdict thresholds: a ratio sequence counts as decaying when the last
 # magnitude is under 0.1 absolute and at most half the first magnitude
@@ -31,6 +34,9 @@ class SlowlyVaryingSpec:
 
     ``d1``..``d4`` may be None to request numeric synthesis from ``value``.
     ``is_constant`` marks l == c, unlocking the closed-form hazard inverse.
+    ``value_array``, when given, is ``value`` over a float array of points
+    in the domain; it lets error curves evaluate a whole grid at once
+    (without it they call ``value`` point by point).
     """
 
     value: ScalarFn
@@ -41,6 +47,7 @@ class SlowlyVaryingSpec:
     domain_lower: float = 1.5
     label: str = "l"
     is_constant: bool = False
+    value_array: Optional[ArrayFn] = None
 
     def value_checked(self, x: float) -> float:
         if x < self.domain_lower:
@@ -119,6 +126,7 @@ def constant(c: float = 1.0) -> SlowlyVaryingSpec:
         domain_lower=0.0,
         label=f"const[{c:g}]",
         is_constant=True,
+        value_array=lambda x, c=c: np.full_like(x, c),
     )
 
 
@@ -159,6 +167,7 @@ def log_power(beta: float = 1.0) -> SlowlyVaryingSpec:
         d1=d1, d2=d2, d3=d3, d4=d4,
         domain_lower=1.5,
         label=f"logpow[{beta:g}]",
+        value_array=lambda x, b=beta: np.log(x) ** b,
     )
 
 
@@ -179,6 +188,7 @@ def log_shift(c: float = 1.0, d: float = 1.0) -> SlowlyVaryingSpec:
         d4=lambda x, d=d: d * m4(x),
         domain_lower=lower,
         label=f"logshift[{c:g},{d:g}]",
+        value_array=lambda x, c=c, d=d: c + d / np.log(x),
     )
 
 

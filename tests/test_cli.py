@@ -222,6 +222,14 @@ def test_exit_code_numeric_failure():
     assert payload["error"]["code"] == "invalid_block_size"
 
 
+@pytest.mark.parametrize("grid", ["-3:inf:1000", "-1e308:1e308:1000"])
+def test_exit_code_non_finite_grid(grid):
+    code, out, err = run_cli(["errors", "--model", "normal", "--log-n", "5", "--grid", grid])
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"]["code"] == "insufficient_grid"
+
+
 def test_exit_code_theta_one_gamma_mode():
     code, _, err = run_cli(["errors", "--model", "gumbel-fixture", "--log-n", "10",
                             "--gamma-mode", "asymptotic"])

@@ -12,6 +12,7 @@ from weibtail import numerics
 from weibtail.errors import (
     BracketMissError,
     EvalFailureError,
+    NoConvergenceError,
     OutsideTailRegionError,
     StencilFailureError,
 )
@@ -23,6 +24,7 @@ from weibtail.numerics import (
     log_cdf_power,
     log_neg_log_cdf_derivs,
     log_neg_log_cdf_from_H,
+    log_neg_log_cdf_from_H_array,
     log_neg_log_cdf_margin,
     solve_increasing,
 )
@@ -158,6 +160,21 @@ def test_solve_eval_failure():
         solve_increasing(lambda x: math.nan, 0.5, Bracket(0.0, 1.0))
 
 
+def test_solve_no_convergence_typed():
+    # sqrt on [0, 100] needs more than three steps to reach 1e-13
+    with pytest.raises(NoConvergenceError) as info:
+        solve_increasing(math.sqrt, 5.5, Bracket(0.0, 100.0), rel_tol=1e-13, max_iter=3)
+    assert info.value.code == "no_convergence"
+
+
+def test_solve_spacing_exhausted_returns_best():
+    # a jump of 1 at x = 1 leaves no point within the residual tolerance;
+    # the bracket shrinks to a few ulp and the best point seen is returned
+    f = lambda x: x - 1.0 + (0.5 if x >= 1.0 else -0.5)
+    root = solve_increasing(f, 0.0, Bracket(0.0, 3.0))
+    assert root == pytest.approx(1.0, rel=1e-14)
+
+
 def test_solve_with_infinite_endpoint():
     # f(hi) = inf only constrains the sign; the solve still converges
     f = lambda x: math.inf if x > 5.0 else x
@@ -182,6 +199,13 @@ def test_solve_recovers_target_hypothesis(shift, slope):
 
 
 # ------------------------------------------------------ log-space tail maths
+
+def test_log_neg_log_cdf_array_matches_scalar():
+    # both sides of the series switch at H = 7, and deep in the tail
+    h = np.concatenate([np.geomspace(1e-300, 7.0, 500), np.linspace(7.0, 800.0, 500), [1e300]])
+    got = log_neg_log_cdf_from_H_array(h)
+    want = np.array([log_neg_log_cdf_from_H(v) for v in h])
+    assert np.allclose(got, want, rtol=4.0 * np.finfo(float).eps, atol=0.0)
 
 def test_lnlcdf_median_case():
     # H = log 2 puts F at 1/2, so -log(-log F) = -log(log 2)

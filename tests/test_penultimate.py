@@ -2,18 +2,25 @@
 
 import dataclasses
 import math
+import warnings
 
+import numpy as np
 import pytest
 
 import weibtail as wt
 from weibtail import numerics
 from weibtail.errors import (
+    BelowSupportError,
     DegenerateProfileError,
+    DomainError,
     GridSupportEmptyError,
     InsufficientGridError,
+    OutsideTailRegionError,
+    TailUnderflowError,
     ThetaOneExcludedError,
 )
-from weibtail.penultimate import Classification
+from weibtail.model import Family, k_function
+from weibtail.penultimate import Classification, _maxima_curve
 
 
 # -------------------------------------------------------------- gamma_of_t
@@ -157,6 +164,116 @@ def test_errors_grid_support_empty():
 def test_errors_grid_validation():
     with pytest.raises(InsufficientGridError):
         wt.error_comparison(wt.normal(), 10.0, (-3.0, 6.0, 50))
+
+
+@pytest.mark.parametrize("lo, hi", [(-3.0, math.inf), (-math.inf, 6.0), (-3.0, math.nan),
+                                    (-1e308, 1e308)])
+def test_errors_grid_refuses_non_finite_window(lo, hi):
+    # an infinite edge, or a width hi - lo that overflows, has no grid
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InsufficientGridError):
+            wt.error_comparison(wt.normal(), 10.0, (lo, hi, 1000))
+
+
+# ----------------------------------------------------- array maxima curve
+
+def _scalar_maxima_curve(model, log_n, xs, b, a):
+    # the point-by-point evaluation the array path replaces
+    exponents = np.empty_like(xs)
+    for i, x in enumerate(xs):
+        try:
+            exponents[i] = log_n - wt.gumbel_coordinate(model, b + a * x)
+        except (BelowSupportError, DomainError, OutsideTailRegionError):
+            exponents[i] = math.inf
+        except TailUnderflowError:
+            exponents[i] = -math.inf
+    with np.errstate(over="ignore"):
+        return np.exp(-np.exp(exponents))
+
+
+def _location(model, log_n):
+    b = wt.gumbel_coordinate_inverse(model, log_n)
+    return b, 1.0 / k_function(model, b)
+
+
+PARITY_MODELS = {
+    "pw-0.25": lambda: wt.pure_weibull(theta=0.25),
+    "pw-2": lambda: wt.pure_weibull(theta=2.0),
+    "pw-alpha2-scale3": lambda: wt.pure_weibull(alpha=2.0, scale=3.0),
+    "ext-2": lambda: wt.extended_weibull(2.0),
+    "ext-0.5": lambda: wt.extended_weibull(0.5, 1.0),
+    "normal": wt.normal,
+    "exponential": wt.exponential,
+    "logistic": wt.logistic,
+    "gumbel-fixture": wt.gumbel_fixture,
+    **{f"gamma-{s:g}": (lambda s=s: wt.gamma_model(s)) for s in (0.5, 2.0, 5.0, 50.0, 1000.0)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARITY_MODELS))
+def test_maxima_curve_array_matches_scalar(name):
+    model = PARITY_MODELS[name]()
+    array_form = model.l.value_array if model.l is not None else model.classical_log_sf_array
+    assert array_form is not None
+    checked = 0
+    for log_n in (0.01, 1.0, 10.0, 100.0, 300.0, 700.0):
+        try:
+            b, a = _location(model, log_n)
+        except wt.errors.WeibtailError:
+            continue  # extended-Weibull below its support level
+        for lo, hi, count in ((-3.0, 6.0, 1000), (-20.0, 40.0, 5000)):
+            xs = np.linspace(lo, hi, count)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _maxima_curve(model, log_n, xs, b, a)
+            want = _scalar_maxima_curve(model, log_n, xs, b, a)
+            assert np.max(np.abs(got - want)) <= 1e-12, (log_n, lo)
+            checked += 1
+    assert checked >= 8
+
+
+def test_maxima_curve_at_support_endpoint():
+    # gumbel-fixture: T = H = z, so z = 0 = support_lower is a valid T = 0
+    # and F^n(0) = exp(-e) at log n = 1, not the F = 0 saturation
+    model = wt.gumbel_fixture()
+    b, a = _location(model, 1.0)
+    xs = np.linspace(-1.0, 2.0, 100)
+    assert b + a * xs[0] == model.support_lower
+    got = _maxima_curve(model, 1.0, xs, b, a)
+    assert got[0] == math.exp(-math.e)
+    assert np.array_equal(got, _scalar_maxima_curve(model, 1.0, xs, b, a))
+
+
+def _scalar_only_model(kind):
+    # user callables written for one float, without an array form
+    if kind == "tail":
+        spec = wt.SlowlyVaryingSpec(value=lambda x: 1.0 + 1.0 / math.log(x), domain_lower=1.5)
+        return wt.weibull_type(0.5, spec, support_lower=2.0, label="user-tail"), spec.value
+    model = wt.WeibullTypeModel(
+        family=Family.CLASSICAL,
+        theta=1.0,
+        label="user-exponential",
+        classical_cdf=lambda x: -math.expm1(-x) if x > 0.0 else 0.0,
+        classical_density=lambda x: math.exp(-x) if x > 0.0 else 0.0,
+        classical_log_sf=lambda x: -x if x > 0.0 else 0.0,
+    )
+    return model, model.classical_log_sf
+
+
+@pytest.mark.parametrize("kind", ["tail", "classical"])
+def test_maxima_curve_scalar_fallback(kind):
+    # callables that reject arrays take the point-by-point loop, bit for bit
+    model, fn = _scalar_only_model(kind)
+    with pytest.raises((TypeError, ValueError)):
+        fn(np.array([3.0, 4.0]))
+    for log_n in (10.0, 20.0, 100.0):
+        b, a = _location(model, log_n)
+        xs = np.linspace(-3.0, 6.0, 1000)
+        assert np.array_equal(_maxima_curve(model, log_n, xs, b, a),
+                              _scalar_maxima_curve(model, log_n, xs, b, a))
+        cmp_ = wt.error_comparison(model, log_n)
+        assert cmp_.grid == tuple(float(v) for v in xs)
 
 
 # ------------------------------------------------------------- remainder
