@@ -24,20 +24,16 @@ from .catalog import (
 )
 from .model import (
     Family,
-    GevPoint,
     WeibullTypeModel,
     cdf,
     cumulative_hazard,
     cumulative_hazard_inverse,
     density,
-    gev_cdf,
-    gev_density,
     gumbel_coordinate,
     gumbel_coordinate_inverse,
     k_derivative,
     k_function,
     log_cdf,
-    log_cdf_of_maxima,
     rv_ratios,
 )
 from .norming import NormingConstants, location, norming, scale
@@ -68,7 +64,6 @@ __all__ = [
     "ConditionReport",
     "ErrorComparison",
     "Family",
-    "GevPoint",
     "NormingConstants",
     "PenultimateIndex",
     "SlowlyVaryingSpec",
@@ -88,8 +83,6 @@ __all__ = [
     "extended_weibull",
     "gamma_model",
     "gamma_of_t",
-    "gev_cdf",
-    "gev_density",
     "gomes84_closed_form",
     "gumbel_coordinate",
     "gumbel_coordinate_inverse",
@@ -98,7 +91,6 @@ __all__ = [
     "k_function",
     "location",
     "log_cdf",
-    "log_cdf_of_maxima",
     "log_power",
     "log_shift",
     "logistic",

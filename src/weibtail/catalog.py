@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 from . import slowly_varying as sv
 from .model import Family, WeibullTypeModel
 
-_SQRT2 = math.sqrt(2.0)
+if TYPE_CHECKING:
+    import numpy as np
+
+_SQRT1_2 = math.sqrt(0.5)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _LN2 = math.log(2.0)
@@ -29,6 +30,13 @@ _GAMMA_MAX_TERMS = 1000
 # order j; from here on (and from 2 * shape, where the asymptotic series
 # starts out decreasing) the hazard block comes from the large-x series.
 _GAMMA_LARGE_X = 50.0
+# Normal tail switches in x: the Mills-ratio continued fraction from
+# x = 2 (z = x/sqrt 2 = 1.41), and the asymptotic form of log Q from just
+# below z = 26.5, where erfc(z) leaves the normal doubles.
+_NORMAL_CF_X = 2.0
+_NORMAL_ASYMPTOTIC_X = 37.0
+# (x + _SPLITTER) - _SPLITTER rounds |x| < 2^40 to a multiple of 2^-11.
+_SPLITTER = 1.5 * 2.0**41
 
 
 def weibull_type(
@@ -91,46 +99,131 @@ def gumbel_fixture() -> WeibullTypeModel:
     )
 
 
+def _normal_pdf(x: float) -> float:
+    """phi(x) to a few ulp; 0 beyond |x| = 40, where phi < 1e-347.
+
+    x^2 = xh^2 + (x - xh)(x + xh) with xh = x rounded to 2^-11, whose square
+    is exact, so exp(-x^2/2) does not lose the ~x^2 ulp that rounding x^2
+    costs."""
+    if not abs(x) <= 40.0:
+        return 0.0
+    xh = (x + _SPLITTER) - _SPLITTER
+    return _INV_SQRT_2PI * math.exp(-0.5 * xh * xh) * math.exp(-0.5 * (x - xh) * (x + xh))
+
+
+def _normal_sf(x: float) -> float:
+    """Q(x) = erfc(x/sqrt 2)/2 to a few ulp, down to the subnormals.
+
+    For x >= 0 the rounding of z = x/sqrt 2 would move erfc(z) by 2 z^2
+    times itself; erfcx(z) = erfc(z) e^(z^2) barely moves, so Q is taken
+    as erfc(z) e^(z^2 - x^2/2)/2 with z^2 - x^2/2 from exactly split squares.
+    From x = 37, where erfc(z) leaves the normal doubles, Q = phi/h with h
+    from the asymptotic series.
+    """
+    if x < 0.0:
+        return 0.5 * math.erfc(x * _SQRT1_2)  # erfc is flat there
+    if x >= _NORMAL_ASYMPTOTIC_X:
+        return _normal_pdf(x) / (x + _normal_hazard_excess(x))
+    z = x * _SQRT1_2
+    zh = (z + _SPLITTER) - _SPLITTER
+    xh = (x + _SPLITTER) - _SPLITTER
+    c = (zh * zh - 0.5 * xh * xh) + ((z - zh) * (z + zh) - 0.5 * (x - xh) * (x + xh))
+    return 0.5 * math.erfc(z) * (1.0 + c)  # e^c = 1 + c: |c| < 1e-12
+
+
+def _normal_hazard(x: float) -> Tuple[float, float]:
+    """(h, h - x) for the hazard h = phi(x) / Q(x), x < 50.
+
+    From x = 2 on, the Mills ratio Q/phi = x / (x^2 + 1 - t) with
+    t = 1*2 / (x^2 + 5 - 3*4 / (x^2 + 9 - 5*6 / ...)), the even continued
+    fraction of erfcx (DLMF 7.9.3 with z = x/sqrt 2), summed by the
+    modified Lentz algorithm in 55 steps at x = 2 and 4 beyond x = 24.
+    Then h - x = (1 - t)/x, free of the cancellation in h - x that costs
+    ~x^2 ulp, and h = x + (h - x).
+    """
+    if x < _NORMAL_CF_X:
+        h = _normal_pdf(x) / _normal_sf(x)
+        return h, h - x
+    b = x * x + 5.0
+    c = 1.0 / _LENTZ_TINY
+    d = 1.0 / b
+    tau = d
+    for i in range(2, 100):
+        an = -(2.0 * i - 1.0) * (2.0 * i)
+        b += 4.0
+        d = 1.0 / (an * d + b)  # the denominators stay positive for x > 0
+        c = b + an / c
+        delta = d * c
+        tau *= delta
+        if abs(delta - 1.0) <= _EPS:
+            break
+    u = (1.0 - 2.0 * tau) / x
+    return x + u, u
+
+
+def _normal_hazard_excess(x: float) -> float:
+    """h - x by the inverse-Mills asymptotic series (DLMF 7.12.1), cut at
+    the x^-9 term: relative truncation ~2e-12 at x = 37, O(x^-10), which
+    is ~2e-12/x^2 in h itself."""
+    v = 1.0 / (x * x)
+    return (1.0 / x) * (1.0 - v * (2.0 - v * (10.0 - v * (74.0 - 706.0 * v))))
+
+
+def _normal_log_sf(x: float) -> float:
+    """log Q(x): log1p(-Phi) below 0, log Q until Q underflows, then the
+    asymptotic form log(phi/h) = -x^2/2 - log sqrt(2 pi) - log h."""
+    if x < 0.0:
+        return math.log1p(-_normal_sf(-x))
+    if x < _NORMAL_ASYMPTOTIC_X:
+        return math.log(_normal_sf(x))
+    return -0.5 * x * x - _LOG_SQRT_2PI - math.log(x + _normal_hazard_excess(x))
+
+
 def normal() -> WeibullTypeModel:
     """Standard Normal (reference theta = 1/2).
 
-    Tail evaluation goes through erfc/erfcx and log_ndtr, accurate to a
-    few ulp arbitrarily deep in the tail; the hazard derivatives use the
-    Mills-ratio recurrence h' = h(h - x).  ``scipy.special`` is imported
-    here, so only the Normal model pays for it.
+    The scalar tail comes from libm's erfc (``_normal_sf``) and the hazard
+    from a Mills-ratio continued fraction (``_normal_hazard``), both
+    accurate to a few ulp arbitrarily deep in the tail; the hazard
+    derivatives use the Mills-ratio recurrence h' = h(h - x).  Only the
+    array log sf of the error curves uses ``scipy.special.log_ndtr``,
+    imported when first called.
     """
-    from scipy import special as sps
 
     def hazard_block(x: float) -> Tuple[float, float, float, float]:
         if x < 50.0:
-            h = math.sqrt(2.0 / math.pi) / float(sps.erfcx(x / _SQRT2))
-            h1 = h * (h - x)
-            h2 = h1 * (h - x) + h * (h1 - 1.0)
-            h3 = h2 * (h - x) + 2.0 * h1 * (h1 - 1.0) + h * h2
+            h, u = _normal_hazard(x)
+            h1 = h * u
+            h2 = h1 * u + h * (h1 - 1.0)
+            h3 = h2 * u + 2.0 * h1 * (h1 - 1.0) + h * h2
             return h, h1, h2, h3
-        # The recurrence cancels in h - x and h' - 1 for large x; all four
-        # orders come from the inverse-Mills asymptotic series instead
-        # (relative truncation ~3e-9 at x = 50, O(x^-8) beyond).
+        # The recurrence cancels in h' - 1 for large x; all four orders come
+        # from the inverse-Mills asymptotic series instead (relative
+        # truncation ~3e-9 at x = 50, O(x^-8) beyond).
         v = 1.0 / (x * x)
-        delta = (1.0 / x) * (1.0 - v * (2.0 - v * (10.0 - v * (74.0 - 706.0 * v))))
-        h = x + delta
+        h = x + _normal_hazard_excess(x)
         h1 = 1.0 - v * (1.0 - v * (6.0 - v * (50.0 - 518.0 * v)))
         h2 = (2.0 - v * (24.0 - v * (300.0 - 4144.0 * v))) * v / x
         h3 = -(6.0 - v * (120.0 - v * (2100.0 - 37296.0 * v))) * v * v
         return h, h1, h2, h3
+
+    def log_sf_array(x: np.ndarray) -> np.ndarray:
+        from scipy import special as sps
+
+        return sps.log_ndtr(-x)
 
     return WeibullTypeModel(
         family=Family.CLASSICAL,
         theta=0.5,
         label="normal",
         support_lower=-math.inf,
-        classical_cdf=lambda x: float(sps.ndtr(x)),
-        classical_density=lambda x: _INV_SQRT_2PI * math.exp(-0.5 * x * x),
-        classical_log_cdf=lambda x: float(sps.log_ndtr(x)),
-        classical_log_sf=lambda x: float(sps.log_ndtr(-x)),
+        classical_cdf=lambda x: _normal_sf(-x),
+        classical_density=_normal_pdf,
+        classical_log_cdf=lambda x: _normal_log_sf(-x),
+        classical_log_sf=_normal_log_sf,
         classical_log_pdf=lambda x: -0.5 * x * x - _LOG_SQRT_2PI,
         hazard_derivs=hazard_block,
-        classical_log_sf_array=lambda x: sps.log_ndtr(-x),
+        classical_log_sf_array=log_sf_array,
     )
 
 
@@ -139,6 +232,11 @@ def exponential() -> WeibullTypeModel:
 
     def hazard_block(x: float) -> Tuple[float, float, float, float]:
         return 1.0, 0.0, 0.0, 0.0
+
+    def log_sf_array(x: np.ndarray) -> np.ndarray:
+        import numpy as np
+
+        return np.where(x > 0.0, -x, 0.0)
 
     return WeibullTypeModel(
         family=Family.CLASSICAL,
@@ -151,7 +249,7 @@ def exponential() -> WeibullTypeModel:
         classical_log_sf=lambda x: -x if x > 0.0 else 0.0,
         classical_log_pdf=lambda x: -x if x > 0.0 else -math.inf,
         hazard_derivs=hazard_block,
-        classical_log_sf_array=lambda x: np.where(x > 0.0, -x, 0.0),
+        classical_log_sf_array=log_sf_array,
     )
 
 
@@ -167,6 +265,8 @@ def logistic() -> WeibullTypeModel:
         return -math.log1p(math.exp(x))
 
     def log_sf_array(x: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         out = np.empty_like(x)
         pos = x >= 0.0
         xp, xn = x[pos], x[~pos]
@@ -202,6 +302,8 @@ def _log1mexp(v: float) -> float:
 
 
 def _log1mexp_array(v: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     out = np.empty_like(v)
     near = v > -_LN2
     out[near] = np.log(-np.expm1(v[near]))
@@ -280,6 +382,8 @@ def gamma_model(shape: float = 2.0) -> WeibullTypeModel:
     def log_sf_array(x: np.ndarray) -> np.ndarray:
         """log Q(a, x) over an array: ``tail``'s series and continued
         fraction, each point stopped at the step where ``tail`` stops."""
+        import numpy as np
+
         out = np.zeros_like(x)  # x <= 0
         out[x == math.inf] = -math.inf
         pos = np.flatnonzero((x > 0.0) & (x < a + 1.0))

@@ -78,12 +78,6 @@ class TailUnderflowError(WeibtailError):
     code = "tail_underflow"
 
 
-class OutsideSupportError(WeibtailError):
-    """GEV argument violates 1 + gamma*x > 0."""
-
-    code = "outside_support"
-
-
 class InvalidBlockSizeError(WeibtailError):
     """log n must be a positive real."""
 

@@ -16,8 +16,9 @@ block of family-specific H-derivatives (the slowly varying spec for tail
 families, hazard recurrences for classical models), or by Richardson
 differentiation of k for classical models without hazard recurrences.
 ``KJet.phi`` = (1/k)' = -k'/k^2 is the one place that shape is formed.
-This module also evaluates the generalized extreme value cdf/density with
-a series-corrected branch through gamma = 0.
+This module also evaluates the Gumbel and generalized extreme value cdfs
+over arrays, the latter with a series-corrected branch through gamma = 0.
+Only the array functions import numpy, so scalar quantities start without it.
 """
 
 from __future__ import annotations
@@ -25,9 +26,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 from . import numerics
 from .errors import (
@@ -35,11 +34,13 @@ from .errors import (
     BelowSupportError,
     BracketMissError,
     DomainError,
-    OutsideSupportError,
     OutsideTailRegionError,
     TailUnderflowError,
 )
 from .slowly_varying import ArrayFn, SlowlyVaryingSpec
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ScalarFn = Callable[[float], float]
 # (H', H'', H''', H'''') of the classical hazard H = -log(1 - F); the first
@@ -257,6 +258,8 @@ def gumbel_coordinate_array(model: WeibullTypeModel, xs: np.ndarray) -> np.ndarr
     ``classical_log_sf_array``) are evaluated in one pass; the rest call
     :func:`gumbel_coordinate` point by point with the same saturation.
     """
+    import numpy as np
+
     if model.family is Family.CLASSICAL:
         array_form = model.classical_log_sf_array
     else:
@@ -346,22 +349,6 @@ def density(model: WeibullTypeModel, x: float) -> float:
     if model.family is Family.TAIL_EXP:
         return d1 * math.exp(-h)
     return d1 * math.exp(-h - math.exp(-h))
-
-
-def log_cdf_of_maxima(model: WeibullTypeModel, x: float, log_n: float) -> float:
-    """log F^n(x) with n = e^log_n, safe at any block scale.
-
-    Points below the support endpoint report -inf: there F <= F(x0) < 1 so
-    F^n vanishes to far below double resolution for the block sizes where
-    maxima asymptotics are meaningful.
-    """
-    try:
-        t = gumbel_coordinate(model, x)
-    except (BelowSupportError, OutsideTailRegionError):
-        return -math.inf
-    except TailUnderflowError:
-        return -0.0  # F = 1 at double precision, so F^n is too
-    return numerics.log_cdf_power(-t, log_n)
 
 
 def _chain_weights(model: WeibullTypeModel, x: float) -> Tuple[float, float, float, float]:
@@ -492,63 +479,37 @@ def rv_ratios(model: WeibullTypeModel, x: float) -> Tuple[float, float, float]:
 _GEV_SERIES_GAMMA = 1e-8
 
 
-@dataclass(frozen=True)
-class GevPoint:
-    """Evaluation point (gamma, x) with 1 + gamma*x > 0 enforced."""
+def gev_cdf_array(gamma: float, xs: np.ndarray) -> np.ndarray:
+    """G_gamma(x) = exp(-(1 + gamma x)^(-1/gamma)) over points already
+    inside the support; Gumbel at gamma = 0.
 
-    gamma: float
-    x: float
-
-    def __post_init__(self):
-        if self.gamma != 0.0 and 1.0 + self.gamma * self.x <= 0.0:
-            raise OutsideSupportError(
-                f"1 + gamma*x = {1.0 + self.gamma * self.x!r} <= 0 (gamma={self.gamma!r}, x={self.x!r})"
-            )
-
-
-def _gumbel_argument(gamma: float, x):
-    """w with G_gamma(x) = exp(-e^-w); w = log1p(gamma x)/gamma, for a
-    scalar or an array x.
-
-    Tiny |gamma| goes through the series x(1 - gx/2 + (gx)^2/3) so the map
-    is continuous through gamma = 0.
+    With w = log1p(gamma x)/gamma, G_gamma = exp(-e^-w).  Tiny |gamma| goes
+    through the series x(1 - gx/2 + (gx)^2/3) so the map is continuous
+    through gamma = 0.
     """
+    import numpy as np
+
+    x = np.asarray(xs, dtype=float)
     if abs(gamma) < _GEV_SERIES_GAMMA:
         t = gamma * x
-        return x * (1.0 - t / 2.0 + t * t / 3.0)
-    return np.log1p(gamma * x) / gamma
-
-
-def gev_cdf(p: GevPoint) -> float:
-    """G_gamma(x) = exp(-(1 + gamma x)^(-1/gamma)); Gumbel at gamma = 0."""
-    w = _gumbel_argument(p.gamma, p.x)
-    if w < -690.0:
-        return 0.0
-    return math.exp(-math.exp(-w))
-
-
-def gev_density(p: GevPoint) -> float:
-    """g_gamma = G'_gamma, evaluated as exp(-e^-w - w) / (1 + gamma x)."""
-    w = _gumbel_argument(p.gamma, p.x)
-    if w < -690.0:
-        return 0.0
-    return math.exp(-math.exp(-w) - w) / (1.0 + p.gamma * p.x)
-
-
-def gev_cdf_array(gamma: float, xs: np.ndarray) -> np.ndarray:
-    """Vectorized G_gamma over points already inside the support."""
-    w = _gumbel_argument(gamma, np.asarray(xs, dtype=float))
+        w = x * (1.0 - t / 2.0 + t * t / 3.0)
+    else:
+        w = np.log1p(gamma * x) / gamma
     with np.errstate(over="ignore"):
         return np.exp(-np.exp(-w))
 
 
 def gumbel_cdf_array(xs: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     xs = np.asarray(xs, dtype=float)
     with np.errstate(over="ignore"):
         return np.exp(-np.exp(-xs))
 
 
 def gumbel_density_array(xs: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     xs = np.asarray(xs, dtype=float)
     with np.errstate(over="ignore"):
         return np.exp(-np.exp(-xs) - xs)

@@ -3,18 +3,16 @@ differences, and monotone root finding.
 
 Everything here is a pure function of its arguments (no caches, no
 globals), so concurrent use needs no locking.  Block sizes are carried as
-``log n`` throughout the package; this module is where F^n and the
-Gumbel-scale transform -log(-log F) are made safe for log n up to several
-hundred, far past where F^n would underflow in linear space.
+``log n`` throughout the package; this module is where the Gumbel-scale
+transform -log(-log F) is made safe for log n up to several hundred, far
+past where F^n would underflow in linear space.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 from .errors import (
     BracketMissError,
@@ -23,6 +21,9 @@ from .errors import (
     OutsideTailRegionError,
     StencilFailureError,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _EPS = math.ulp(1.0)
 
@@ -263,6 +264,8 @@ def log_neg_log_cdf_from_H(h_value: float) -> float:
 def log_neg_log_cdf_from_H_array(h: np.ndarray) -> np.ndarray:
     """:func:`log_neg_log_cdf_from_H` over an array of H in (0, inf), with
     the same closed form and series on either side of the switch."""
+    import numpy as np
+
     out = np.empty_like(h)
     low = h < _SERIES_SWITCH
     out[low] = -np.log(-np.log(-np.expm1(-h[low])))
@@ -316,18 +319,3 @@ def log_neg_log_cdf_derivs(h_value: float) -> Tuple[float, float, float, float]:
         + 6.0 * a**4 / w**4
     )
     return g1, g2, g3, g4
-
-
-def log_cdf_power(log_neg_log_f: float, log_n: float) -> float:
-    """log(F^n) = -exp(log_n + log(-log F)), entirely in log space.
-
-    Saturates gracefully: -inf when the exponent overflows (F^n = 0) and
-    -0.0 when it underflows (F^n = 1).  Accepts +/-inf arguments with the
-    corresponding saturation.
-    """
-    if math.isnan(log_neg_log_f) or math.isnan(log_n):
-        raise EvalFailureError("log_cdf_power received NaN")
-    s = log_n + log_neg_log_f
-    if s > 709.0:
-        return -math.inf
-    return -math.exp(s)

@@ -14,9 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from .errors import (
     DegenerateProfileError,
@@ -35,6 +33,9 @@ from .model import (
     gumbel_density_array,
     k_jet,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Default evaluation window: covers all but ~1e-3 of the Gumbel mass.
 DEFAULT_GRID: Tuple[float, float, int] = (-3.0, 6.0, 1000)
@@ -125,6 +126,8 @@ def penultimate_index(model: WeibullTypeModel, log_n: float) -> PenultimateIndex
 
 
 def _validate_grid(grid_spec: Tuple[float, float, int]) -> np.ndarray:
+    import numpy as np
+
     lo, hi, count = grid_spec
     if count < 100:
         raise InsufficientGridError(f"grid needs at least 100 points, got {count}")
@@ -138,9 +141,12 @@ def _validate_grid(grid_spec: Tuple[float, float, int]) -> np.ndarray:
 def _maxima_curve(model: WeibullTypeModel, log_n: float, xs: np.ndarray,
                   b: float, a: float) -> np.ndarray:
     """F^n(a x + b) on the grid, via exp(-e^(log n - T(z))); T = -inf where
-    F = 0 gives F^n = 0, T = +inf where F = 1 gives F^n = 1."""
-    t = gumbel_coordinate_array(model, b + a * xs)
+    F = 0 gives F^n = 0, T = +inf where F = 1 gives F^n = 1, and a z that
+    overflows to +/-inf in a huge window saturates the same way."""
+    import numpy as np
+
     with np.errstate(over="ignore"):
+        t = gumbel_coordinate_array(model, b + a * xs)
         return np.exp(-np.exp(log_n - t))
 
 
@@ -158,6 +164,8 @@ def error_comparison(
     Grid points outside the support of G_{gamma_n} are clipped from the
     penultimate sup and counted in ``n_clipped``.
     """
+    import numpy as np
+
     xs = _validate_grid(grid_spec)
     b, jet = _location_jet(model, log_n)
     if gamma_mode == "exact":
@@ -206,7 +214,16 @@ def error_comparison(
 
 def _remainder_deviation(model: WeibullTypeModel, xs: np.ndarray, fn: np.ndarray,
                          g0: np.ndarray, rate: float) -> float:
-    """max |R - 1| with R = (F^n - G_0) / ((x^2/2) rate g_0(x)), rate = k'(b)/k^2(b)."""
+    """max |R - 1| with R = (F^n - G_0) / ((x^2/2) rate g_0(x)), rate = k'(b)/k^2(b).
+
+    g_0(x) is 0 beyond |x| = 1e3, so the ascending grid is clipped there:
+    x^2 stays finite in a window wide enough to overflow it, and the
+    denominator is 0 there rather than inf * 0.
+    """
+    import numpy as np
+
+    if xs[0] < -1e3 or xs[-1] > 1e3:
+        xs = np.clip(xs, -1e3, 1e3)
     den = 0.5 * xs * xs * rate * gumbel_density_array(xs)
     mask = np.abs(den) > REMAINDER_DENOMINATOR_CUTOFF
     if not mask.any():

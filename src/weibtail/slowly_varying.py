@@ -11,15 +11,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple
 
 from . import numerics
 from .errors import DomainError, InsufficientGridError
 
+if TYPE_CHECKING:
+    import numpy as np
+
 ScalarFn = Callable[[float], float]
-ArrayFn = Callable[[np.ndarray], np.ndarray]
+ArrayFn = Callable[["np.ndarray"], "np.ndarray"]
 
 # Verdict thresholds: a ratio sequence counts as decaying when the last
 # magnitude is under 0.1 absolute and at most half the first magnitude
@@ -120,13 +121,19 @@ def constant(c: float = 1.0) -> SlowlyVaryingSpec:
     if not c > 0.0:
         raise ValueError("constant l must be positive")
     zero = lambda x: 0.0
+
+    def value_array(x: np.ndarray) -> np.ndarray:
+        import numpy as np
+
+        return np.full_like(x, c)
+
     return SlowlyVaryingSpec(
         value=lambda x, c=c: c,
         d1=zero, d2=zero, d3=zero, d4=zero,
         domain_lower=0.0,
         label=f"const[{c:g}]",
         is_constant=True,
-        value_array=lambda x, c=c: np.full_like(x, c),
+        value_array=value_array,
     )
 
 
@@ -162,12 +169,18 @@ def log_power(beta: float = 1.0) -> SlowlyVaryingSpec:
     if beta == 0.0:
         return constant(1.0)
     d1, d2, d3, d4 = _log_power_derivs(beta)
+
+    def value_array(x: np.ndarray) -> np.ndarray:
+        import numpy as np
+
+        return np.log(x) ** beta
+
     return SlowlyVaryingSpec(
         value=lambda x, b=beta: math.log(x) ** b,
         d1=d1, d2=d2, d3=d3, d4=d4,
         domain_lower=1.5,
         label=f"logpow[{beta:g}]",
-        value_array=lambda x, b=beta: np.log(x) ** b,
+        value_array=value_array,
     )
 
 
@@ -180,6 +193,12 @@ def log_shift(c: float = 1.0, d: float = 1.0) -> SlowlyVaryingSpec:
     if d < 0.0:
         # keep away from the zero of c + d/L at L = -d/c
         lower = max(lower, 2.0 * math.exp(-d / c))
+
+    def value_array(x: np.ndarray) -> np.ndarray:
+        import numpy as np
+
+        return c + d / np.log(x)
+
     return SlowlyVaryingSpec(
         value=lambda x, c=c, d=d: c + d / math.log(x),
         d1=lambda x, d=d: d * m1(x),
@@ -188,7 +207,7 @@ def log_shift(c: float = 1.0, d: float = 1.0) -> SlowlyVaryingSpec:
         d4=lambda x, d=d: d * m4(x),
         domain_lower=lower,
         label=f"logshift[{c:g},{d:g}]",
-        value_array=lambda x, c=c, d=d: c + d / np.log(x),
+        value_array=value_array,
     )
 
 

@@ -1,4 +1,5 @@
-"""Catalog models: the log-space incomplete gamma and import isolation."""
+"""Catalog models: the log-space incomplete gamma, the Normal without
+scipy, and which commands import numpy or scipy."""
 
 import ast
 import math
@@ -98,31 +99,132 @@ def test_gamma_norming_large_shape(shape, log_n):
     _assert_gamma_norming(shape, log_n)
 
 
-_IMPORT_PROBE = """
+def _mp_normal_q(x):
+    """Q(x) at 40 digits."""
+    x = mp.mpf(x)
+    return mp.erfc(x / mp.sqrt(2)) / 2
+
+
+def _mp_normal_log_q(x):
+    q = _mp_normal_q(x)
+    return mp.log(q) if q < 0.5 else mp.log1p(-_mp_normal_q(-x))
+
+
+def _normal_points():
+    """[-40, 1e6], plus both sides of every branch switch and its mirror:
+    the sign at 0, the continued fraction at 2, the asymptotic form at 37
+    and the hazard's large-x series at 50."""
+    points = {float(v) for v in np.linspace(-40.0, 60.0, 401)}
+    points |= {float(v) for v in np.logspace(0.0, 6.0, 61)}
+    for switch in (0.0, 2.0, 37.0, 50.0):
+        for edge in (switch, -switch):
+            points |= {edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)}
+    return sorted(points)
+
+
+def _close(got, ref, rel):
+    """Within ``rel`` of the 40-digit reference, or within a few subnormal
+    spacings of it where it is below the normal doubles."""
+    return abs(mp.mpf(got) - ref) <= rel * abs(ref) + 1e-322
+
+
+def test_normal_tail_against_mpmath():
+    m = wt.normal()
+    with mp.workdps(40):
+        for x in _normal_points():
+            log_q, log_p = _mp_normal_log_q(x), _mp_normal_log_q(-x)
+            assert _close(m.classical_log_sf(x), log_q, 1e-14), x
+            assert _close(m.classical_log_cdf(x), log_p, 1e-14), x
+            assert _close(m.classical_cdf(x), _mp_normal_q(-x), 1e-14), x
+
+
+def test_normal_hazard_against_mpmath():
+    # h and h' = h (h - x): from x = 2 the continued fraction gives h - x
+    # without the cancellation that cost the old route ~x^2 ulp in h'
+    m = wt.normal()
+    with mp.workdps(40):
+        for x in _normal_points():
+            if not -30.0 <= x < 50.0:
+                continue
+            X = mp.mpf(x)
+            h = mp.exp(-X * X / 2) / mp.sqrt(2 * mp.pi) / _mp_normal_q(x)
+            got_h, got_h1 = m.hazard_derivs(x)[:2]
+            assert _close(got_h, h, 1e-14), x
+            assert _close(got_h1, h * (h - X), 1e-14), x
+
+
+# (CLI model flags, library constructor) for every catalog model
+CATALOG_CASES = (
+    (["--model", "pure-weibull", "--theta", "2"], "lambda: wt.pure_weibull(theta=2.0)"),
+    (["--model", "extended-weibull", "--beta", "2"], "lambda: wt.extended_weibull(beta=2.0)"),
+    (["--model", "normal"], "wt.normal"),
+    (["--model", "exponential"], "wt.exponential"),
+    (["--model", "logistic"], "wt.logistic"),
+    (["--model", "gamma", "--shape", "2"], "lambda: wt.gamma_model(2.0)"),
+    (["--model", "gumbel-fixture"], "wt.gumbel_fixture"),
+)
+
+_LIBRARY_PROBE = """
 import sys
 import weibtail as wt
-for build in (
-    lambda: wt.pure_weibull(theta=2.0),
-    lambda: wt.extended_weibull(beta=2.0),
-    wt.exponential,
-    wt.logistic,
-    lambda: wt.gamma_model(2.0),
-    wt.gumbel_fixture,
-):
-    build()
-before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-wt.normal()
-after = set(sys.modules)
-print(repr((before, "scipy.special" in after, "scipy.stats" in after)))
-"""
+
+def loaded():
+    return sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"})
+
+scalar = []
+for build in (%s,):
+    model = build()
+    wt.norming(model, 20.0)
+    wt.penultimate_index(model, 20.0)
+    wt.condition_sweep(model, (1e2, 1e4, 1e6, 1e8, 1e10))
+    scalar.append(loaded())
+wt.error_comparison(wt.normal(), 5.0)
+print(repr((scalar, "scipy.special" in sys.modules, "scipy.stats" in sys.modules)))
+""" % ", ".join(build for _, build in CATALOG_CASES)
+
+_CLI_PROBE = """
+import contextlib, io, runpy, sys
+
+def loaded():
+    return sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"})
+
+seen = []
+for argv in %r:
+    sys.argv = ["weibtail", *argv]
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            runpy.run_module("weibtail.cli", run_name="__main__", alter_sys=True)
+        except SystemExit as exc:
+            assert exc.code in (0, None), (argv, exc.code)
+    seen.append((argv, loaded()))
+print(repr(seen))
+""" % ([["models"]] + [
+    [command, *flags, *(["--log-n", "10,100"] if command != "vonmises" else [])]
+    for flags, _ in CATALOG_CASES
+    for command in ("norming", "penultimate", "vonmises")
+],)
+
+
+def _probe(source):
+    proc = subprocess.run(
+        [sys.executable, "-c", source],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout)
 
 
 def test_import_leaves_scipy_out():
-    out = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE],
-        capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
-    ).stdout
-    before, special, stats = ast.literal_eval(out)
-    assert before == []
+    # the scalar quantities of every catalog model import neither numpy nor
+    # scipy; the normal's error curve then loads scipy.special, never scipy.stats
+    scalar, special, stats = _probe(_LIBRARY_PROBE)
+    assert scalar == [[]] * len(CATALOG_CASES)
     assert special and not stats
+
+
+def test_scalar_cli_leaves_numpy_out():
+    seen = _probe(_CLI_PROBE)
+    assert len(seen) == 1 + 3 * len(CATALOG_CASES)
+    for argv, modules in seen:
+        assert modules == [], argv

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 
@@ -228,6 +229,24 @@ def test_exit_code_non_finite_grid(grid):
     assert code == 3
     assert out == ""
     assert json.loads(err)["error"]["code"] == "insufficient_grid"
+
+
+@pytest.mark.parametrize("model, log_n, grid", [
+    (["--model", "normal"], "5", "-1e200:1e200:1000"),  # x^2 overflows
+    (["--model", "pure-weibull", "--theta", "2"], "100", "-1e307:1e307:1000"),  # a x overflows
+])
+def test_errors_huge_window(model, log_n, grid):
+    # a finite window far wider than the Gumbel mass: no grid point lands in
+    # it, so both sup errors are 0, and g_0 = 0 at every point leaves the
+    # remainder without a denominator; nothing overflows on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["errors", *model, "--log-n", log_n, "--grid", grid])
+    assert (code, err) == (0, "")
+    row = parse_csv(out)[0]
+    assert float(row["sup_error_ultimate"]) == 0.0
+    assert float(row["sup_error_penultimate"]) == 0.0
+    assert row["remainder_max_deviation"] == ""
 
 
 def test_exit_code_theta_one_gamma_mode():

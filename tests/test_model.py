@@ -10,16 +10,18 @@ import weibtail as wt
 from weibtail.errors import (
     BelowRangeError,
     BelowSupportError,
-    OutsideSupportError,
     TailUnderflowError,
 )
 from weibtail.model import (
-    GevPoint,
-    gev_cdf,
     gev_cdf_array,
-    gev_density,
+    gumbel_density_array,
     k_jet,
 )
+from weibtail.penultimate import _maxima_curve
+
+
+def _gev_cdf(g, x):
+    return float(gev_cdf_array(g, np.array([x]))[0])
 
 
 @pytest.fixture(scope="module")
@@ -300,29 +302,21 @@ def test_normal_theta_diagnostic():
 # ------------------------------------------------------------------- GEV
 
 def test_gev_gumbel_point():
-    p = GevPoint(0.0, 0.0)
-    assert gev_cdf(p) == pytest.approx(math.exp(-1.0), rel=1e-15)
-    assert gev_density(p) == pytest.approx(math.exp(-1.0), rel=1e-15)
+    assert _gev_cdf(0.0, 0.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
+    assert gumbel_density_array(np.array([0.0]))[0] == pytest.approx(math.exp(-1.0), rel=1e-15)
 
 
 def test_gev_frechet_point():
-    assert gev_cdf(GevPoint(1.0, 0.0)) == pytest.approx(math.exp(-1.0), rel=1e-15)
+    assert _gev_cdf(1.0, 0.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
 
 
 def test_gev_continuity_at_zero_shape():
     target = math.exp(-math.exp(-1.0))
-    assert gev_cdf(GevPoint(1e-12, 1.0)) == pytest.approx(target, rel=1e-10)
-    assert gev_cdf(GevPoint(-1e-12, 1.0)) == pytest.approx(target, rel=1e-10)
+    assert _gev_cdf(1e-12, 1.0) == pytest.approx(target, rel=1e-10)
+    assert _gev_cdf(-1e-12, 1.0) == pytest.approx(target, rel=1e-10)
     # seam: series branch meets the log1p branch
-    lo, hi = gev_cdf(GevPoint(0.9999e-8, 1.3)), gev_cdf(GevPoint(1.0001e-8, 1.3))
+    lo, hi = _gev_cdf(0.9999e-8, 1.3), _gev_cdf(1.0001e-8, 1.3)
     assert lo == pytest.approx(hi, rel=1e-12)
-
-
-def test_gev_support_violation():
-    with pytest.raises(OutsideSupportError):
-        GevPoint(1.0, -1.0)
-    with pytest.raises(OutsideSupportError):
-        GevPoint(-0.5, 2.0)
 
 
 def test_gev_monotone_in_x_continuous_in_gamma():
@@ -345,8 +339,12 @@ def test_gev_density_is_cdf_slope():
         for x in (-1.0, 0.5, 2.0):
             if 1.0 + g * x <= 0.0:
                 continue
-            slope = derivative(lambda t: gev_cdf(GevPoint(g, t)), x, 1).value
-            assert gev_density(GevPoint(g, x)) == pytest.approx(slope, rel=1e-8)
+            slope = derivative(lambda t: _gev_cdf(g, t), x, 1).value
+            if g == 0.0:
+                dens = gumbel_density_array(np.array([x]))[0]
+            else:  # g_gamma = G_gamma (1 + gamma x)^(-1/gamma - 1)
+                dens = _gev_cdf(g, x) * (1.0 + g * x) ** (-1.0 / g - 1.0)
+            assert dens == pytest.approx(slope, rel=1e-8)
 
 
 # ------------------------------------------------------------- maxima curve
@@ -354,14 +352,13 @@ def test_gev_density_is_cdf_slope():
 def test_log_cdf_of_maxima_block_level():
     m = wt.pure_weibull(theta=2.0)
     nc = wt.norming(m, 25.0)
-    assert math.exp(wt.log_cdf_of_maxima(m, nc.b_exact, 25.0)) == pytest.approx(
-        math.exp(-1.0), rel=1e-12
-    )
+    fn = _maxima_curve(m, 25.0, np.array([0.0]), nc.b_exact, nc.a_scale)
+    assert fn[0] == pytest.approx(math.exp(-1.0), rel=1e-12)
 
 
 def test_log_cdf_of_maxima_below_support():
     m = wt.pure_weibull(theta=4.0)
-    assert wt.log_cdf_of_maxima(m, -5.0, 10.0) == -math.inf
+    assert _maxima_curve(m, 10.0, np.array([-5.0]), 0.0, 1.0)[0] == 0.0
 
 
 def test_model_validation():

@@ -2,18 +2,18 @@
 
 import math
 
+import numpy as np
 import pytest
 
 import weibtail as wt
 from weibtail.errors import InvalidBlockSizeError
-from weibtail.model import gumbel_coordinate
-from weibtail.numerics import log_cdf_power
+from weibtail.penultimate import _maxima_curve
 
 
 def _block_level_residual(model, log_n):
     nc = wt.norming(model, log_n)
-    log_fn = log_cdf_power(-gumbel_coordinate(model, nc.b_exact), log_n)
-    return abs(math.exp(log_fn) - math.exp(-1.0))
+    fn = _maxima_curve(model, log_n, np.array([0.0]), nc.b_exact, nc.a_scale)
+    return abs(fn[0] - math.exp(-1.0))
 
 
 def test_location_closed_form_theta2():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import weibtail as wt
 from weibtail import numerics
 from weibtail.errors import (
     BracketMissError,
@@ -21,13 +22,14 @@ from weibtail.numerics import (
     DiffConfig,
     derivative,
     grow_bracket,
-    log_cdf_power,
     log_neg_log_cdf_derivs,
     log_neg_log_cdf_from_H,
     log_neg_log_cdf_from_H_array,
     log_neg_log_cdf_margin,
     solve_increasing,
 )
+from weibtail.model import gumbel_cdf_array
+from weibtail.penultimate import _maxima_curve
 
 
 # ---------------------------------------------------------------- derivative
@@ -278,38 +280,46 @@ def test_lnlcdf_derivs_limits():
 
 
 # ---------------------------------------------------------------- F^n in logs
+# The maxima curve is F^n(z) = exp(-e^(log n - T(z))) = G_0(T(z) - log n):
+# the gumbel fixture (T(z) = z for z >= 0) gives T directly, and G_0 over
+# an array takes any T, so at n = 1 it is F itself.
+
+
+def _fn_at(t, log_n):
+    """F^n at T = t through the array maxima curve of the gumbel fixture."""
+    return _maxima_curve(wt.gumbel_fixture(), log_n, np.array([t]), 0.0, 1.0)[0]
+
 
 def test_log_cdf_power_block_level():
-    # log(-log F) = -log n means -log F = 1/n, the defining maxima level
-    assert log_cdf_power(-12.0, 12.0) == pytest.approx(-1.0, rel=1e-15)
-    assert math.exp(log_cdf_power(-12.0, 12.0)) == pytest.approx(math.exp(-1.0), rel=1e-14)
+    # T = log n means -log F = 1/n, the defining maxima level
+    assert _fn_at(12.0, 12.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
 
 
 def test_log_cdf_power_n_equals_one():
-    for v in (-3.0, 0.0, 2.5):
-        assert log_cdf_power(v, 0.0) == pytest.approx(-math.exp(v), rel=1e-15)
+    v = np.array([-3.0, 0.0, 2.5])  # log(-log F)
+    got = gumbel_cdf_array(-v - 0.0)
+    for g, vi in zip(got, v):
+        assert g == pytest.approx(math.exp(-math.exp(vi)), rel=1e-15)
 
 
 def test_log_cdf_power_exponent_arithmetic():
-    got = log_cdf_power(-100.0 + math.log(2.0), 100.0)
-    assert got == pytest.approx(-2.0, rel=1e-12)
-    assert math.exp(got) == pytest.approx(0.1353352832366127, rel=1e-12)
+    got = _fn_at(100.0 - math.log(2.0), 100.0)
+    assert math.log(got) == pytest.approx(-2.0, rel=1e-12)
+    assert got == pytest.approx(0.1353352832366127, rel=1e-12)
 
 
 def test_log_cdf_power_saturation():
-    assert log_cdf_power(10.0, 1000.0) == -math.inf
-    assert log_cdf_power(-math.inf, 50.0) == 0.0
-    assert math.exp(log_cdf_power(-2000.0, 50.0)) == 1.0
+    # F = 0 below the support (T = -inf), e^(log n - T) overflowing at
+    # T = -4.2, F = 1 at double precision (H overflows: T = +inf), and
+    # e^(log n - T) below one ulp of 1
+    steep = wt.pure_weibull(theta=0.01)
+    fn = _maxima_curve(steep, 1000.0, np.array([-5.0, 0.5, 1e4]), 0.0, 1.0)
+    assert fn[0] == 0.0 and fn[1] == 0.0 and fn[2] == 1.0
+    assert _fn_at(2000.0, 50.0) == 1.0
 
 
 def test_log_cdf_power_round_trip():
     rng = np.random.default_rng(7)
-    for _ in range(100):
-        f_val = rng.uniform(0.05, 0.95)
-        v = math.log(-math.log(f_val))
-        assert math.exp(log_cdf_power(v, 0.0)) == pytest.approx(f_val, rel=1e-15)
-
-
-def test_log_cdf_power_rejects_nan():
-    with pytest.raises(EvalFailureError):
-        log_cdf_power(math.nan, 1.0)
+    f_val = rng.uniform(0.05, 0.95, 100)
+    got = gumbel_cdf_array(-np.log(-np.log(f_val)))
+    assert np.allclose(got, f_val, rtol=1e-15, atol=0.0)
