@@ -36,7 +36,7 @@ from .model import (
     log_cdf,
     rv_ratios,
 )
-from .norming import NormingConstants, location, norming, scale
+from .norming import NormingConstants, norming
 from .penultimate import (
     Classification,
     ErrorComparison,
@@ -89,7 +89,6 @@ __all__ = [
     "gumbel_fixture",
     "k_derivative",
     "k_function",
-    "location",
     "log_cdf",
     "log_power",
     "log_shift",
@@ -101,7 +100,6 @@ __all__ = [
     "pure_weibull",
     "remainder_profile",
     "rv_ratios",
-    "scale",
     "sv_ratio",
     "weibull_type",
 ]

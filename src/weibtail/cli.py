@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
+from . import numerics
 from . import penultimate as pen_mod
 from . import vonmises as vm_mod
 from .catalog import CATALOG, build_model
@@ -45,7 +46,7 @@ CSV_HEADERS = {
 }
 
 TOLERANCES = {
-    "root_rel_tol": 1e-14,
+    "root_rel_tol": numerics.ROOT_REL_TOL,
     "verdict_abs": vm_mod.VERDICT_ABS,
     "verdict_shrink": vm_mod.VERDICT_SHRINK,
     "limit_agreement": vm_mod.LIMIT_AGREEMENT,

@@ -192,9 +192,7 @@ def cumulative_hazard_inverse(model: WeibullTypeModel, y: float) -> float:
     finder.  Classical models invert -log sf the same way.
     """
     if model.family is Family.CLASSICAL:
-        return _invert_increasing(
-            lambda t: cumulative_hazard(model, t), y, two_sided=True
-        )
+        return _invert_increasing(lambda t: cumulative_hazard(model, t), y)
     lo = model.support_lower
     h_lo = cumulative_hazard(model, lo) if lo > 0.0 else 0.0
     if y < h_lo:
@@ -203,28 +201,21 @@ def cumulative_hazard_inverse(model: WeibullTypeModel, y: float) -> float:
         cval = model.l.value(max(lo, 2.0))
         return _pow(y / cval, model.theta)
     return _invert_increasing(
-        lambda t: cumulative_hazard(model, t),
-        y,
-        lo_start=lo + 1e-9 * max(1.0, lo),
-        lo_fixed=True,
+        lambda t: cumulative_hazard(model, t), y, lo=lo + 1e-9 * max(1.0, lo)
     )
 
 
-def _invert_increasing(
-    f: ScalarFn,
-    y: float,
-    lo_start: float = -1.0,
-    lo_fixed: bool = False,
-    two_sided: bool = False,
-    rel_tol: float = 1e-14,
-) -> float:
-    lo = lo_start if (lo_fixed or two_sided) else 1.0
-    hi = max(2.0, lo * 2.0, lo + 1.0)
+def _invert_increasing(f: ScalarFn, y: float, lo: Optional[float] = None) -> float:
+    """x with f(x) = y for increasing f.  The bracket starts at
+    [lo, max(2, 2 lo, lo + 1)] and grows only to the right, so a y below
+    f(lo) is out of range; ``lo`` None starts from -1 and grows both ways."""
+    start = -1.0 if lo is None else lo
+    hi = max(2.0, start * 2.0, start + 1.0)
     try:
-        br = numerics.grow_bracket(f, y, lo, hi, lo_min=lo if lo_fixed else None)
+        br = numerics.grow_bracket(f, y, start, hi, lo_min=lo)
     except BracketMissError as exc:
         raise BelowRangeError(str(exc)) from exc
-    return numerics.solve_increasing(f, y, br, rel_tol=rel_tol)
+    return numerics.solve_increasing(f, y, br)
 
 
 def gumbel_coordinate(model: WeibullTypeModel, x: float) -> float:
@@ -311,14 +302,10 @@ def gumbel_coordinate_inverse(model: WeibullTypeModel, t: float) -> float:
             # large-shape gamma: below every level, a lower bracket end
             return -math.inf
 
+    lo = None
     if math.isfinite(model.support_lower):
-        return _invert_increasing(
-            coordinate,
-            t,
-            lo_start=model.support_lower + 1e-9 * max(1.0, abs(model.support_lower)),
-            lo_fixed=True,
-        )
-    return _invert_increasing(coordinate, t, two_sided=True)
+        lo = model.support_lower + 1e-9 * max(1.0, abs(model.support_lower))
+    return _invert_increasing(coordinate, t, lo)
 
 
 def log_cdf(model: WeibullTypeModel, x: float) -> float:
@@ -443,7 +430,7 @@ def k_jet(model: WeibullTypeModel, x: float, order: int = 3, method: str = "auto
             lambda t: k_function(model, t),
             x,
             j,
-            numerics.DiffConfig(richardson_levels=4 if j == 3 and not model.analytic_k_path else 3),
+            levels=4 if j == 3 and not model.analytic_k_path else 3,
             tol=1e-5,
         )
         for j in range(1, order + 1)
@@ -477,6 +464,9 @@ def rv_ratios(model: WeibullTypeModel, x: float) -> Tuple[float, float, float]:
 # ----------------------------------------------------------------------
 
 _GEV_SERIES_GAMMA = 1e-8
+# |gamma x| below which the series' first dropped term, (gamma x)^3/4
+# relative, is under an ulp
+_GEV_SERIES_T = 1e-5
 
 
 def gev_cdf_array(gamma: float, xs: np.ndarray) -> np.ndarray:
@@ -484,17 +474,23 @@ def gev_cdf_array(gamma: float, xs: np.ndarray) -> np.ndarray:
     inside the support; Gumbel at gamma = 0.
 
     With w = log1p(gamma x)/gamma, G_gamma = exp(-e^-w).  Tiny |gamma| goes
-    through the series x(1 - gx/2 + (gx)^2/3) so the map is continuous
-    through gamma = 0.
+    through the series x(1 - t/2 + t^2/3), t = gamma x, so the map is
+    continuous through gamma = 0; points where |t| is not small keep the
+    log1p form, so a window near 1e307 neither overflows t^2 nor leaves
+    the series' range.
     """
     import numpy as np
 
     x = np.asarray(xs, dtype=float)
+    t = gamma * x
     if abs(gamma) < _GEV_SERIES_GAMMA:
-        t = gamma * x
-        w = x * (1.0 - t / 2.0 + t * t / 3.0)
+        series = np.abs(t) < _GEV_SERIES_T
+        w = np.empty_like(x)
+        ts = t[series]
+        w[series] = x[series] * (1.0 - ts / 2.0 + ts * ts / 3.0)
+        w[~series] = np.log1p(t[~series]) / gamma
     else:
-        w = np.log1p(gamma * x) / gamma
+        w = np.log1p(t) / gamma
     with np.errstate(over="ignore"):
         return np.exp(-np.exp(-w))
 

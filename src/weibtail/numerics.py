@@ -43,32 +43,10 @@ _STENCILS = {
 _SERIES_SWITCH = 7.0
 
 
-@dataclass(frozen=True)
-class DiffConfig:
-    """Step and extrapolation policy for :func:`derivative`.
-
-    ``base_step_scale`` is the relative step as a fraction of max(|x|, 1);
-    ``None`` selects the default eps**(1/(order + 2*levels)).  That is the
-    truncation/rounding balance for the extrapolated scheme: after L
-    halvings the Neville table cancels truncation up to h^(2L) while the
-    finest stencil still pays eps/h^order in rounding, so the single-
-    stencil optimum eps**(1/(order+2)) would under-step by several orders.
-    """
-
-    base_step_scale: Optional[float] = None
-    richardson_levels: int = 3
-    max_order: int = 4
-
-    def __post_init__(self):
-        if self.base_step_scale is not None and not self.base_step_scale > 0.0:
-            raise ValueError("base_step_scale must be positive")
-        if self.richardson_levels < 1:
-            raise ValueError("richardson_levels must be >= 1")
-        if not 1 <= self.max_order <= 4:
-            raise ValueError("max_order must be in [1, 4]")
-
-
-DEFAULT_DIFF = DiffConfig()
+# Residual tolerance of every root solve, relative to max(1, |target|).
+ROOT_REL_TOL = 1e-14
+# Upper end past which a bracket is not grown.
+BRACKET_HI_CAP = 1e300
 
 
 @dataclass(frozen=True)
@@ -114,27 +92,28 @@ def derivative(
     f: Callable[[float], float],
     x: float,
     order: int,
-    cfg: DiffConfig = DEFAULT_DIFF,
+    levels: int = 3,
     tol: Optional[float] = None,
 ) -> DerivativeEstimate:
     """Order-th derivative of ``f`` at ``x`` by Richardson-extrapolated
     central differences.
 
-    The stencil is evaluated at cfg.richardson_levels halved steps and
-    extrapolated through a Neville table in even powers of h.  The
-    reported ``error`` is the difference of the last two extrapolation
-    levels; when ``tol`` is given and the estimate exceeds
-    ``tol * max(1, |value|)`` the result is flagged ``low_confidence``
-    (but still returned).
+    The stencil is evaluated at ``levels`` halved steps and extrapolated
+    through a Neville table in even powers of h.  The first step is
+    eps**(1/(order + 2*levels)) of max(|x|, 1): the truncation/rounding
+    balance for the extrapolated scheme.  After L halvings the table
+    cancels truncation up to h^(2L) while the finest stencil still pays
+    eps/h^order in rounding, so the single-stencil optimum
+    eps**(1/(order+2)) would under-step by several orders.  The reported
+    ``error`` is the difference of the last two extrapolation levels; when
+    ``tol`` is given and the estimate exceeds ``tol * max(1, |value|)`` the
+    result is flagged ``low_confidence`` (but still returned).
     """
-    if not 1 <= order <= cfg.max_order:
-        raise ValueError(f"order {order} outside [1, {cfg.max_order}]")
-    scale = cfg.base_step_scale
-    if scale is None:
-        scale = _EPS ** (1.0 / (order + 2 * cfg.richardson_levels))
-    h = scale * max(abs(x), 1.0)
+    if order not in _STENCILS:
+        raise ValueError(f"order {order} outside [1, 4]")
+    h = _EPS ** (1.0 / (order + 2 * levels)) * max(abs(x), 1.0)
     h = (x + h) - x  # snap to a step representable relative to x
-    table = [_stencil(f, x, h / 2.0**level, order) for level in range(cfg.richardson_levels)]
+    table = [_stencil(f, x, h / 2.0**level, order) for level in range(levels)]
     for j in range(1, len(table)):
         factor = 4.0**j
         for i in range(len(table) - 1, j - 1, -1):
@@ -149,13 +128,12 @@ def solve_increasing(
     f: Callable[[float], float],
     target: float,
     bracket: Bracket,
-    rel_tol: float = 1e-12,
     max_iter: int = 400,
 ) -> float:
     """Solve f(x) = target for increasing f on the bracket.
 
     Safeguarded bisection with secant acceleration on alternate steps;
-    terminates when |f(x) - target| <= rel_tol * max(1, |target|), or
+    terminates when |f(x) - target| <= ROOT_REL_TOL * max(1, |target|), or
     returns the best point seen once the bracket is down to a few ulp.
     Raises NoConvergenceError when ``max_iter`` steps reach neither.  The
     endpoint values may be +/-inf (treated purely by sign), which lets
@@ -164,7 +142,7 @@ def solve_increasing(
     a, b = bracket.lo, bracket.hi
     ga = _residual(f, a, target)
     gb = _residual(f, b, target)
-    tol = rel_tol * max(1.0, abs(target))
+    tol = ROOT_REL_TOL * max(1.0, abs(target))
     if ga > 0.0 or gb < 0.0:
         raise BracketMissError(
             f"target {target!r} outside [f(lo), f(hi)] = [{ga + target!r}, {gb + target!r}]"
@@ -217,20 +195,19 @@ def grow_bracket(
     lo: float,
     hi: float,
     lo_min: Optional[float] = None,
-    hi_cap: float = 1e300,
 ) -> Bracket:
     """Expand [lo, hi] until it brackets ``target`` for increasing ``f``.
 
-    ``hi`` doubles (of max(hi, 1)) up to ``hi_cap``; ``lo`` walks left the
-    same way when ``lo_min`` is None, otherwise it stays put and a miss is
-    reported.  Raises BracketMissError if the cap is reached first.
+    ``hi`` doubles (of max(hi, 1)) up to ``BRACKET_HI_CAP``; ``lo`` walks
+    left the same way when ``lo_min`` is None, otherwise it stays put and a
+    miss is reported.  Raises BracketMissError if the cap is reached first.
     """
     flo = _residual(f, lo, target)
     fhi = _residual(f, hi, target)
     while fhi < 0.0:
-        if hi >= hi_cap:
-            raise BracketMissError(f"target {target!r} above f({hi_cap!r})")
-        hi = min(max(hi * 2.0, 2.0), hi_cap)
+        if hi >= BRACKET_HI_CAP:
+            raise BracketMissError(f"target {target!r} above f({BRACKET_HI_CAP!r})")
+        hi = min(max(hi * 2.0, 2.0), BRACKET_HI_CAP)
         fhi = _residual(f, hi, target)
     while flo > 0.0:
         if lo_min is not None:

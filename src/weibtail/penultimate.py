@@ -20,19 +20,16 @@ from .errors import (
     DegenerateProfileError,
     GridSupportEmptyError,
     InsufficientGridError,
-    InvalidBlockSizeError,
     ThetaOneExcludedError,
 )
 from .model import (
-    KJet,
     WeibullTypeModel,
     gev_cdf_array,
     gumbel_cdf_array,
     gumbel_coordinate_array,
-    gumbel_coordinate_inverse,
     gumbel_density_array,
-    k_jet,
 )
+from .norming import locate
 
 if TYPE_CHECKING:
     import numpy as np
@@ -87,22 +84,13 @@ class ErrorComparison:
     n_clipped: int
 
 
-def _location_jet(model: WeibullTypeModel, log_n: float) -> Tuple[float, KJet]:
-    """(b_n, (k, k') at b_n): the one root solve and one k-jet every
-    quantity of this module starts from."""
-    if not log_n > 0.0:
-        raise InvalidBlockSizeError(f"log n must be positive, got {log_n!r}")
-    b = gumbel_coordinate_inverse(model, log_n)
-    return b, k_jet(model, b, 1)
-
-
 def gamma_of_t(model: WeibullTypeModel, t: float) -> float:
     """phi evaluated at the exact level: -k'(x)/k^2(x) at -log(-log F(x)) = t > 0."""
-    return _location_jet(model, t)[1].phi
+    return locate(model, t)[1].phi
 
 
 def penultimate_index(model: WeibullTypeModel, log_n: float) -> PenultimateIndex:
-    b_exact, jet = _location_jet(model, log_n)
+    b_exact, jet = locate(model, log_n)
     gamma_exact = jet.phi
     theta = model.theta
     if model.theta_is_one:
@@ -167,7 +155,7 @@ def error_comparison(
     import numpy as np
 
     xs = _validate_grid(grid_spec)
-    b, jet = _location_jet(model, log_n)
+    b, jet = locate(model, log_n)
     if gamma_mode == "exact":
         gamma_n = jet.phi
     elif gamma_mode == "asymptotic":
@@ -246,7 +234,7 @@ def remainder_profile(
     grid (the exact-Gumbel fixture).
     """
     xs = _validate_grid(grid_spec)
-    b, jet = _location_jet(model, log_n)
+    b, jet = locate(model, log_n)
     fn = _maxima_curve(model, log_n, xs, b, 1.0 / jet.values[0])
     g0 = gumbel_cdf_array(xs)
     return _remainder_deviation(model, xs, fn, g0, -jet.phi)

@@ -74,7 +74,7 @@ def test_c03_ultimate_rate():
     with _Budget("C03 k'(b)/k^2(b) ~ (1-theta)/log n", 1.0):
         for theta in THETAS:
             m = wt.pure_weibull(theta=theta)
-            b = wt.location(m, 50.0)[0]
+            b = wt.norming(m, 50.0).b_exact
             k = wt.k_function(m, b)
             k1 = wt.k_derivative(m, b, 1)
             ratio = (k1 / (k * k)) * 50.0 / (1.0 - theta)

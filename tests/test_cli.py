@@ -223,6 +223,16 @@ def test_exit_code_numeric_failure():
     assert payload["error"]["code"] == "invalid_block_size"
 
 
+def test_norming_refusal_order():
+    # the log n check, then b_asymptotic = H^-1(log n), then b_exact: a log n
+    # below the extended-Weibull support floor is refused at the H level y
+    code, out, err = run_cli(["norming", "--model", "extended-weibull", "--beta", "2",
+                              "--log-n", "1"])
+    assert (code, out) == (3, "")
+    assert err == ('{"error": {"code": "below_range", '
+                   '"message": "y=1.0 below H(support) = 7.3890560989306495"}}\n')
+
+
 @pytest.mark.parametrize("grid", ["-3:inf:1000", "-1e308:1e308:1000"])
 def test_exit_code_non_finite_grid(grid):
     code, out, err = run_cli(["errors", "--model", "normal", "--log-n", "5", "--grid", grid])
@@ -234,6 +244,7 @@ def test_exit_code_non_finite_grid(grid):
 @pytest.mark.parametrize("model, log_n, grid", [
     (["--model", "normal"], "5", "-1e200:1e200:1000"),  # x^2 overflows
     (["--model", "pure-weibull", "--theta", "2"], "100", "-1e307:1e307:1000"),  # a x overflows
+    (["--model", "logistic"], "100", "-1e307:1e307:1000"),  # (gamma x)^2 in the GEV series
 ])
 def test_errors_huge_window(model, log_n, grid):
     # a finite window far wider than the Gumbel mass: no grid point lands in

@@ -74,9 +74,7 @@ def test_hazard_inverse_constant_l_matches_solver():
 
     for y in (0.5, 5.0, 120.0):
         closed = wt.cumulative_hazard_inverse(m, y)
-        solved = _invert_increasing(
-            lambda t: wt.cumulative_hazard(m, t), y, lo_start=1e-12, lo_fixed=True
-        )
+        solved = _invert_increasing(lambda t: wt.cumulative_hazard(m, t), y, lo=1e-12)
         assert solved == pytest.approx(closed, rel=1e-12)
 
 
@@ -317,6 +315,21 @@ def test_gev_continuity_at_zero_shape():
     # seam: series branch meets the log1p branch
     lo, hi = _gev_cdf(0.9999e-8, 1.3), _gev_cdf(1.0001e-8, 1.3)
     assert lo == pytest.approx(hi, rel=1e-12)
+
+
+def test_gev_tiny_shape_against_mpmath():
+    # |gamma| < 1e-8 takes the series only where |gamma x| < 1e-5; out to
+    # |x| = 1e6 the points past that take the log1p form
+    g = 1e-9
+    half = np.geomspace(1e-3, 1e6, 100)
+    xs = np.concatenate([-half[::-1], [0.0], half])
+    got = gev_cdf_array(g, xs)
+    with mp.workdps(40):
+        for x, value in zip(xs, got):
+            w = mp.log1p(mp.mpf(g) * mp.mpf(x)) / mp.mpf(g)
+            # below w = -10, e^-w > 2e4 and G = exp(-e^-w) underflows to 0
+            want = 0.0 if w < -10 else float(mp.exp(-mp.exp(-w)))
+            assert value == pytest.approx(want, rel=1e-12, abs=1e-300), x
 
 
 def test_gev_monotone_in_x_continuous_in_gamma():

@@ -17,28 +17,28 @@ def _block_level_residual(model, log_n):
 
 
 def test_location_closed_form_theta2():
-    b_exact, b_asym = wt.location(wt.pure_weibull(theta=2.0), 25.0)
-    assert b_asym == 625.0
-    assert abs(b_exact / b_asym - 1.0) < 1e-10
+    nc = wt.norming(wt.pure_weibull(theta=2.0), 25.0)
+    assert nc.b_asymptotic == 625.0
+    assert abs(nc.b_exact / nc.b_asymptotic - 1.0) < 1e-10
 
 
 def test_location_fixture_exact_identity():
-    b_exact, b_asym = wt.location(wt.gumbel_fixture(), 7.0)
-    assert b_exact == b_asym == 7.0
+    nc = wt.norming(wt.gumbel_fixture(), 7.0)
+    assert nc.b_exact == nc.b_asymptotic == 7.0
 
 
 def test_scale_theta2():
     m = wt.pure_weibull(theta=2.0)
-    assert wt.scale(m, 625.0) == pytest.approx(50.0, rel=1e-6)
+    assert 1.0 / wt.k_function(m, 625.0) == pytest.approx(50.0, rel=1e-6)
 
 
 def test_scale_theta_half():
     m = wt.pure_weibull(theta=0.5)
-    assert wt.scale(m, 25.0) == pytest.approx(0.02, rel=1e-6)
+    assert 1.0 / wt.k_function(m, 25.0) == pytest.approx(0.02, rel=1e-6)
 
 
 def test_scale_fixture():
-    assert wt.scale(wt.gumbel_fixture(), 12.3) == 1.0
+    assert 1.0 / wt.k_function(wt.gumbel_fixture(), 12.3) == 1.0
 
 
 def test_norming_bundle_theta2():
@@ -90,8 +90,8 @@ def test_gap_shrinks_with_block_size():
     m = wt.pure_weibull(theta=2.0)
     gaps = []
     for ln in (6.0, 8.0, 10.0, 12.0):
-        b_exact, b_asym = wt.location(m, ln)
-        gaps.append(b_exact / b_asym - 1.0)
+        nc = wt.norming(m, ln)
+        gaps.append(nc.b_exact / nc.b_asymptotic - 1.0)
     assert all(g > 0.0 for g in gaps)
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
@@ -107,4 +107,4 @@ def test_invalid_block_size():
     with pytest.raises(InvalidBlockSizeError):
         wt.norming(wt.normal(), 0.0)
     with pytest.raises(InvalidBlockSizeError):
-        wt.location(wt.normal(), -3.0)
+        wt.norming(wt.normal(), -3.0)

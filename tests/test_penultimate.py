@@ -317,6 +317,7 @@ def test_one_solve_one_hazard_block(monkeypatch, build):
     m = dataclasses.replace(base, hazard_derivs=counted_hazard)
     grid = (1e2, 1e4, 1e6, 1e8, 1e10)
     for call, expected in (
+        (lambda: wt.norming(m, 20.0), {"solve": 2, "hazard": 1}),  # b_asymptotic too
         (lambda: wt.penultimate_index(m, 20.0), {"solve": 1, "hazard": 1}),
         (lambda: wt.error_comparison(m, 20.0, (-3.0, 6.0, 200)), {"solve": 1, "hazard": 1}),
         (lambda: wt.condition_sweep(m, grid), {"solve": 0, "hazard": len(grid)}),
