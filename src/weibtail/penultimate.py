@@ -71,10 +71,14 @@ class PenultimateIndex:
 
 @dataclass(frozen=True)
 class ErrorComparison:
-    """Sup-norm errors of the ultimate and penultimate approximations."""
+    """Sup-norm errors of the ultimate and penultimate approximations.
+
+    ``grid_spec`` is the (lo, hi, count) window; ``grid`` builds its points
+    on demand, so a call that does not read them does not hold them.
+    """
 
     log_n: float
-    grid: Tuple[float, ...]
+    grid_spec: Tuple[float, float, int]
     sup_error_ultimate: float
     sup_error_penultimate: float
     argmax_ultimate: float
@@ -82,6 +86,10 @@ class ErrorComparison:
     remainder_max_deviation: Optional[float]
     gamma_used: float
     n_clipped: int
+
+    @property
+    def grid(self) -> Tuple[float, ...]:
+        return tuple(_validate_grid(self.grid_spec).tolist())
 
 
 def gamma_of_t(model: WeibullTypeModel, t: float) -> float:
@@ -189,7 +197,7 @@ def error_comparison(
 
     return ErrorComparison(
         log_n=log_n,
-        grid=tuple(xs.tolist()),
+        grid_spec=tuple(grid_spec),
         sup_error_ultimate=float(diff_ult[i_ult]),
         sup_error_penultimate=float(diff_pen[i_pen]),
         argmax_ultimate=float(xs[i_ult]),

@@ -2,10 +2,13 @@
 scipy, and which commands import numpy or scipy."""
 
 import ast
+import importlib.util
 import math
 import os
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -179,15 +182,26 @@ for build in (%s,):
     wt.condition_sweep(model, (1e2, 1e4, 1e6, 1e8, 1e10))
     scalar.append(loaded())
 wt.error_comparison(wt.normal(), 5.0)
-print(repr((scalar, "scipy.special" in sys.modules, "scipy.stats" in sys.modules)))
+print(repr((scalar, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))))
 """ % ", ".join(build for _, build in CATALOG_CASES)
 
+SCALAR_COMMANDS = ("norming", "penultimate", "vonmises")
+
+# Every CLI command on every catalog model, the scalar ones first, in one
+# interpreter where a meta-path finder refuses any scipy import.
 _CLI_PROBE = """
-import contextlib, io, runpy, sys
+import contextlib, importlib.abc, io, runpy, sys
+
+class RefuseScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError("scipy import refused: " + name)
+        return None
 
 def loaded():
     return sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"})
 
+sys.meta_path.insert(0, RefuseScipy())
 seen = []
 for argv in %r:
     sys.argv = ["weibtail", *argv]
@@ -200,8 +214,9 @@ for argv in %r:
 print(repr(seen))
 """ % ([["models"]] + [
     [command, *flags, *(["--log-n", "10,100"] if command != "vonmises" else [])]
+    for commands in (SCALAR_COMMANDS, ("errors", "report"))
     for flags, _ in CATALOG_CASES
-    for command in ("norming", "penultimate", "vonmises")
+    for command in commands
 ],)
 
 
@@ -215,16 +230,104 @@ def _probe(source):
     return ast.literal_eval(proc.stdout)
 
 
+@pytest.fixture(scope="module")
+def cli_runs():
+    return _probe(_CLI_PROBE)
+
+
 def test_import_leaves_scipy_out():
     # the scalar quantities of every catalog model import neither numpy nor
-    # scipy; the normal's error curve then loads scipy.special, never scipy.stats
-    scalar, special, stats = _probe(_LIBRARY_PROBE)
+    # scipy, and the normal's error curve loads no scipy module either
+    scalar, scipy_modules = _probe(_LIBRARY_PROBE)
     assert scalar == [[]] * len(CATALOG_CASES)
-    assert special and not stats
+    assert scipy_modules == []
 
 
-def test_scalar_cli_leaves_numpy_out():
-    seen = _probe(_CLI_PROBE)
-    assert len(seen) == 1 + 3 * len(CATALOG_CASES)
-    for argv, modules in seen:
-        assert modules == [], argv
+def test_scalar_cli_leaves_numpy_out(cli_runs):
+    scalar = cli_runs[:1 + len(SCALAR_COMMANDS) * len(CATALOG_CASES)]
+    for argv, modules in scalar:
+        assert argv[0] in ("models", *SCALAR_COMMANDS) and modules == [], argv
+
+
+def test_every_command_runs_with_scipy_refused(cli_runs):
+    # each run exited 0 with every scipy import refused
+    assert len(cli_runs) == 1 + (len(SCALAR_COMMANDS) + 2) * len(CATALOG_CASES)
+
+
+# ------------------------------------------------ the Normal's array log sf
+
+def _kernel_points():
+    """>= 5000 seeded points over [-38, 1e5]: uniform on [-38, 40], log-uniform
+    on [1e-6, 1e5], and both sides of every piece edge t = k/32 of the table,
+    x = (32/k - 1) sqrt 8, with its mirror."""
+    rng = np.random.default_rng(20261018)
+    edges = (32.0 / np.arange(1, 33) - 1.0) * math.sqrt(8.0)
+    edges = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+    return np.concatenate([
+        rng.uniform(-38.0, 40.0, 3000),
+        np.exp(rng.uniform(math.log(1e-6), math.log(1e5), 2000)),
+        edges, -edges, [-38.0, 1e5],
+    ])
+
+
+def _mp_log_q(x):
+    """log Q(x) at 60 digits."""
+    with mp.workdps(60):
+        q = _mp_normal_q(x)
+        return mp.log(q) if x > 0.0 else mp.log1p(-_mp_normal_q(-x))
+
+
+def _kernel(xs):
+    with warnings.catch_warnings(), np.errstate(divide="raise", invalid="raise"):
+        warnings.simplefilter("error")
+        return wt.catalog._normal_log_sf_array(xs)
+
+
+def test_normal_log_sf_array_against_mpmath():
+    xs = _kernel_points()
+    assert len(xs) >= 5000
+    got = _kernel(xs)
+    for x, g in zip(xs.tolist(), got.tolist()):
+        ref = _mp_log_q(x)
+        err = abs(mp.mpf(g) - ref)
+        if x > 0.0:
+            assert err <= 4 * math.ulp(float(ref)), x
+        else:
+            assert _close(g, ref, 1e-14), x
+
+
+def test_normal_log_sf_array_matches_scalar():
+    xs = _kernel_points()
+    got = _kernel(xs)
+    for x, g in zip(xs.tolist(), got.tolist()):
+        s = wt.catalog._normal_log_sf(x)
+        if x > 0.0:
+            # each within a few ulp of mpmath
+            assert abs(g - s) <= 6 * math.ulp(s), x
+        else:
+            assert abs(g - s) <= 2e-14 * abs(s) + 1e-322, x
+
+
+def test_normal_log_sf_array_special_values():
+    xs = np.array([-math.inf, -38.0, -0.0, 0.0, 38.0, 1e200, math.inf])
+    got = _kernel(xs)
+    assert got[0] == 0.0 and got[-1] == -math.inf and got[-2] == -math.inf
+    assert got[2] == got[3] == -math.log(2.0)
+    # log Q(-38) = -Q(38), a subnormal
+    assert _close(got[1], _mp_log_q(-38.0), 1e-14) and 0.0 > got[1] > -1e-315
+    assert abs(got[4] - float(_mp_log_q(38.0))) <= 4 * math.ulp(got[4])
+    wide = np.linspace(-1e200, 1e200, 100)
+    assert _kernel(wide).tolist() == [0.0 if x < 0.0 else -math.inf for x in wide.tolist()]
+
+
+def test_normal_log_sf_table_reproducible():
+    pytest.importorskip("mpmath")
+    path = Path(__file__).resolve().parents[1] / "tools" / "gen_normal_log_sf.py"
+    spec = importlib.util.spec_from_file_location("gen_normal_log_sf", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    rebuilt = gen.coefficient_table()
+    assert [[c.hex() for c in row] for row in rebuilt] == [
+        [c.hex() for c in row] for row in wt.catalog._NORMAL_LOG_SF_TABLE
+    ]
+    assert gen.INTERVALS == wt.catalog._NORMAL_LOG_SF_PIECES
