@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
+from . import numerics
 from . import slowly_varying as sv
 from .model import Family, WeibullTypeModel
 
@@ -284,9 +285,8 @@ def _normal_log_sf_array(x: np.ndarray) -> np.ndarray:
     w *= 0.5 * _SQRT1_2
     u = w + 1.0
     np.divide(_NORMAL_LOG_SF_PIECES, u, out=u)
-    k = np.floor(u)
+    k = u.astype(np.intp)  # u > 0: truncation is the floor
     u -= k
-    k = k.astype(np.intp)
     p = columns[-1].take(k)
     c = np.empty_like(p)
     for column in columns[-2::-1]:
@@ -359,7 +359,7 @@ def exponential() -> WeibullTypeModel:
     def log_sf_array(x: np.ndarray) -> np.ndarray:
         import numpy as np
 
-        return np.where(x > 0.0, -x, 0.0)
+        return numerics.piecewise(x > 0.0, np.negative, 0.0, x)
 
     return WeibullTypeModel(
         family=Family.CLASSICAL,
@@ -387,15 +387,26 @@ def logistic() -> WeibullTypeModel:
             return -x - math.log1p(math.exp(-x))
         return -math.log1p(math.exp(x))
 
-    def log_sf_array(x: np.ndarray) -> np.ndarray:
+    def log_sf_right(x: np.ndarray) -> np.ndarray:
+        """-x - log1p(e^-x), for x >= 0."""
         import numpy as np
 
-        out = np.empty_like(x)
-        pos = x >= 0.0
-        xp, xn = x[pos], x[~pos]
-        out[pos] = -xp - np.log1p(np.exp(-xp))
-        out[~pos] = -np.log1p(np.exp(xn))
+        out = np.negative(x)
+        e = np.exp(out)
+        np.log1p(e, out=e)
+        out -= e
         return out
+
+    def log_sf_left(x: np.ndarray) -> np.ndarray:
+        """-log1p(e^x), for x < 0."""
+        import numpy as np
+
+        out = np.exp(x)
+        np.log1p(out, out=out)
+        return np.negative(out, out=out)
+
+    def log_sf_array(x: np.ndarray) -> np.ndarray:
+        return numerics.piecewise(x >= 0.0, log_sf_right, log_sf_left, x)
 
     def hazard_block(x: float) -> Tuple[float, float, float, float]:
         h = F(x)
@@ -425,13 +436,71 @@ def _log1mexp(v: float) -> float:
 
 
 def _log1mexp_array(v: np.ndarray) -> np.ndarray:
+    """``_log1mexp`` over an array."""
+    return numerics.piecewise(v > -_LN2, _log_neg_expm1, _log1p_neg_exp, v)
+
+
+def _log_neg_expm1(v: np.ndarray) -> np.ndarray:
     import numpy as np
 
-    out = np.empty_like(v)
-    near = v > -_LN2
-    out[near] = np.log(-np.expm1(v[near]))
-    out[~near] = np.log1p(-np.exp(v[~near]))
+    out = np.expm1(v)
+    np.negative(out, out=out)
+    return np.log(out, out=out)
+
+
+def _log1p_neg_exp(v: np.ndarray) -> np.ndarray:
+    import numpy as np
+
+    out = np.exp(v)
+    np.negative(out, out=out)
+    return np.log1p(out, out=out)
+
+
+def _until_converged(steps: range, advance: Callable[[int, list], Optional[np.ndarray]],
+                     state: list) -> np.ndarray:
+    """Run ``advance(i, state)`` for i in ``steps`` on the points not yet
+    converged and return ``state[0]`` as it stood at each point's
+    converging step (after the last step for the rest).
+
+    ``state`` holds arrays over the live points that ``advance`` updates in
+    place; it returns the mask of the points that converged at step i, or
+    None when none did.  The live set is compacted only on steps where some
+    point converged, and the loop stops once every point has.  The list is
+    emptied on return, which frees the arrays it alone holds.
+    """
+    import numpy as np
+
+    out, live = None, None  # live None: every point, in order
+    for i in steps:
+        done = advance(i, state)
+        if done is None:
+            continue
+        if done.all():
+            break
+        if out is None:
+            out, live = np.empty_like(state[0]), np.arange(done.size)
+        out[live[done]] = state[0][done]
+        keep = ~done
+        live = live[keep]
+        state[:] = [v[keep] for v in state]
+    if out is None:
+        out = state[0]
+    else:
+        out[live] = state[0]
+    state.clear()
     return out
+
+
+def _clamp_tiny(v: np.ndarray, scratch: np.ndarray) -> None:
+    """Lentz's guard: entries of v with |v| < _LENTZ_TINY become _LENTZ_TINY."""
+    import numpy as np
+
+    # fmin skips NaN, as the comparison does; v >= _LENTZ_TINY everywhere,
+    # the usual case, needs no |v|
+    if np.fmin.reduce(v) >= _LENTZ_TINY:
+        return
+    np.abs(v, out=scratch)
+    v[scratch < _LENTZ_TINY] = _LENTZ_TINY
 
 
 def gamma_model(shape: float = 2.0) -> WeibullTypeModel:
@@ -502,59 +571,86 @@ def gamma_model(shape: float = 2.0) -> WeibullTypeModel:
         log_q = a * math.log(x) - x - lga + math.log(cf)
         return _log1mexp(log_q), log_q, 1.0 / (x * cf)
 
-    def log_sf_array(x: np.ndarray) -> np.ndarray:
-        """log Q(a, x) over an array: ``tail``'s series and continued
-        fraction, each point stopped at the step where ``tail`` stops."""
+    def scaled_log(x: np.ndarray, s: np.ndarray, log_norm: float) -> np.ndarray:
+        """a log x - x - log_norm + log s, in the storage of s (consumed)."""
         import numpy as np
 
-        out = np.zeros_like(x)  # x <= 0
-        out[x == math.inf] = -math.inf
-        pos = np.flatnonzero((x > 0.0) & (x < a + 1.0))
-        if pos.size:
-            xp = x[pos]
-            total = np.empty_like(xp)
-            live, xl = np.arange(pos.size), xp
-            term = tot = np.ones_like(xp)
-            ap = a
-            for _ in range(_GAMMA_MAX_TERMS):
-                ap += 1.0
-                term = term * (xl / ap)
-                tot = tot + term
-                done = term <= _EPS * tot
-                total[live[done]] = tot[done]
-                live, xl, term, tot = live[~done], xl[~done], term[~done], tot[~done]
-                if not live.size:
-                    break
-            total[live] = tot
-            out[pos] = _log1mexp_array(a * np.log(xp) - xp - lga1 + np.log(total))
-        pos = np.flatnonzero((x >= a + 1.0) & (x < math.inf))
-        if pos.size:
-            xc = x[pos]
-            cf_out = np.empty_like(xc)
-            live = np.arange(pos.size)
-            b = xc + 1.0 - a
-            c = np.full_like(xc, 1.0 / _LENTZ_TINY)
-            d = 1.0 / b
-            cf = d
-            for i in range(1, _GAMMA_MAX_TERMS):
-                an = -i * (i - a)
-                b = b + 2.0
-                d = an * d + b
-                d[np.abs(d) < _LENTZ_TINY] = _LENTZ_TINY
-                c = b + an / c
-                c[np.abs(c) < _LENTZ_TINY] = _LENTZ_TINY
-                d = 1.0 / d
-                delta = d * c
-                cf = cf * delta
-                done = np.abs(delta - 1.0) <= _EPS
-                cf_out[live[done]] = cf[done]
-                keep = ~done
-                live, b, c, d, cf = live[keep], b[keep], c[keep], d[keep], cf[keep]
-                if not live.size:
-                    break
-            cf_out[live] = cf
-            out[pos] = a * np.log(xc) - xc - lga + np.log(cf_out)
-        return out
+        r = np.log(x)
+        r *= a
+        r -= x
+        r -= log_norm
+        np.log(s, out=s)
+        s += r
+        return s
+
+    def series(x: np.ndarray) -> np.ndarray:
+        """log Q = log(1 - P) below x = a + 1, P by its power series."""
+        import numpy as np
+
+        ap = a
+
+        def step(_, state):
+            nonlocal ap
+            tot, term, xl, scratch = state
+            ap += 1.0
+            np.divide(xl, ap, out=scratch)
+            term *= scratch
+            tot += term
+            np.multiply(tot, _EPS, out=scratch)
+            done = term <= scratch
+            return done if done.any() else None
+
+        state = [np.ones_like(x), np.ones_like(x), x, np.empty_like(x)]
+        total = _until_converged(range(_GAMMA_MAX_TERMS), step, state)
+        return _log1mexp_array(scaled_log(x, total, lga1))
+
+    def continued_fraction(x: np.ndarray) -> np.ndarray:
+        """log Q = log Gamma(a, x) - log Gamma(a) from x = a + 1 on, by the
+        modified Lentz algorithm as in ``tail``."""
+        import numpy as np
+
+        def step(i, state):
+            cf, b, c, d, scratch = state
+            an = -i * (i - a)
+            b += 2.0
+            d *= an
+            d += b
+            _clamp_tiny(d, scratch)
+            np.divide(an, c, out=c)
+            c += b
+            _clamp_tiny(c, scratch)
+            np.divide(1.0, d, out=d)
+            delta = np.multiply(d, c, out=scratch)
+            cf *= delta
+            delta -= 1.0
+            np.abs(delta, out=delta)
+            # fmin skips NaN, as the comparison does
+            return delta <= _EPS if np.fmin.reduce(delta) <= _EPS else None
+
+        b = np.add(x, 1.0)
+        b -= a
+        d = np.divide(1.0, b)
+        state = [d.copy(), b, np.full_like(x, 1.0 / _LENTZ_TINY), d, np.empty_like(x)]
+        del b, d  # the state list alone holds them
+        cf = _until_converged(range(1, _GAMMA_MAX_TERMS), step, state)
+        return scaled_log(x, cf, lga)
+
+    def outside(x: np.ndarray) -> np.ndarray:
+        """log Q outside (0, inf): 0 at and below x = 0, -inf at x = inf."""
+        import numpy as np
+
+        return np.where(x == math.inf, -math.inf, 0.0)
+
+    def log_sf_array(x: np.ndarray) -> np.ndarray:
+        """log Q(a, x) over an array: ``tail``'s series and continued
+        fraction, each point stopped at the step where ``tail`` stops;
+        0 at and below x = 0 and -inf at x = inf."""
+        return numerics.piecewise(
+            (x > 0.0) & (x < math.inf),
+            lambda x: numerics.piecewise(x < a + 1.0, series, continued_fraction, x),
+            outside,
+            x,
+        )
 
     def hazard_block(x: float) -> Tuple[float, float, float, float]:
         if x < x_large:

@@ -63,7 +63,9 @@ class WeibullTypeModel:
     models must supply cdf/density plus log-space variants accurate deep in
     the tail; ``hazard_derivs`` unlocks the analytic k-derivative path, and
     ``classical_log_sf_array`` (``classical_log_sf`` over a float array)
-    the array evaluation of :func:`gumbel_coordinate_array`.
+    the array evaluation of :func:`gumbel_coordinate_array`.  The library
+    never writes into the array it returns, so a read-only array or a view
+    will do.
     """
 
     family: Family
@@ -248,6 +250,7 @@ def gumbel_coordinate_array(model: WeibullTypeModel, xs: np.ndarray) -> np.ndarr
     finite T = 0.  Models with an array form (``l.value_array``, or
     ``classical_log_sf_array``) are evaluated in one pass; the rest call
     :func:`gumbel_coordinate` point by point with the same saturation.
+    ``xs`` is only read, and the result is always a new array.
     """
     import numpy as np
 
@@ -257,26 +260,44 @@ def gumbel_coordinate_array(model: WeibullTypeModel, xs: np.ndarray) -> np.ndarr
         array_form = model.l.value_array
     if array_form is None:
         return np.fromiter((_saturated_coordinate(model, x) for x in xs), float, len(xs))
-    t = np.full(xs.shape, -math.inf)
     if model.family is Family.CLASSICAL:
-        idx = np.arange(xs.size)
-        h = -array_form(xs)
+        h = np.negative(array_form(xs))
     else:
-        # support_lower >= l.domain_lower, so this also keeps l in its domain
-        idx = np.flatnonzero(xs >= model.support_lower)
-        z = xs[idx]
-        l = array_form(z)
-        good = np.isfinite(l) & (l > 0.0)
-        idx, z, l = idx[good], z[good], l[good]
-        with np.errstate(over="ignore"):
-            h = np.power(z, 1.0 / model.theta) * l
+        # H = -inf where F = 0; support_lower >= l.domain_lower, so l is
+        # only asked for points in its domain
+        h = numerics.piecewise(xs >= model.support_lower, _tail_hazard_array(model, array_form),
+                               -math.inf, xs)
         if model.family is Family.LOG_CDF_EXP:
-            t[idx] = h
-            return t
-    t[idx[h == math.inf]] = math.inf
-    inside = (h > 0.0) & (h < math.inf)
-    t[idx[inside]] = numerics.log_neg_log_cdf_from_H_array(h[inside])
-    return t
+            return h
+    return numerics.piecewise((h > 0.0) & (h < math.inf), numerics.log_neg_log_cdf_from_H_array,
+                              _saturate, h)
+
+
+def _tail_hazard_array(model: WeibullTypeModel, array_form: ArrayFn):
+    """z -> H(z) = z^c l(z) for z in the support, -inf where l(z) is not
+    finite and positive."""
+    import numpy as np
+
+    c = 1.0 / model.theta
+
+    def power_times(z: np.ndarray, l: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            h = np.power(z, c)
+            h *= l
+        return h
+
+    def hazard(z: np.ndarray) -> np.ndarray:
+        l = array_form(z)
+        return numerics.piecewise(np.isfinite(l) & (l > 0.0), power_times, -math.inf, z, l)
+
+    return hazard
+
+
+def _saturate(h: np.ndarray) -> np.ndarray:
+    """T for H outside (0, inf): +inf where H = inf (F = 1), else -inf (F = 0)."""
+    import numpy as np
+
+    return np.where(h == math.inf, math.inf, -math.inf)
 
 
 def exact_level_for_gumbel_coordinate(t: float) -> float:
@@ -482,30 +503,63 @@ def gev_cdf_array(gamma: float, xs: np.ndarray) -> np.ndarray:
     import numpy as np
 
     x = np.asarray(xs, dtype=float)
-    t = gamma * x
     if abs(gamma) < _GEV_SERIES_GAMMA:
-        series = np.abs(t) < _GEV_SERIES_T
-        w = np.empty_like(x)
-        ts = t[series]
-        w[series] = x[series] * (1.0 - ts / 2.0 + ts * ts / 3.0)
-        w[~series] = np.log1p(t[~series]) / gamma
+        t = np.multiply(x, gamma)
+        w = numerics.piecewise(np.abs(t) < _GEV_SERIES_T, _gev_series,
+                               lambda x, t: _gev_log1p(x, gamma), x, t)
     else:
-        w = np.log1p(t) / gamma
+        w = _gev_log1p(x, gamma)
+    return _gumbel_cdf(w, out=w)
+
+
+def _gev_series(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """x (1 - t/2 + t^2/3), t = gamma x."""
+    import numpy as np
+
+    w = np.divide(t, 2.0)
+    np.subtract(1.0, w, out=w)
+    t2 = np.multiply(t, t)
+    t2 /= 3.0
+    w += t2
+    w *= x
+    return w
+
+
+def _gev_log1p(x: np.ndarray, gamma: float) -> np.ndarray:
+    """log1p(gamma x) / gamma."""
+    import numpy as np
+
+    w = np.multiply(x, gamma)
+    np.log1p(w, out=w)
+    w /= gamma
+    return w
+
+
+def _gumbel_cdf(w: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """exp(-e^-w) into ``out`` (which may be ``w`` itself) or a new array."""
+    import numpy as np
+
     with np.errstate(over="ignore"):
-        return np.exp(-np.exp(-w))
+        out = np.negative(w, out=out)
+        np.exp(out, out=out)
+        np.negative(out, out=out)
+        return np.exp(out, out=out)
 
 
 def gumbel_cdf_array(xs: np.ndarray) -> np.ndarray:
     import numpy as np
 
-    xs = np.asarray(xs, dtype=float)
-    with np.errstate(over="ignore"):
-        return np.exp(-np.exp(-xs))
+    return _gumbel_cdf(np.asarray(xs, dtype=float))
 
 
 def gumbel_density_array(xs: np.ndarray) -> np.ndarray:
+    """g_0(x) = exp(-e^-x - x)."""
     import numpy as np
 
     xs = np.asarray(xs, dtype=float)
     with np.errstate(over="ignore"):
-        return np.exp(-np.exp(-xs) - xs)
+        out = np.negative(xs)
+        np.exp(out, out=out)
+        np.negative(out, out=out)
+        out -= xs
+        return np.exp(out, out=out)

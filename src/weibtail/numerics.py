@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Optional, Tuple, Union
 
 from .errors import (
     BracketMissError,
@@ -24,6 +24,8 @@ from .errors import (
 
 if TYPE_CHECKING:
     import numpy as np
+
+ArrayFormula = Callable[..., "np.ndarray"]
 
 _EPS = math.ulp(1.0)
 
@@ -238,18 +240,67 @@ def log_neg_log_cdf_from_H(h_value: float) -> float:
     return h_value - log_neg_log_cdf_margin(h_value)
 
 
+def piecewise(mask: np.ndarray, formula: ArrayFormula,
+              otherwise: Union[ArrayFormula, float], *arrays: np.ndarray) -> np.ndarray:
+    """``formula(*arrays)`` where ``mask`` holds, ``otherwise`` elsewhere.
+
+    Each formula maps float arrays of equal shape to a new array and never
+    writes into its arguments; ``otherwise`` may be a constant fill
+    instead.  A formula sees only its own points, or the arrays themselves
+    when ``mask`` is uniform, so a grid that lies in one regime pays no
+    gather and no scatter.  Every point goes through the same operations
+    either way.
+    """
+    import numpy as np
+
+    n_true = np.count_nonzero(mask)
+    if n_true == mask.size:
+        return formula(*arrays)
+    if not callable(otherwise):
+        out = np.full(mask.shape, otherwise)
+        if n_true:
+            out[mask] = formula(*(a[mask] for a in arrays))
+        return out
+    if not n_true:
+        return otherwise(*arrays)
+    out = np.empty(mask.shape)
+    out[mask] = formula(*(a[mask] for a in arrays))
+    mask = ~mask
+    out[mask] = otherwise(*(a[mask] for a in arrays))
+    return out
+
+
+def _log_neg_log_closed(h: np.ndarray) -> np.ndarray:
+    """-log(-log(-expm1(-H))), below the series switch."""
+    import numpy as np
+
+    out = np.negative(h)
+    np.expm1(out, out=out)
+    np.negative(out, out=out)
+    np.log(out, out=out)
+    np.negative(out, out=out)
+    np.log(out, out=out)
+    return np.negative(out, out=out)
+
+
+def _log_neg_log_series(h: np.ndarray) -> np.ndarray:
+    """H - log1p(s/2 + s^2/3 + s^3/4 + s^4/5), s = e^-H, from the switch on."""
+    import numpy as np
+
+    s = np.negative(h)
+    np.exp(s, out=s)
+    out = np.multiply(s, 0.2)
+    for coef in (0.25, 1.0 / 3.0, 0.5):
+        out += coef
+        out *= s
+    np.log1p(out, out=out)
+    return np.subtract(h, out, out=out)
+
+
 def log_neg_log_cdf_from_H_array(h: np.ndarray) -> np.ndarray:
     """:func:`log_neg_log_cdf_from_H` over an array of H in (0, inf), with
     the same closed form and series on either side of the switch."""
-    import numpy as np
-
-    out = np.empty_like(h)
-    low = h < _SERIES_SWITCH
-    out[low] = -np.log(-np.log(-np.expm1(-h[low])))
-    high = h[~low]
-    s = np.exp(-high)
-    out[~low] = high - np.log1p(s * (0.5 + s * (1.0 / 3.0 + s * (0.25 + s * 0.2))))
-    return out
+    return piecewise(h < _SERIES_SWITCH, _log_neg_log_closed, _log_neg_log_series, h)
 
 
 def log_neg_log_cdf_margin(h_value: float) -> float:

@@ -142,8 +142,14 @@ def _maxima_curve(model: WeibullTypeModel, log_n: float, xs: np.ndarray,
     import numpy as np
 
     with np.errstate(over="ignore"):
-        t = gumbel_coordinate_array(model, b + a * xs)
-        return np.exp(-np.exp(log_n - t))
+        z = np.multiply(xs, a)
+        z += b
+        # a new array of the coordinate's own: the chain runs in its storage
+        t = gumbel_coordinate_array(model, z)
+        np.subtract(log_n, t, out=t)
+        np.exp(t, out=t)
+        np.negative(t, out=t)
+        return np.exp(t, out=t)
 
 
 def error_comparison(
@@ -177,40 +183,63 @@ def error_comparison(
 
     fn = _maxima_curve(model, log_n, xs, b, 1.0 / jet.values[0])
     g0 = gumbel_cdf_array(xs)
-    diff_ult = np.abs(fn - g0)
-    i_ult = int(np.argmax(diff_ult))
-
-    valid = (1.0 + gamma_n * xs > 0.0) if gamma_n != 0.0 else np.ones_like(xs, dtype=bool)
-    n_clipped = int((~valid).sum())
-    if not valid.any():
-        raise GridSupportEmptyError(
-            f"no grid point satisfies 1 + gamma*x > 0 for gamma = {gamma_n!r}"
-        )
-    gpen = gev_cdf_array(gamma_n, xs[valid])
-    diff_pen = np.abs(fn[valid] - gpen)
-    i_pen = int(np.argmax(diff_pen))
-
+    # F^n - G_0, shared by the remainder ratio and the ultimate sup
+    diff = np.subtract(fn, g0, out=g0)
+    sup_pen, argmax_pen, n_clipped = _penultimate_sup(xs, fn, gamma_n)
+    del fn  # the rest needs only diff
     try:
-        remainder = _remainder_deviation(model, xs, fn, g0, -jet.phi)
+        remainder = _remainder_deviation(model, xs, diff, -jet.phi)
     except DegenerateProfileError:
         remainder = None
+    i_ult, sup_ult = _argmax_abs(diff)
 
     return ErrorComparison(
         log_n=log_n,
         grid_spec=tuple(grid_spec),
-        sup_error_ultimate=float(diff_ult[i_ult]),
-        sup_error_penultimate=float(diff_pen[i_pen]),
+        sup_error_ultimate=sup_ult,
+        sup_error_penultimate=sup_pen,
         argmax_ultimate=float(xs[i_ult]),
-        argmax_penultimate=float(xs[valid][i_pen]),
+        argmax_penultimate=argmax_pen,
         remainder_max_deviation=remainder,
         gamma_used=gamma_n,
         n_clipped=n_clipped,
     )
 
 
-def _remainder_deviation(model: WeibullTypeModel, xs: np.ndarray, fn: np.ndarray,
-                         g0: np.ndarray, rate: float) -> float:
-    """max |R - 1| with R = (F^n - G_0) / ((x^2/2) rate g_0(x)), rate = k'(b)/k^2(b).
+def _penultimate_sup(xs: np.ndarray, fn: np.ndarray, gamma: float) -> Tuple[float, float, int]:
+    """(sup |F^n - G_gamma|, its argmax, n_clipped) over the grid points
+    inside the support 1 + gamma x > 0 of G_gamma."""
+    import numpy as np
+
+    n_clipped = 0
+    if gamma != 0.0:
+        valid = xs * gamma + 1.0 > 0.0
+        n_clipped = xs.size - int(np.count_nonzero(valid))
+    if n_clipped == xs.size:
+        raise GridSupportEmptyError(
+            f"no grid point satisfies 1 + gamma*x > 0 for gamma = {gamma!r}"
+        )
+    if n_clipped:
+        xs, fn = xs[valid], fn[valid]
+    diff = gev_cdf_array(gamma, xs)
+    np.subtract(fn, diff, out=diff)
+    i, sup = _argmax_abs(diff)
+    return sup, float(xs[i]), n_clipped
+
+
+def _argmax_abs(diff: np.ndarray) -> Tuple[int, float]:
+    """(first index of max |diff|, that |diff|), taking |diff| in place."""
+    import numpy as np
+
+    np.abs(diff, out=diff)
+    i = int(np.argmax(diff))
+    return i, float(diff[i])
+
+
+def _remainder_deviation(model: WeibullTypeModel, xs: np.ndarray, diff: np.ndarray,
+                         rate: float) -> float:
+    """max |R - 1| with R = (F^n - G_0) / ((x^2/2) rate g_0(x)), rate = k'(b)/k^2(b),
+    given ``diff`` = F^n - G_0.
 
     g_0(x) is 0 beyond |x| = 1e3, so the ascending grid is clipped there:
     x^2 stays finite in a window wide enough to overflow it, and the
@@ -220,14 +249,23 @@ def _remainder_deviation(model: WeibullTypeModel, xs: np.ndarray, fn: np.ndarray
 
     if xs[0] < -1e3 or xs[-1] > 1e3:
         xs = np.clip(xs, -1e3, 1e3)
-    den = 0.5 * xs * xs * rate * gumbel_density_array(xs)
-    mask = np.abs(den) > REMAINDER_DENOMINATOR_CUTOFF
-    if not mask.any():
+    den = np.multiply(xs, 0.5)
+    den *= xs
+    den *= rate
+    scratch = gumbel_density_array(xs)
+    den *= scratch
+    inside = np.abs(den, out=scratch) > REMAINDER_DENOMINATOR_CUTOFF
+    del scratch
+    n_inside = np.count_nonzero(inside)
+    if not n_inside:
         raise DegenerateProfileError(
             f"{model.label}: remainder denominator below cutoff everywhere"
         )
-    ratio = (fn[mask] - g0[mask]) / den[mask]
-    return float(np.max(np.abs(ratio - 1.0)))
+    if n_inside < inside.size:
+        diff, den = diff[inside], den[inside]
+    ratio = np.divide(diff, den)
+    ratio -= 1.0
+    return float(np.max(np.abs(ratio, out=ratio)))
 
 
 def remainder_profile(
@@ -244,5 +282,4 @@ def remainder_profile(
     xs = _validate_grid(grid_spec)
     b, jet = locate(model, log_n)
     fn = _maxima_curve(model, log_n, xs, b, 1.0 / jet.values[0])
-    g0 = gumbel_cdf_array(xs)
-    return _remainder_deviation(model, xs, fn, g0, -jet.phi)
+    return _remainder_deviation(model, xs, fn - gumbel_cdf_array(xs), -jet.phi)

@@ -37,7 +37,9 @@ class SlowlyVaryingSpec:
     ``is_constant`` marks l == c, unlocking the closed-form hazard inverse.
     ``value_array``, when given, is ``value`` over a float array of points
     in the domain; it lets error curves evaluate a whole grid at once
-    (without it they call ``value`` point by point).
+    (without it they call ``value`` point by point).  The library never
+    writes into the array it returns, so a read-only array or a view
+    such as ``np.broadcast_to(c, x.shape)`` will do.
     """
 
     value: ScalarFn

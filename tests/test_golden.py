@@ -71,6 +71,21 @@ def _cases():
         "report", *MODELS["pw-theta2"][0], "--log-n", "10,10,40", "--grid", "-3:6:200",
         "--format", "json",
     ]
+    # grids of the benchmark's size, where every point may sit in one branch
+    # of a kernel, and a wide window that straddles the support endpoint and
+    # the kernels' switches
+    for tag, grid, keys in (
+        ("1e5", "-3:6:100000", {"pw-theta2": "1,20,300", "normal": "1,20,300",
+                                "gamma-2": "1,20,300"}),
+        ("wide", "-20:40:5000", {"ext-beta05": MODELS["ext-beta05"][1],
+                                 "gamma-2": MODELS["gamma-2"][1]}),
+    ):
+        for key, log_n in keys.items():
+            for mode in ("exact", "asymptotic"):
+                cases[f"errors-{tag}-{key}-{mode}.csv"] = [
+                    "errors", *MODELS[key][0], "--log-n", log_n, "--grid", grid,
+                    "--gamma-mode", mode, "--format", "csv",
+                ]
     return cases
 
 
