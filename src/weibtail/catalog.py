@@ -64,6 +64,8 @@ def pure_weibull(theta: Optional[float] = None, alpha: Optional[float] = None,
     if (theta is None) == (alpha is None):
         raise ValueError("give exactly one of theta or alpha")
     if theta is None:
+        if not alpha > 0.0:
+            raise ValueError("alpha must be positive")
         theta = 1.0 / alpha
     if not theta > 0.0 or not scale > 0.0:
         raise ValueError("theta and scale must be positive")
@@ -80,6 +82,8 @@ def extended_weibull(beta: float, delta: float = 1.0) -> WeibullTypeModel:
     """1 - F = exp(-x^beta (log x)^delta); theta = 1/beta."""
     if not beta > 0.0:
         raise ValueError("beta must be positive")
+    if not math.isfinite(delta):
+        raise ValueError("delta must be finite")
     # keep H strictly increasing: H' > 0 needs log x > -delta/beta
     lmin = max(1.0, 0.5 - delta / beta)
     return weibull_type(
@@ -277,8 +281,16 @@ def _normal_log_sf_array(x: np.ndarray) -> np.ndarray:
     """
     import numpy as np
 
+    lowest = x.min() if x.size else math.inf
+    if math.isnan(lowest):
+        # log Q = NaN there, which T saturates to -inf as for every model;
+        # a NaN must not reach the table index below
+        out = np.full(x.shape, math.nan)
+        known = ~np.isnan(x)
+        out[known] = _normal_log_sf_array(x[known])
+        return out
     columns = _normal_log_sf_columns()
-    any_neg = x.size > 0 and x.min() <= 0.0
+    any_neg = lowest <= 0.0
     # few live temporaries, updated in place: each one more of a large grid
     # is memory the allocator hands back and takes again on every call
     w = np.abs(x) if any_neg else x.copy()
@@ -515,8 +527,8 @@ def gamma_model(shape: float = 2.0) -> WeibullTypeModel:
     for Gamma(shape, x) above (DLMF 8.7.1, §8.9), so log Q stays finite
     arbitrarily deep in the tail.
     """
-    if not shape > 0.0:
-        raise ValueError("shape must be positive")
+    if not 0.0 < shape < math.inf:
+        raise ValueError("shape must be positive and finite")
     a = shape
     lga = math.lgamma(a)
     lga1 = math.lgamma(a + 1.0)

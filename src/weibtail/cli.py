@@ -54,7 +54,9 @@ TOLERANCES = {
     "remainder_denominator_cutoff": pen_mod.REMAINDER_DENOMINATOR_CUTOFF,
 }
 
-MODEL_PARAM_FLAGS = ("theta", "alpha", "beta", "delta", "shape", "scale")
+# every catalog parameter, in first-declared order (a model's own parameters
+# keep their declared order, which is the key order of meta.model.parameters)
+MODEL_PARAM_FLAGS = tuple(dict.fromkeys(p for entry in CATALOG.values() for p in entry.params))
 
 DEFAULT_LOG_N = (10.0, 20.0, 40.0)
 DEFAULT_T_GRID = (1e2, 1e4, 1e6, 1e8, 1e10)
@@ -97,13 +99,15 @@ def _jsonable(value):
     return value
 
 
-def _parse_float_list(text: str, flag: str) -> List[float]:
+def _parse_float_list(parser: argparse.ArgumentParser, text: str, flag: str) -> List[float]:
     try:
         values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{flag}: expected comma-separated reals, got {text!r}")
+        parser.error(f"{flag}: expected comma-separated reals, got {text!r}")
     if not values:
-        raise argparse.ArgumentTypeError(f"{flag}: empty list")
+        parser.error(f"{flag}: empty list")
+    if not all(map(math.isfinite, values)):
+        parser.error(f"{flag}: expected finite reals, got {text!r}")
     return values
 
 
@@ -180,16 +184,16 @@ def _run_config(args, parser: argparse.ArgumentParser) -> RunConfig:
     }
     log_n_list = DEFAULT_LOG_N
     if getattr(args, "n", None) is not None:
-        raw = _parse_float_list(args.n, "--n")
+        raw = _parse_float_list(parser, args.n, "--n")
         bad = [v for v in raw if v < 2 or v != int(v)]
         if bad:
             parser.error(f"--n expects integers >= 2, got {bad}")
         log_n_list = tuple(math.log(v) for v in raw)
     elif getattr(args, "log_n", None) is not None:
-        log_n_list = tuple(_parse_float_list(args.log_n, "--log-n"))
+        log_n_list = tuple(_parse_float_list(parser, args.log_n, "--log-n"))
     t_grid = DEFAULT_T_GRID
     if getattr(args, "t_grid", None) is not None:
-        t_grid = tuple(_parse_float_list(args.t_grid, "--t-grid"))
+        t_grid = tuple(_parse_float_list(parser, args.t_grid, "--t-grid"))
     return RunConfig(
         model_name=args.model,
         model_params=params,

@@ -82,8 +82,8 @@ class WeibullTypeModel:
     classical_log_sf_array: Optional[ArrayFn] = None
 
     def __post_init__(self):
-        if not self.theta > 0.0:
-            raise ValueError("theta must be positive")
+        if not 0.0 < self.theta < math.inf:
+            raise ValueError("theta must be positive and finite")
         if self.family is Family.CLASSICAL:
             if self.classical_cdf is None or self.classical_density is None:
                 raise ValueError("classical models need cdf and density")
@@ -214,10 +214,9 @@ def _invert_increasing(f: ScalarFn, y: float, lo: Optional[float] = None) -> flo
     start = -1.0 if lo is None else lo
     hi = max(2.0, start * 2.0, start + 1.0)
     try:
-        br = numerics.grow_bracket(f, y, start, hi, lo_min=lo)
+        return numerics.solve_increasing(f, y, start, hi, lo_fixed=lo is not None)
     except BracketMissError as exc:
         raise BelowRangeError(str(exc)) from exc
-    return numerics.solve_increasing(f, y, br)
 
 
 def gumbel_coordinate(model: WeibullTypeModel, x: float) -> float:

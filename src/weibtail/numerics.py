@@ -49,18 +49,8 @@ _SERIES_SWITCH = 7.0
 ROOT_REL_TOL = 1e-14
 # Upper end past which a bracket is not grown.
 BRACKET_HI_CAP = 1e300
-
-
-@dataclass(frozen=True)
-class Bracket:
-    """A bracket [lo, hi] on which the target function is increasing."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError("bracket requires lo < hi")
+# Secant/bisection steps a root solve may take after its bracket is grown.
+ROOT_MAX_ITER = 400
 
 
 @dataclass(frozen=True)
@@ -129,39 +119,56 @@ def derivative(
 def solve_increasing(
     f: Callable[[float], float],
     target: float,
-    bracket: Bracket,
-    max_iter: int = 400,
+    lo: float,
+    hi: float,
+    lo_fixed: bool = False,
 ) -> float:
-    """Solve f(x) = target for increasing f on the bracket.
+    """Solve f(x) = target for increasing f, from the start bracket [lo, hi].
 
-    Safeguarded bisection with secant acceleration on alternate steps;
-    terminates when |f(x) - target| <= ROOT_REL_TOL * max(1, |target|), or
-    returns the best point seen once the bracket is down to a few ulp.
-    Raises NoConvergenceError when ``max_iter`` steps reach neither.  The
-    endpoint values may be +/-inf (treated purely by sign), which lets
-    callers grow brackets into overflow territory without special cases.
+    The bracket is grown first: ``hi`` doubles (to max(2 hi, 2)) up to
+    ``BRACKET_HI_CAP``, and ``lo`` walks left the same way unless
+    ``lo_fixed``, in which case a target below f(lo) is a miss.  Growth
+    past the cap, or past -1e300 on the left, raises BracketMissError.
+
+    The solve is safeguarded bisection with secant acceleration on
+    alternate steps, started from the residuals the growth computed, so
+    neither bracket end is evaluated again.  It terminates when
+    |f(x) - target| <= ROOT_REL_TOL * max(1, |target|), or returns the
+    best point seen once the bracket is down to a few ulp.  Raises
+    NoConvergenceError when ``ROOT_MAX_ITER`` steps reach neither.  The
+    values of f may be +/-inf (treated purely by sign), which lets the
+    bracket grow into overflow territory without special cases.
     """
-    a, b = bracket.lo, bracket.hi
-    ga = _residual(f, a, target)
-    gb = _residual(f, b, target)
+    if not lo < hi:
+        raise ValueError("solve_increasing requires lo < hi")
+    ga = _residual(f, lo, target)
+    gb = _residual(f, hi, target)
+    while gb < 0.0:
+        if hi >= BRACKET_HI_CAP:
+            raise BracketMissError(f"target {target!r} above f({BRACKET_HI_CAP!r})")
+        hi = min(max(hi * 2.0, 2.0), BRACKET_HI_CAP)
+        gb = _residual(f, hi, target)
+    while ga > 0.0:
+        if lo_fixed:
+            raise BracketMissError(f"target {target!r} below f({lo!r})")
+        lo = lo * 2.0 if lo < -1.0 else lo - max(1.0, abs(lo))
+        if lo < -1e300:
+            raise BracketMissError(f"target {target!r} below f(-1e300)")
+        ga = _residual(f, lo, target)
     tol = ROOT_REL_TOL * max(1.0, abs(target))
-    if ga > 0.0 or gb < 0.0:
-        raise BracketMissError(
-            f"target {target!r} outside [f(lo), f(hi)] = [{ga + target!r}, {gb + target!r}]"
-        )
     if abs(ga) <= tol:
-        return a
+        return lo
     if abs(gb) <= tol:
-        return b
-    x_prev, g_prev = a, ga
-    x_cur, g_cur = b, gb
-    best_x, best_g = (a, abs(ga)) if abs(ga) < abs(gb) else (b, abs(gb))
-    for iteration in range(max_iter):
-        cand = 0.5 * (a + b)
+        return hi
+    x_prev, g_prev = lo, ga
+    x_cur, g_cur = hi, gb
+    best_x, best_g = (lo, abs(ga)) if abs(ga) < abs(gb) else (hi, abs(gb))
+    for iteration in range(ROOT_MAX_ITER):
+        cand = 0.5 * (lo + hi)
         if iteration % 2 == 0 and math.isfinite(g_cur) and math.isfinite(g_prev) and g_cur != g_prev:
             sec = x_cur - g_cur * (x_cur - x_prev) / (g_cur - g_prev)
-            margin = 1e-3 * (b - a)
-            if a + margin < sec < b - margin:
+            margin = 1e-3 * (hi - lo)
+            if lo + margin < sec < hi - margin:
                 cand = sec
         gx = _residual(f, cand, target)
         if abs(gx) <= tol:
@@ -169,17 +176,17 @@ def solve_increasing(
         if abs(gx) < best_g:
             best_x, best_g = cand, abs(gx)
         if gx < 0.0:
-            a, ga = cand, gx
+            lo, ga = cand, gx
         else:
-            b, gb = cand, gx
+            hi, gb = cand, gx
         x_prev, g_prev = x_cur, g_cur
         x_cur, g_cur = cand, gx
-        if b - a <= 4.0 * math.ulp(max(abs(a), abs(b), 1.0)):
+        if hi - lo <= 4.0 * math.ulp(max(abs(lo), abs(hi), 1.0)):
             # x spacing exhausted; the residual target may be unreachable
             # for extremely steep f, so return the best point seen.
             return best_x
     raise NoConvergenceError(
-        f"target {target!r} not reached in {max_iter} iterations; "
+        f"target {target!r} not reached in {ROOT_MAX_ITER} iterations; "
         f"best |f(x) - target| = {best_g!r} at x = {best_x!r}"
     )
 
@@ -189,36 +196,6 @@ def _residual(f: Callable[[float], float], x: float, target: float) -> float:
     if math.isnan(fx):
         raise EvalFailureError(f"f({x!r}) is NaN")
     return fx - target
-
-
-def grow_bracket(
-    f: Callable[[float], float],
-    target: float,
-    lo: float,
-    hi: float,
-    lo_min: Optional[float] = None,
-) -> Bracket:
-    """Expand [lo, hi] until it brackets ``target`` for increasing ``f``.
-
-    ``hi`` doubles (of max(hi, 1)) up to ``BRACKET_HI_CAP``; ``lo`` walks
-    left the same way when ``lo_min`` is None, otherwise it stays put and a
-    miss is reported.  Raises BracketMissError if the cap is reached first.
-    """
-    flo = _residual(f, lo, target)
-    fhi = _residual(f, hi, target)
-    while fhi < 0.0:
-        if hi >= BRACKET_HI_CAP:
-            raise BracketMissError(f"target {target!r} above f({BRACKET_HI_CAP!r})")
-        hi = min(max(hi * 2.0, 2.0), BRACKET_HI_CAP)
-        fhi = _residual(f, hi, target)
-    while flo > 0.0:
-        if lo_min is not None:
-            raise BracketMissError(f"target {target!r} below f({lo!r})")
-        lo = lo * 2.0 if lo < -1.0 else lo - max(1.0, abs(lo))
-        if lo < -1e300:
-            raise BracketMissError(f"target {target!r} below f(-1e300)")
-        flo = _residual(f, lo, target)
-    return Bracket(lo, hi)
 
 
 def log_neg_log_cdf_from_H(h_value: float) -> float:

@@ -85,6 +85,18 @@ def test_classical_coordinate_pieces():
     assert got[0] == got[1] == -math.inf and got[-1] == math.inf
 
 
+@pytest.mark.parametrize("name", sorted(wt.CATALOG))
+def test_nan_point_saturates_to_minus_inf(name):
+    # NaN reads as F = 0 on every model, without a warning, and the other
+    # points keep the bits they have without it
+    required = {"pure-weibull": {"theta": 2.0}, "extended-weibull": {"beta": 2.0}}
+    model = wt.build_model(name, **required.get(name, {}))
+    xs = np.array([3.0, -1.0])
+    got = gumbel_coordinate_array(model, np.insert(xs, 1, math.nan))
+    assert got[1] == -math.inf
+    assert got[[0, 2]].tobytes() == gumbel_coordinate_array(model, xs).tobytes()
+
+
 @pytest.mark.parametrize("gamma", [1e-9, -1e-9])
 def test_gev_pieces_at_series_switch(gamma):
     # |gamma x| < 1e-5 takes the series, the rest the log1p form

@@ -215,6 +215,26 @@ def test_exit_code_usage_error():
     assert code == 2  # normal takes no parameters
 
 
+@pytest.mark.parametrize("argv", [
+    ["norming", "--model", "normal", "--n", "inf"],
+    ["norming", "--model", "normal", "--n", "nan"],
+    ["norming", "--model", "normal", "--log-n", "10,inf"],
+    ["norming", "--model", "normal", "--log-n", "abc"],
+    ["vonmises", "--model", "normal", "--t-grid", "1e2,nan"],
+    ["norming", "--model", "pure-weibull", "--theta", "inf", "--log-n", "10"],
+    ["norming", "--model", "pure-weibull", "--alpha", "0", "--log-n", "10"],
+    ["norming", "--model", "extended-weibull", "--beta", "2", "--delta", "inf", "--log-n", "10"],
+    ["norming", "--model", "extended-weibull", "--beta", "2", "--delta", "nan", "--log-n", "10"],
+    ["norming", "--model", "gamma", "--shape", "inf", "--log-n", "10"],
+], ids=["n-inf", "n-nan", "log-n-inf", "log-n-text", "t-grid-nan", "theta-inf", "alpha-0",
+        "delta-inf", "delta-nan", "shape-inf"])
+def test_exit_code_non_finite_input(argv):
+    # refused as usage before any numerics run
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert "error:" in err
+
+
 def test_exit_code_numeric_failure():
     code, _, err = run_cli(["norming", "--model", "pure-weibull", "--theta", "2",
                             "--log-n", "-5"])

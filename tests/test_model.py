@@ -1,5 +1,6 @@
 """Model-family tests: hazards, k-function chain, regular variation, GEV."""
 
+import dataclasses
 import math
 
 import mpmath as mp
@@ -92,6 +93,44 @@ def test_hazard_round_trip_wide_range(models, name):
         y = wt.cumulative_hazard(m, x)
         back = wt.cumulative_hazard_inverse(m, y)
         assert back == pytest.approx(x, rel=1e-10)
+
+
+_ONE_PASS_MODELS = {
+    "ext-2": lambda: wt.extended_weibull(beta=2.0),
+    "ext-0.5": lambda: wt.extended_weibull(beta=0.5),
+    "normal": wt.normal,
+    "exponential": wt.exponential,
+    "logistic": wt.logistic,
+    "gamma-0.5": lambda: wt.gamma_model(0.5),
+    "gamma-5": lambda: wt.gamma_model(5.0),
+}
+
+
+def _recording(model):
+    """The model with its hazard's varying part wrapped to record each x."""
+    seen = []
+    if model.family is wt.Family.CLASSICAL:
+        log_sf = model.classical_log_sf
+        return seen, dataclasses.replace(
+            model, classical_log_sf=lambda x: seen.append(x) or log_sf(x))
+    value = model.l.value
+    l = dataclasses.replace(model.l, value=lambda x: seen.append(x) or value(x))
+    return seen, dataclasses.replace(model, l=l)
+
+
+@pytest.mark.parametrize("name", sorted(_ONE_PASS_MODELS))
+@pytest.mark.parametrize("inverse", [wt.gumbel_coordinate_inverse, wt.cumulative_hazard_inverse])
+def test_root_solve_evaluates_each_point_once(name, inverse):
+    # bracket growth hands its residuals to the solve: no x is evaluated twice
+    base = _ONE_PASS_MODELS[name]()
+    seen, m = _recording(base)
+    x_low = base.support_lower + 0.5 if math.isfinite(base.support_lower) else -1.5
+    forward = wt.gumbel_coordinate if inverse is wt.gumbel_coordinate_inverse else wt.cumulative_hazard
+    for level in (forward(base, x_low), 20.0, 300.0, 700.0):
+        seen.clear()
+        x = inverse(m, level)
+        assert x == inverse(base, level)
+        assert seen and len(seen) == len(set(seen)), (level, len(seen) - len(set(seen)))
 
 
 # ----------------------------------------------------------------------- cdf
@@ -377,6 +416,8 @@ def test_log_cdf_of_maxima_below_support():
 def test_model_validation():
     with pytest.raises(ValueError):
         wt.pure_weibull(theta=-1.0)
+    with pytest.raises(ValueError, match="finite"):
+        wt.weibull_type(math.inf, wt.constant(1.0))
     with pytest.raises(ValueError):
         wt.pure_weibull(theta=1.0, alpha=1.0)
     with pytest.raises(ValueError):
