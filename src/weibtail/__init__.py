@@ -25,16 +25,12 @@ from .catalog import (
 from .model import (
     Family,
     WeibullTypeModel,
-    cdf,
     cumulative_hazard,
     cumulative_hazard_inverse,
-    density,
     gumbel_coordinate,
     gumbel_coordinate_inverse,
     k_derivative,
     k_function,
-    log_cdf,
-    rv_ratios,
 )
 from .norming import NormingConstants, norming
 from .penultimate import (
@@ -48,14 +44,11 @@ from .penultimate import (
 )
 from .slowly_varying import (
     SlowlyVaryingSpec,
-    builtin_catalog,
-    check_sv_conditions,
     constant,
     log_power,
     log_shift,
-    sv_ratio,
 )
-from .vonmises import ConditionReport, Verdict, condition_sweep, gomes84_closed_form, phi
+from .vonmises import ConditionReport, Verdict, condition_sweep, gomes84_closed_form
 
 __all__ = [
     "__version__",
@@ -70,14 +63,10 @@ __all__ = [
     "Verdict",
     "WeibullTypeModel",
     "build_model",
-    "builtin_catalog",
-    "cdf",
-    "check_sv_conditions",
     "condition_sweep",
     "constant",
     "cumulative_hazard",
     "cumulative_hazard_inverse",
-    "density",
     "error_comparison",
     "exponential",
     "extended_weibull",
@@ -89,17 +78,13 @@ __all__ = [
     "gumbel_fixture",
     "k_derivative",
     "k_function",
-    "log_cdf",
     "log_power",
     "log_shift",
     "logistic",
     "norming",
     "normal",
     "penultimate_index",
-    "phi",
     "pure_weibull",
     "remainder_profile",
-    "rv_ratios",
-    "sv_ratio",
     "weibull_type",
 ]

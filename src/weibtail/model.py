@@ -49,6 +49,8 @@ HazardDerivs = Callable[[float], Tuple[float, float, float, float]]
 
 
 class Family(enum.Enum):
+    """How a model gives its tail: 1 - F = e^-H, -log F = e^-H, or a cdf."""
+
     TAIL_EXP = "tail_exp"
     LOG_CDF_EXP = "log_cdf_exp"
     CLASSICAL = "classical"
@@ -129,13 +131,6 @@ def _classical_log_sf(model: WeibullTypeModel, x: float) -> float:
     return math.log1p(-p) if p < 1.0 else -math.inf  # sf rounded to 0
 
 
-def _classical_log_cdf(model: WeibullTypeModel, x: float) -> float:
-    if model.classical_log_cdf is not None:
-        return model.classical_log_cdf(x)
-    p = model.classical_cdf(x)
-    return math.log(p) if p > 0.0 else -math.inf
-
-
 def _classical_log_pdf(model: WeibullTypeModel, x: float) -> float:
     if model.classical_log_pdf is not None:
         return model.classical_log_pdf(x)
@@ -147,8 +142,12 @@ def cumulative_hazard(model: WeibullTypeModel, x: float) -> float:
     if model.family is Family.CLASSICAL:
         return -_classical_log_sf(model, x)
     _require_support(model, x)
-    c = 1.0 / model.theta
-    return _pow(x, c) * model.l.value_checked(x)
+    try:
+        return _pow(x, 1.0 / model.theta) * model.l.value_checked(x)
+    except DomainError:
+        if x == math.inf:
+            return math.inf  # x^(1/theta) outgrows every slowly varying l
+        raise
 
 
 def hazard_derivative_block(model: WeibullTypeModel, x: float) -> Tuple[float, float, float, float]:
@@ -274,7 +273,7 @@ def gumbel_coordinate_array(model: WeibullTypeModel, xs: np.ndarray) -> np.ndarr
 
 def _tail_hazard_array(model: WeibullTypeModel, array_form: ArrayFn):
     """z -> H(z) = z^c l(z) for z in the support, -inf where l(z) is not
-    finite and positive."""
+    finite and positive, but +inf at z = +inf."""
     import numpy as np
 
     c = 1.0 / model.theta
@@ -287,7 +286,8 @@ def _tail_hazard_array(model: WeibullTypeModel, array_form: ArrayFn):
 
     def hazard(z: np.ndarray) -> np.ndarray:
         l = array_form(z)
-        return numerics.piecewise(np.isfinite(l) & (l > 0.0), power_times, -math.inf, z, l)
+        return numerics.piecewise(np.isfinite(l) & (l > 0.0), power_times,
+                                  lambda z, l: _saturate(z), z, l)
 
     return hazard
 
@@ -326,36 +326,6 @@ def gumbel_coordinate_inverse(model: WeibullTypeModel, t: float) -> float:
     if math.isfinite(model.support_lower):
         lo = model.support_lower + 1e-9 * max(1.0, abs(model.support_lower))
     return _invert_increasing(coordinate, t, lo)
-
-
-def log_cdf(model: WeibullTypeModel, x: float) -> float:
-    if model.family is Family.TAIL_EXP:
-        h = cumulative_hazard(model, x)
-        if h <= 0.0:
-            return -math.inf
-        return math.log(-math.expm1(-h)) if h < 36.0 else -math.exp(-h)
-    if model.family is Family.LOG_CDF_EXP:
-        _require_support(model, x)
-        return -math.exp(-cumulative_hazard(model, x))
-    return _classical_log_cdf(model, x)
-
-
-def cdf(model: WeibullTypeModel, x: float) -> float:
-    if model.family is Family.TAIL_EXP:
-        h = cumulative_hazard(model, x)
-        return -math.expm1(-h) if h > 0.0 else 0.0
-    return math.exp(log_cdf(model, x))
-
-
-def density(model: WeibullTypeModel, x: float) -> float:
-    """f(x); tail families use H' e^-H and its LOG_CDF_EXP analogue."""
-    if model.family is Family.CLASSICAL:
-        return model.classical_density(x)
-    h = cumulative_hazard(model, x)
-    d1 = hazard_derivative_block(model, x)[0]
-    if model.family is Family.TAIL_EXP:
-        return d1 * math.exp(-h)
-    return d1 * math.exp(-h - math.exp(-h))
 
 
 def _chain_weights(model: WeibullTypeModel, x: float) -> Tuple[float, float, float, float]:
@@ -464,19 +434,8 @@ def k_jet(model: WeibullTypeModel, x: float, order: int = 3, method: str = "auto
 
 
 def k_derivative(model: WeibullTypeModel, x: float, order: int, method: str = "auto") -> float:
+    """k^(order)(x), the one entry of :func:`k_jet` at that order."""
     return k_jet(model, x, order, method).values[order]
-
-
-def rv_ratios(model: WeibullTypeModel, x: float) -> Tuple[float, float, float]:
-    """(x^2 k'/(x k), x^3 k''/(x k), x^4 k'''/(x k)).
-
-    Regular-variation diagnostics: the limits are (c-1), (c-1)(c-2) and
-    (c-1)(c-2)(c-3) with c = 1/theta.
-    """
-    k0, k1, k2, k3 = k_jet(model, x).values
-    if k0 == 0.0:
-        raise TailUnderflowError(f"k(x) = 0 at x={x!r}")
-    return x * k1 / k0, x * x * k2 / k0, x**3 * k3 / k0
 
 
 # ----------------------------------------------------------------------

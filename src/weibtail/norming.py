@@ -31,6 +31,8 @@ NORMING_CONVENTION = "F(b_n) = exp(-1/n)"
 
 @dataclass(frozen=True)
 class NormingConstants:
+    """a_n and b_n, exact and asymptotic, of F^n(a_n x + b_n), n = e^log_n."""
+
     log_n: float
     b_exact: float
     b_asymptotic: float
@@ -51,6 +53,7 @@ def locate(model: WeibullTypeModel, log_n: float) -> Tuple[float, KJet]:
 
 
 def norming(model: WeibullTypeModel, log_n: float) -> NormingConstants:
+    """The norming constants of ``model`` at block size n = e^log_n."""
     # b_asymptotic before b_exact: a log n below an extended-Weibull
     # support floor is refused at the H level y = log n
     _require_block_size(log_n)

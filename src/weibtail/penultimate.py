@@ -40,6 +40,8 @@ REMAINDER_DENOMINATOR_CUTOFF = 1e-12
 
 
 class Classification(enum.Enum):
+    """Penultimate limit type: Frechet for theta > 1, Weibull for theta < 1."""
+
     FRECHET = "frechet"
     WEIBULL = "weibull"
     EXCLUDED_THETA_ONE = "excluded_theta_one"
@@ -98,6 +100,8 @@ def gamma_of_t(model: WeibullTypeModel, t: float) -> float:
 
 
 def penultimate_index(model: WeibullTypeModel, log_n: float) -> PenultimateIndex:
+    """gamma_n = -k'(b_n)/k^2(b_n) at block size n = e^log_n, with its
+    asymptote (theta-1)/log n and the convergence-rate functionals."""
     b_exact, jet = locate(model, log_n)
     gamma_exact = jet.phi
     theta = model.theta

@@ -2,32 +2,25 @@
 
 A spec bundles l(x) with l', l'', l''', l'''' where each derivative is
 either a closed form or ``None``, in which case it is synthesized from
-l itself by Richardson differentiation.  The check routine verifies the
-derivative-decay ratios x^j l^(j)(x) / l(x) -> 0 that the tail asymptotics
-rest on.
+l itself by Richardson differentiation.  The tail families of
+:mod:`weibtail.model` build H = x^(1/theta) l(x) and its derivatives from
+these.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Optional
 
 from . import numerics
-from .errors import DomainError, InsufficientGridError
+from .errors import DomainError
 
 if TYPE_CHECKING:
     import numpy as np
 
 ScalarFn = Callable[[float], float]
 ArrayFn = Callable[["np.ndarray"], "np.ndarray"]
-
-# Verdict thresholds: a ratio sequence counts as decaying when the last
-# magnitude is under 0.1 absolute and at most half the first magnitude
-# (<= so identically-zero sequences pass, e.g. constant l).
-DECAY_ABS = 0.1
-DECAY_SHRINK = 0.5
-
 
 @dataclass(frozen=True)
 class SlowlyVaryingSpec:
@@ -69,57 +62,15 @@ class SlowlyVaryingSpec:
             return fn(x)
         return numerics.derivative(self.value, x, j).value
 
-    def provenance(self, j: int) -> str:
-        fn = (self.d1, self.d2, self.d3, self.d4)[j - 1]
-        return "analytic" if fn is not None else "numeric"
-
-
-@dataclass(frozen=True)
-class SlowVariationReport:
-    t_grid: Tuple[float, ...]
-    ratios: Dict[int, Tuple[float, ...]] = field(default_factory=dict)
-    verdicts: Dict[int, str] = field(default_factory=dict)
-
-
-def sv_ratio(spec: SlowlyVaryingSpec, j: int, x: float) -> float:
-    """x^j * l^(j)(x) / l(x)."""
-    v = spec.value_checked(x)
-    return x**j * spec.deriv(j, x) / v
-
-
-def check_sv_conditions(spec: SlowlyVaryingSpec, t_grid: Sequence[float]) -> SlowVariationReport:
-    """Evaluate the four decay ratios along t_grid and judge each.
-
-    The grid must be ascending with at least 4 points spanning at least
-    3 decades, all within the spec's domain.
-    """
-    grid = tuple(float(t) for t in t_grid)
-    if len(grid) < 4:
-        raise InsufficientGridError("need at least 4 grid points")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise InsufficientGridError("grid must be strictly ascending")
-    if grid[0] < spec.domain_lower:
-        raise InsufficientGridError(f"grid starts below domain lower {spec.domain_lower!r}")
-    if grid[-1] < 1e3 * grid[0]:
-        raise InsufficientGridError("grid must span at least 3 decades")
-    ratios: Dict[int, Tuple[float, ...]] = {}
-    verdicts: Dict[int, str] = {}
-    for j in range(1, 5):
-        seq = tuple(sv_ratio(spec, j, t) for t in grid)
-        first, last = abs(seq[0]), abs(seq[-1])
-        ok = last < DECAY_ABS and last <= DECAY_SHRINK * first
-        ratios[j] = seq
-        verdicts[j] = "decaying" if ok else "not_confirmed"
-    return SlowVariationReport(t_grid=grid, ratios=ratios, verdicts=verdicts)
-
 
 # ----------------------------------------------------------------------
-# Built-in catalog: constant, (log x)^beta for beta in {-1, 1, 2}, and
-# c + d / log x.  Closed-form derivatives throughout (sympy-verified).
+# Stock functions: constant, (log x)^beta and c + d / log x.  Closed-form
+# derivatives throughout (sympy-verified).
 # ----------------------------------------------------------------------
 
 
 def constant(c: float = 1.0) -> SlowlyVaryingSpec:
+    """l == c; marked ``is_constant`` for the closed-form hazard inverse."""
     if not c > 0.0:
         raise ValueError("constant l must be positive")
     zero = lambda x: 0.0
@@ -212,13 +163,3 @@ def log_shift(c: float = 1.0, d: float = 1.0) -> SlowlyVaryingSpec:
         value_array=value_array,
     )
 
-
-def builtin_catalog() -> Dict[str, SlowlyVaryingSpec]:
-    """The stock slowly varying functions used by built-in models/tests."""
-    return {
-        "const": constant(1.0),
-        "log": log_power(1.0),
-        "log-inv": log_power(-1.0),
-        "log-sq": log_power(2.0),
-        "log-shift": log_shift(1.0, 1.0),
-    }

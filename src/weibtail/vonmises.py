@@ -38,6 +38,8 @@ CONDITIONS = ("first_order", "second_order", "penultimate_cond", "anderson", "go
 
 @dataclass(frozen=True)
 class Verdict:
+    """One condition's finite-sample judgment: its kind, limit or reason."""
+
     kind: str  # "confirmed_decaying" | "confirmed_limit" | "not_confirmed"
     value: Optional[float] = None
     reason: Optional[str] = None
@@ -45,6 +47,8 @@ class Verdict:
 
 @dataclass(frozen=True)
 class ConditionReport:
+    """The five functionals along ``t_grid`` and their verdicts."""
+
     t_grid: Tuple[float, ...]
     first_order: Tuple[float, ...]
     second_order: Tuple[float, ...]
@@ -55,11 +59,6 @@ class ConditionReport:
     derivative_path: str = "analytic"
     gomes84_theoretical: Optional[float] = None
     gomes84_relative_gap: Optional[float] = None
-
-
-def phi(model: WeibullTypeModel, t: float) -> float:
-    """(1/k)'(t) = -k'(t)/k^2(t); argument is the distribution's x axis."""
-    return k_jet(model, t, 1).phi
 
 
 def gomes84_closed_form(theta: float) -> float:

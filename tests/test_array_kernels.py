@@ -16,7 +16,7 @@ import pytest
 
 import weibtail as wt
 from weibtail import catalog, numerics, penultimate
-from weibtail.model import Family, gev_cdf_array, gumbel_coordinate_array
+from weibtail.model import Family, _saturated_coordinate, gev_cdf_array, gumbel_coordinate_array
 
 
 def _pieces_agree(fn, xs, switches):
@@ -85,16 +85,34 @@ def test_classical_coordinate_pieces():
     assert got[0] == got[1] == -math.inf and got[-1] == math.inf
 
 
+def _catalog_model(name):
+    required = {"pure-weibull": {"theta": 2.0}, "extended-weibull": {"beta": 2.0}}
+    return wt.build_model(name, **required.get(name, {}))
+
+
 @pytest.mark.parametrize("name", sorted(wt.CATALOG))
 def test_nan_point_saturates_to_minus_inf(name):
     # NaN reads as F = 0 on every model, without a warning, and the other
     # points keep the bits they have without it
-    required = {"pure-weibull": {"theta": 2.0}, "extended-weibull": {"beta": 2.0}}
-    model = wt.build_model(name, **required.get(name, {}))
+    model = _catalog_model(name)
     xs = np.array([3.0, -1.0])
     got = gumbel_coordinate_array(model, np.insert(xs, 1, math.nan))
     assert got[1] == -math.inf
     assert got[[0, 2]].tobytes() == gumbel_coordinate_array(model, xs).tobytes()
+
+
+@pytest.mark.parametrize("name", [*sorted(wt.CATALOG), "logpow-inv"])
+def test_plus_inf_saturates_to_f_equals_one(name):
+    # H(+inf) = +inf, so F(+inf) = 1 on the scalar and the array path,
+    # however the slowly varying factor behaves there: l = 1/log x reads
+    # 0 at +inf, which its own domain check refuses
+    if name == "logpow-inv":
+        model = wt.weibull_type(2.0, wt.log_power(-1.0), support_lower=2.0)
+    else:
+        model = _catalog_model(name)
+    assert wt.cumulative_hazard(model, math.inf) == math.inf
+    assert _saturated_coordinate(model, math.inf) == math.inf
+    assert gumbel_coordinate_array(model, np.array([math.inf])).tolist() == [math.inf]
 
 
 @pytest.mark.parametrize("gamma", [1e-9, -1e-9])

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import weibtail as wt
+from weibtail import catalog
 
 SHAPES = (0.5, 2.0, 5.0)
 
@@ -100,6 +101,36 @@ def test_gamma_norming_far_tail(shape, log_n):
 def test_gamma_norming_large_shape(shape, log_n):
     # F rounds to 0 at the bracket's start just above the support endpoint
     _assert_gamma_norming(shape, log_n)
+
+
+def _mp_gamma_norming(a, log_n, b0):
+    """(b_n, a_n, gamma_n) of Gamma(a) at 60 digits: b_n solves
+    -log(-log P(a, b)) = log n, and k = f / (P L), L = -log P, gives
+    a_n = 1/k and gamma_n = -k'/k^2."""
+    with mp.workdps(60):
+        a, log_n = mp.mpf(a), mp.mpf(log_n)
+        coordinate = lambda x: -mp.log(-mp.log1p(-mp.gammainc(a, x, mp.inf, regularized=True)))
+        b = mp.findroot(lambda x: coordinate(x) - log_n, mp.mpf(b0), tol=mp.mpf(10) ** -50)
+        q = mp.gammainc(a, b, mp.inf, regularized=True)
+        p, big_l = 1 - q, -mp.log1p(-q)
+        f = mp.exp((a - 1) * mp.log(b) - b - mp.loggamma(a))
+        k = f / (p * big_l)
+        k1 = (f * ((a - 1) / b - 1) * p * big_l - f * f * (big_l - 1)) / (p * big_l) ** 2
+        return b, 1 / k, -k1 / k**2
+
+
+@pytest.mark.parametrize("log_n", [1.0, 10.0, 100.0, 700.0])
+def test_gamma_at_largest_shape_against_mpmath(log_n):
+    # the largest shape gamma_model takes; beyond it the rounding of log Q
+    # passes 1e-12
+    shape = catalog._GAMMA_MAX_SHAPE
+    m = wt.gamma_model(shape)
+    nc = wt.norming(m, log_n)
+    got = (nc.b_exact, nc.a_scale, wt.penultimate_index(m, log_n).gamma_exact)
+    for g, ref in zip(got, _mp_gamma_norming(shape, log_n, nc.b_exact)):
+        assert float(abs((g - ref) / ref)) <= 1e-12, (log_n, got)
+    with pytest.raises(ValueError):
+        wt.gamma_model(math.nextafter(shape, math.inf))
 
 
 def _mp_normal_q(x):

@@ -235,6 +235,15 @@ def test_exit_code_non_finite_input(argv):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("shape", ["1000.5", "1e20", "1e300"])
+def test_exit_code_gamma_shape_above_bound(shape):
+    # once a traceback from the incomplete gamma (1e20, 1e300), or numbers
+    # past the accuracy bound; now refused as usage
+    code, out, err = run_cli(["norming", "--model", "gamma", "--shape", shape, "--log-n", "10"])
+    assert (code, out) == (2, "")
+    assert "error: shape must be in (0, 1000]" in err
+
+
 def test_exit_code_numeric_failure():
     code, _, err = run_cli(["norming", "--model", "pure-weibull", "--theta", "2",
                             "--log-n", "-5"])

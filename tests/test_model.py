@@ -133,33 +133,6 @@ def test_root_solve_evaluates_each_point_once(name, inverse):
         assert seen and len(seen) == len(set(seen)), (level, len(seen) - len(set(seen)))
 
 
-# ----------------------------------------------------------------------- cdf
-
-def test_cdf_exponential_median():
-    m = wt.pure_weibull(theta=1.0)  # standard Exponential as a tail model
-    assert wt.cdf(m, math.log(2.0)) == pytest.approx(0.5, rel=1e-14)
-
-
-def test_cdf_gumbel_fixture():
-    fx = wt.gumbel_fixture()
-    assert wt.cdf(fx, 0.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
-    assert wt.log_cdf(fx, 3.0) == pytest.approx(-math.exp(-3.0), rel=1e-14)
-
-
-def test_cdf_classical_normal_median():
-    assert wt.cdf(wt.normal(), 0.0) == pytest.approx(0.5, rel=1e-14)
-
-
-def test_density_matches_cdf_slope(models):
-    from weibtail.numerics import derivative
-
-    for name in ("pw-2", "pw-0.5", "fixture", "normal", "logistic"):
-        m = models[name]
-        x = 1.8 if m.family is wt.Family.CLASSICAL else max(m.support_lower, 0.0) + 1.7
-        slope = derivative(lambda t: wt.cdf(m, t), x, 1).value
-        assert wt.density(m, x) == pytest.approx(slope, rel=1e-7), name
-
-
 # ------------------------------------------------------------------ k-chain
 
 def test_k_fixture_identity():
@@ -297,9 +270,16 @@ def test_k_tail_underflow_classical():
 
 # ------------------------------------------------------- regular variation
 
+def _rv_ratios(model, x):
+    """(x k'/k, x^2 k''/k, x^3 k'''/k): the limits are (c-1), (c-1)(c-2)
+    and (c-1)(c-2)(c-3) with c = 1/theta."""
+    k0, k1, k2, k3 = k_jet(model, x).values
+    return x * k1 / k0, x * x * k2 / k0, x**3 * k3 / k0
+
+
 def test_rv_ratios_theta2():
     m = wt.pure_weibull(theta=2.0)
-    r1, r2, r3 = wt.rv_ratios(m, 1e8)
+    r1, r2, r3 = _rv_ratios(m, 1e8)
     assert r1 == pytest.approx(-0.5, rel=0.01)
     assert r2 == pytest.approx(0.75, rel=0.01)
     assert r3 == pytest.approx(-1.875, rel=0.01)
@@ -307,7 +287,7 @@ def test_rv_ratios_theta2():
 
 def test_rv_ratios_theta_half():
     m = wt.pure_weibull(theta=0.5)
-    r1, r2, r3 = wt.rv_ratios(m, 1e8)
+    r1, r2, r3 = _rv_ratios(m, 1e8)
     assert r1 == pytest.approx(1.0, rel=0.01)
     assert r2 == pytest.approx(0.0, abs=0.02)
     assert r3 == pytest.approx(0.0, abs=0.02)
@@ -315,14 +295,14 @@ def test_rv_ratios_theta_half():
 
 def test_rv_ratios_fixture_zero():
     fx = wt.gumbel_fixture()
-    assert wt.rv_ratios(fx, 100.0) == (0.0, 0.0, 0.0)
+    assert _rv_ratios(fx, 100.0) == (0.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("theta", [0.25, 0.5, 2.0, 4.0])
 def test_rv_ratios_limits_at_1e10(theta):
     c = 1.0 / theta
     expected = ((c - 1.0), (c - 1.0) * (c - 2.0), (c - 1.0) * (c - 2.0) * (c - 3.0))
-    got = wt.rv_ratios(wt.pure_weibull(theta=theta), 1e10)
+    got = _rv_ratios(wt.pure_weibull(theta=theta), 1e10)
     for g, e in zip(got, expected):
         if e == 0.0:
             assert abs(g) < 0.005
@@ -332,7 +312,7 @@ def test_rv_ratios_limits_at_1e10(theta):
 
 def test_normal_theta_diagnostic():
     # 1 + r1 -> 1/theta = 2 for the Normal
-    r1 = wt.rv_ratios(wt.normal(), 100.0)[0]
+    r1 = _rv_ratios(wt.normal(), 100.0)[0]
     assert 1.0 / (1.0 + r1) == pytest.approx(0.5, abs=1e-3)
 
 

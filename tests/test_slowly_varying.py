@@ -1,21 +1,35 @@
-"""Slowly varying specs: ratios, decay verdicts, catalog derivative forms."""
+"""Slowly varying specs: decay ratios, stock derivative forms."""
 
 import math
 
 import pytest
 
-from weibtail.errors import DomainError, InsufficientGridError
-from weibtail.slowly_varying import (
-    SlowlyVaryingSpec,
-    builtin_catalog,
-    check_sv_conditions,
-    constant,
-    log_power,
-    log_shift,
-    sv_ratio,
-)
+from weibtail.errors import DomainError
+from weibtail.slowly_varying import SlowlyVaryingSpec, constant, log_power, log_shift
 
 DECADES = [10.0**j for j in range(2, 9)]
+
+# The stock specs the tail models are built from.
+SPECS = {
+    "const": constant(1.0),
+    "log": log_power(1.0),
+    "log-inv": log_power(-1.0),
+    "log-sq": log_power(2.0),
+    "log-shift": log_shift(1.0, 1.0),
+}
+
+
+def sv_ratio(spec, j, x):
+    """x^j l^(j)(x) / l(x), which tends to 0 for slowly varying l."""
+    v = spec.value_checked(x)
+    return x**j * spec.deriv(j, x) / v
+
+
+def _decays(seq):
+    """The last magnitude under 0.1 and at most half the first (<= so an
+    identically-zero sequence decays)."""
+    first, last = abs(seq[0]), abs(seq[-1])
+    return last < 0.1 and last <= 0.5 * first
 
 
 def test_ratio_constant_is_zero():
@@ -60,42 +74,33 @@ def test_domain_and_positivity_errors():
 
 
 def test_check_constant_all_decaying():
-    report = check_sv_conditions(constant(2.0), DECADES)
+    spec = constant(2.0)
     for j in (1, 2, 3, 4):
-        assert report.verdicts[j] == "decaying"
-        assert all(r == 0.0 for r in report.ratios[j])
+        ratios = [sv_ratio(spec, j, t) for t in DECADES]
+        assert _decays(ratios)
+        assert all(r == 0.0 for r in ratios)
 
 
 def test_check_log_first_order_decaying():
-    report = check_sv_conditions(log_power(1.0), DECADES)
-    assert report.verdicts[1] == "decaying"
+    ratios = [sv_ratio(log_power(1.0), 1, t) for t in DECADES]
+    assert _decays(ratios)
     expected = [1.0 / math.log(t) for t in DECADES]
-    for got, want in zip(report.ratios[1], expected):
+    for got, want in zip(ratios, expected):
         assert got == pytest.approx(want, rel=1e-10)
 
 
 def test_check_power_law_not_confirmed():
     # x^0.1 is regularly varying with positive index: ratio j=1 is flat 0.1
     spec = SlowlyVaryingSpec(value=lambda x: x**0.1, domain_lower=1.0, label="x^0.1")
-    report = check_sv_conditions(spec, DECADES)
-    assert report.verdicts[1] == "not_confirmed"
-    assert all(r == pytest.approx(0.1, rel=1e-6) for r in report.ratios[1])
-
-
-def test_check_grid_validation():
-    spec = constant(1.0)
-    with pytest.raises(InsufficientGridError):
-        check_sv_conditions(spec, [10.0, 100.0, 1000.0])  # too few points
-    with pytest.raises(InsufficientGridError):
-        check_sv_conditions(spec, [10.0, 20.0, 40.0, 80.0])  # under 3 decades
-    with pytest.raises(InsufficientGridError):
-        check_sv_conditions(spec, [100.0, 10.0, 1000.0, 10000.0])  # not ascending
+    ratios = [sv_ratio(spec, 1, t) for t in DECADES]
+    assert not _decays(ratios)
+    assert all(r == pytest.approx(0.1, rel=1e-6) for r in ratios)
 
 
 def test_slow_variation_doubling_ratio():
     # l(2t)/l(t) -> 1 along t = 10^j, the defining property; the log-family
     # members approach it like log 2 / log t (~0.075 for (log)^2 at t=1e8)
-    for name, spec in builtin_catalog().items():
+    for name, spec in SPECS.items():
         devs = []
         for j in range(2, 9):
             t = 10.0**j
@@ -120,11 +125,10 @@ _FINAL_BOUNDS = {
 
 @pytest.mark.parametrize("name", sorted(_FINAL_BOUNDS))
 def test_builtin_catalog_ratios_shrink(name):
-    spec = builtin_catalog()[name]
+    spec = SPECS[name]
     grid = [10.0**j for j in range(2, 11)]
-    report = check_sv_conditions(spec, grid)
     for j in (1, 2, 3, 4):
-        mags = [abs(r) for r in report.ratios[j]]
+        mags = [abs(sv_ratio(spec, j, t)) for t in grid]
         # monotone shrink beyond the first couple of points
         tail = mags[2:]
         assert all(b <= a + 1e-15 for a, b in zip(tail, tail[1:])), (name, j, mags)
@@ -133,7 +137,7 @@ def test_builtin_catalog_ratios_shrink(name):
 
 @pytest.mark.parametrize("name", ["log", "log-inv", "log-sq", "log-shift"])
 def test_analytic_vs_numeric_derivative_paths(name):
-    spec = builtin_catalog()[name]
+    spec = SPECS[name]
     numeric = SlowlyVaryingSpec(
         value=spec.value, domain_lower=spec.domain_lower, label=spec.label + "-numeric"
     )
@@ -149,13 +153,6 @@ def test_analytic_vs_numeric_derivative_paths(name):
             a = sv_ratio(spec, j, x)
             n = sv_ratio(numeric, j, x)
             assert n == pytest.approx(a, rel=rel), (name, j, x)
-
-
-def test_provenance_reporting():
-    spec = log_power(2.0)
-    assert spec.provenance(1) == "analytic"
-    numeric = SlowlyVaryingSpec(value=spec.value, domain_lower=1.5, label="n")
-    assert numeric.provenance(3) == "numeric"
 
 
 def test_log_shift_negative_d_domain():

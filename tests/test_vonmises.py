@@ -8,7 +8,7 @@ import pytest
 import weibtail as wt
 from weibtail.errors import InsufficientGridError, TailUnderflowError, ThetaOneExcludedError
 from weibtail.model import k_jet
-from weibtail.vonmises import condition_sweep, gomes84_closed_form, phi
+from weibtail.vonmises import condition_sweep, gomes84_closed_form
 
 GRID = [1e2, 1e4, 1e6, 1e8, 1e10]
 
@@ -16,16 +16,16 @@ GRID = [1e2, 1e4, 1e6, 1e8, 1e10]
 def test_phi_fixture_zero():
     fx = wt.gumbel_fixture()
     for t in (1.0, 10.0, 1e4):
-        assert phi(fx, t) == 0.0
+        assert k_jet(fx, t, 1).phi == 0.0
 
 
 def test_phi_theta2_asymptote():
-    # -(c-1)/(c t^c l) with c = 1/2: phi(1e4) ~ 0.01
-    assert phi(wt.pure_weibull(theta=2.0), 1e4) == pytest.approx(0.01, rel=0.01)
+    # phi = (1/k)' = -(c-1)/(c t^c l) with c = 1/2: phi(1e4) ~ 0.01
+    assert k_jet(wt.pure_weibull(theta=2.0), 1e4, 1).phi == pytest.approx(0.01, rel=0.01)
 
 
 def test_phi_sign_for_light_tails():
-    assert phi(wt.pure_weibull(theta=0.5), 100.0) < 0.0
+    assert k_jet(wt.pure_weibull(theta=0.5), 100.0, 1).phi < 0.0
 
 
 def test_gomes84_closed_form_values():
@@ -81,7 +81,8 @@ def test_anderson_consistent_with_rv_ratios():
     m = wt.pure_weibull(theta=2.0)
     report = condition_sweep(m, GRID)
     for i, t in enumerate(GRID):
-        r1, r2, _ = wt.rv_ratios(m, t)
+        k0, k1, k2 = k_jet(m, t, 2).values
+        r1, r2 = t * k1 / k0, t * t * k2 / k0
         k = wt.k_function(m, t)
         assert report.anderson[i] == pytest.approx((r2 / r1) / (t * k), rel=1e-8)
 
