@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, NamedTuple, Optional, Tuple
 
 from . import numerics
 from . import slowly_varying as sv
@@ -721,8 +720,7 @@ def gamma_model(shape: float = 2.0) -> WeibullTypeModel:
     )
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     build: Callable[..., WeibullTypeModel]
     params: Tuple[str, ...]

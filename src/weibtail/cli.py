@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import enum
 import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from . import __version__
 from . import numerics
@@ -25,8 +25,7 @@ from . import vonmises as vm_mod
 from .catalog import CATALOG, build_model
 from .errors import WeibtailError
 from .model import WeibullTypeModel
-from .norming import NORMING_CONVENTION
-from .norming import norming as compute_norming
+from .norming import NORMING_CONVENTION, norming, norming_located
 
 CSV_HEADERS = {
     "models": ["name", "family", "parameters", "theta_reference", "theta_is_one"],
@@ -60,23 +59,6 @@ MODEL_PARAM_FLAGS = tuple(dict.fromkeys(p for entry in CATALOG.values() for p in
 
 DEFAULT_LOG_N = (10.0, 20.0, 40.0)
 DEFAULT_T_GRID = (1e2, 1e4, 1e6, 1e8, 1e10)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved CLI invocation: model address plus evaluation layout."""
-
-    model_name: str
-    model_params: Dict[str, float] = field(default_factory=dict)
-    log_n_list: Tuple[float, ...] = DEFAULT_LOG_N
-    grid: Tuple[float, float, int] = pen_mod.DEFAULT_GRID
-    t_grid: Tuple[float, ...] = DEFAULT_T_GRID
-    output_format: str = "csv"
-    output_path: Optional[str] = None
-    gamma_mode: str = "exact"
-
-    def build_model(self) -> WeibullTypeModel:
-        return build_model(self.model_name, **self.model_params)
 
 
 def _fmt(value) -> str:
@@ -176,47 +158,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_config(args, parser: argparse.ArgumentParser) -> RunConfig:
-    params = {
-        flag: getattr(args, flag)
-        for flag in MODEL_PARAM_FLAGS
-        if getattr(args, flag, None) is not None
-    }
-    log_n_list = DEFAULT_LOG_N
+def _resolve(args, parser: argparse.ArgumentParser) -> WeibullTypeModel:
+    """Parse the list flags onto ``args`` (``log_n``, ``t_grid``), collect the
+    given model parameters in ``args.params`` and build the model."""
     if getattr(args, "n", None) is not None:
         raw = _parse_float_list(parser, args.n, "--n")
         bad = [v for v in raw if v < 2 or v != int(v)]
         if bad:
             parser.error(f"--n expects integers >= 2, got {bad}")
-        log_n_list = tuple(math.log(v) for v in raw)
+        args.log_n = tuple(math.log(v) for v in raw)
     elif getattr(args, "log_n", None) is not None:
-        log_n_list = tuple(_parse_float_list(parser, args.log_n, "--log-n"))
-    t_grid = DEFAULT_T_GRID
+        args.log_n = tuple(_parse_float_list(parser, args.log_n, "--log-n"))
+    else:
+        args.log_n = DEFAULT_LOG_N
     if getattr(args, "t_grid", None) is not None:
-        t_grid = tuple(_parse_float_list(parser, args.t_grid, "--t-grid"))
-    return RunConfig(
-        model_name=args.model,
-        model_params=params,
-        log_n_list=log_n_list,
-        grid=tuple(getattr(args, "grid", pen_mod.DEFAULT_GRID)),
-        t_grid=t_grid,
-        output_format=args.format,
-        output_path=args.out,
-        gamma_mode=getattr(args, "gamma_mode", "exact"),
-    )
-
-
-def _resolve(args, parser: argparse.ArgumentParser) -> Tuple[RunConfig, WeibullTypeModel]:
-    cfg = _run_config(args, parser)
+        args.t_grid = tuple(_parse_float_list(parser, args.t_grid, "--t-grid"))
+    else:
+        args.t_grid = DEFAULT_T_GRID
+    args.params = {flag: getattr(args, flag) for flag in MODEL_PARAM_FLAGS
+                   if getattr(args, flag) is not None}
     try:
-        return cfg, cfg.build_model()
+        return build_model(args.model, **args.params)
     except (KeyError, ValueError) as exc:
         parser.error(str(exc))
 
 
-def _emit(cfg_path: Optional[str], text: str) -> None:
-    if cfg_path:
-        with open(cfg_path, "w", encoding="utf-8", newline="") as fh:
+def _emit(path: Optional[str], text: str) -> None:
+    if path:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -250,14 +219,14 @@ def _render_json(command: str, model_meta: Optional[Dict], rows) -> str:
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
-def _model_meta(cfg: RunConfig, model: WeibullTypeModel) -> Dict:
+def _model_meta(args, model: WeibullTypeModel) -> Dict:
     return {
-        "name": cfg.model_name,
+        "name": args.model,
         "label": model.label,
         "family": model.family.value,
         "theta": model.theta,
-        "parameters": dict(cfg.model_params),
-        "gamma_mode": cfg.gamma_mode,
+        "parameters": args.params,
+        "gamma_mode": args.gamma_mode,
     }
 
 
@@ -279,80 +248,54 @@ def cmd_models(args, parser=None) -> int:
     return 0
 
 
-def _norming_rows(model: WeibullTypeModel, cfg: RunConfig):
-    rows = []
-    for ln in cfg.log_n_list:
-        nc = compute_norming(model, ln)
-        rows.append({
-            "log_n": nc.log_n,
-            "b_exact": nc.b_exact,
-            "b_asymptotic": nc.b_asymptotic,
-            "a_scale": nc.a_scale,
-        })
+def _row(command: str, result) -> Dict:
+    """The ``CSV_HEADERS[command]`` columns of one result, read by
+    attribute name; an enum is written as its value."""
+    row = {col: getattr(result, col) for col in CSV_HEADERS[command]}
+    return {col: v.value if isinstance(v, enum.Enum) else v for col, v in row.items()}
+
+
+def _norming_rows(model: WeibullTypeModel, args):
+    rows = [_row("norming", norming(model, ln)) for ln in args.log_n]
     return rows, rows
 
 
-def _penultimate_rows(model: WeibullTypeModel, cfg: RunConfig):
-    flat, nested = [], []
-    for ln in cfg.log_n_list:
-        idx = pen_mod.penultimate_index(model, ln)
-        flat.append({
-            "log_n": idx.log_n,
-            "gamma_exact": idx.gamma_exact,
-            "gamma_asymptotic": idx.gamma_asymptotic,
-            "classification": idx.classification.value,
+def _penultimate_json(idx: pen_mod.PenultimateIndex) -> Dict:
+    entry = {
+        "log_n": idx.log_n,
+        "gamma_exact": idx.gamma_exact,
+        "classification": idx.classification.value,
+        "gamma_prime_exact": idx.gamma_prime_exact,
+    }
+    if idx.error:
+        entry["asymptotic"] = {"error": idx.error}
+    else:
+        entry["asymptotic"] = {
+            "gamma": idx.gamma_asymptotic,
             "rate_ultimate": idx.rate_ultimate,
             "rate_penultimate": idx.rate_penultimate,
-            "gamma_prime_exact": idx.gamma_prime_exact,
-        })
-        entry = {
-            "log_n": idx.log_n,
-            "gamma_exact": idx.gamma_exact,
-            "classification": idx.classification.value,
-            "gamma_prime_exact": idx.gamma_prime_exact,
         }
-        if idx.error:
-            entry["asymptotic"] = {"error": idx.error}
-        else:
-            entry["asymptotic"] = {
-                "gamma": idx.gamma_asymptotic,
-                "rate_ultimate": idx.rate_ultimate,
-                "rate_penultimate": idx.rate_penultimate,
-            }
-        nested.append(entry)
-    return flat, nested
+    return entry
 
 
-def _error_rows(model: WeibullTypeModel, cfg: RunConfig):
-    rows = []
-    for ln in cfg.log_n_list:
-        cmp_ = pen_mod.error_comparison(model, ln, cfg.grid, gamma_mode=cfg.gamma_mode)
-        rows.append({
-            "log_n": cmp_.log_n,
-            "gamma_used": cmp_.gamma_used,
-            "sup_error_ultimate": cmp_.sup_error_ultimate,
-            "sup_error_penultimate": cmp_.sup_error_penultimate,
-            "argmax_ultimate": cmp_.argmax_ultimate,
-            "argmax_penultimate": cmp_.argmax_penultimate,
-            "remainder_max_deviation": cmp_.remainder_max_deviation,
-            "n_clipped": cmp_.n_clipped,
-        })
+def _penultimate_rows(model: WeibullTypeModel, args):
+    indices = [pen_mod.penultimate_index(model, ln) for ln in args.log_n]
+    flat = [_row("penultimate", idx) for idx in indices]
+    return flat, [_penultimate_json(idx) for idx in indices]
+
+
+def _error_rows(model: WeibullTypeModel, args):
+    rows = [_row("errors", pen_mod.error_comparison(model, ln, args.grid, args.gamma_mode))
+            for ln in args.log_n]
     return rows, rows
 
 
-def _vonmises_rows(model: WeibullTypeModel, cfg: RunConfig):
-    report = vm_mod.condition_sweep(model, cfg.t_grid)
-    point_rows = []
-    for i, t in enumerate(report.t_grid):
-        point_rows.append({
-            "row_type": "point",
-            "t": t,
-            "first_order": report.first_order[i],
-            "second_order": report.second_order[i],
-            "penultimate_cond": report.penultimate_cond[i],
-            "anderson": report.anderson[i],
-            "gomes84": report.gomes84[i],
-        })
+def _vonmises_rows(model: WeibullTypeModel, args):
+    report = vm_mod.condition_sweep(model, args.t_grid)
+    point_rows = [
+        {"row_type": "point", "t": t, **{c: getattr(report, c)[i] for c in vm_mod.CONDITIONS}}
+        for i, t in enumerate(report.t_grid)
+    ]
     verdict_row = {"row_type": "verdict", "t": None}
     for name in vm_mod.CONDITIONS:
         v = report.verdicts[name]
@@ -382,7 +325,7 @@ def _vonmises_rows(model: WeibullTypeModel, cfg: RunConfig):
     return point_rows + [verdict_row], json_payload
 
 
-# command -> rows builder: (model, cfg) -> (CSV rows, JSON rows)
+# command -> rows builder: (model, args) -> (CSV rows, JSON rows)
 _TABLE_ROWS = {
     "norming": _norming_rows,
     "penultimate": _penultimate_rows,
@@ -392,42 +335,44 @@ _TABLE_ROWS = {
 
 
 def cmd_table(args, parser=None) -> int:
-    cfg, model = _resolve(args, parser)
-    csv_rows, json_payload = _TABLE_ROWS[args.command](model, cfg)
-    if cfg.output_format == "json":
-        _emit(cfg.output_path, _render_json(args.command, _model_meta(cfg, model), json_payload))
+    model = _resolve(args, parser)
+    csv_rows, json_payload = _TABLE_ROWS[args.command](model, args)
+    if args.format == "json":
+        _emit(args.out, _render_json(args.command, _model_meta(args, model), json_payload))
     else:
-        _emit(cfg.output_path, _render_csv(args.command, csv_rows))
+        _emit(args.out, _render_csv(args.command, csv_rows))
     return 0
 
 
 def cmd_report(args, parser=None) -> int:
-    cfg, model = _resolve(args, parser)
-    norming_rows, _ = _norming_rows(model, cfg)
-    _, pen_rows = _penultimate_rows(model, cfg)
-    error_rows, _ = _error_rows(model, cfg)
-    # both lists follow cfg.log_n_list, so rows pair by position
-    for row, prow in zip(error_rows, pen_rows):
+    model = _resolve(args, parser)
+    # one Location per log n, made in the norming pass: b_exact is solved once
+    located = [norming_located(model, ln) for ln in args.log_n]
+    indices = [pen_mod.penultimate_index_at(model, loc) for _, loc in located]
+    error_rows = []
+    for (_, loc), idx in zip(located, indices):
+        row = _row("errors", pen_mod.error_comparison_at(model, loc, args.grid, args.gamma_mode))
         # informational only: penultimate residual against the stated rate
-        rate = prow["gamma_prime_exact"]
+        rate = idx.gamma_prime_exact
         row["penultimate_residual_ratio"] = (
             row["sup_error_penultimate"] / abs(rate) if rate else None
         )
-    _, vm_payload = _vonmises_rows(model, cfg)
+        error_rows.append(row)
+    _, vm_payload = _vonmises_rows(model, args)
 
     doc = {
         "meta": {
-            **_meta("report", _model_meta(cfg, model)),
-            "log_n": list(cfg.log_n_list),
-            "grid": {"lo": cfg.grid[0], "hi": cfg.grid[1], "count": cfg.grid[2]},
-            "t_grid": list(cfg.t_grid),
+            **_meta("report", _model_meta(args, model)),
+            "log_n": list(args.log_n),
+            "grid": {"lo": args.grid[0], "hi": args.grid[1], "count": args.grid[2]},
+            "t_grid": list(args.t_grid),
         },
-        "norming": norming_rows,
-        "penultimate": pen_rows,
+        "norming": [_row("norming", nc) for nc, _ in located],
+        "penultimate": [_penultimate_json(idx) for idx in indices],
         "errors": error_rows,
         "vonmises": vm_payload,
     }
-    _emit(cfg.output_path, json.dumps(doc, indent=2, allow_nan=False) + "\n")
+    _emit(args.out, json.dumps(doc, indent=2, allow_nan=False) + "\n")
     return 0
 
 

@@ -11,8 +11,7 @@ past where F^n would underflow in linear space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Tuple, Union
 
 from .errors import (
     BracketMissError,
@@ -53,8 +52,7 @@ BRACKET_HI_CAP = 1e300
 ROOT_MAX_ITER = 400
 
 
-@dataclass(frozen=True)
-class DerivativeEstimate:
+class DerivativeEstimate(NamedTuple):
     """Derivative value plus the last-two-levels extrapolation gap."""
 
     value: float

@@ -29,7 +29,7 @@ from .model import (
     gumbel_coordinate_array,
     gumbel_density_array,
 )
-from .norming import locate
+from .norming import Location, locate
 
 if TYPE_CHECKING:
     import numpy as np
@@ -96,13 +96,18 @@ class ErrorComparison:
 
 def gamma_of_t(model: WeibullTypeModel, t: float) -> float:
     """phi evaluated at the exact level: -k'(x)/k^2(x) at -log(-log F(x)) = t > 0."""
-    return locate(model, t)[1].phi
+    return locate(model, t).jet.phi
 
 
 def penultimate_index(model: WeibullTypeModel, log_n: float) -> PenultimateIndex:
     """gamma_n = -k'(b_n)/k^2(b_n) at block size n = e^log_n, with its
     asymptote (theta-1)/log n and the convergence-rate functionals."""
-    b_exact, jet = locate(model, log_n)
+    return penultimate_index_at(model, locate(model, log_n))
+
+
+def penultimate_index_at(model: WeibullTypeModel, loc: Location) -> PenultimateIndex:
+    """:func:`penultimate_index` at a located block size."""
+    log_n, b_exact, jet = loc
     gamma_exact = jet.phi
     theta = model.theta
     if model.theta_is_one:
@@ -125,9 +130,7 @@ def penultimate_index(model: WeibullTypeModel, log_n: float) -> PenultimateIndex
     )
 
 
-def _validate_grid(grid_spec: Tuple[float, float, int]) -> np.ndarray:
-    import numpy as np
-
+def _check_grid(grid_spec: Tuple[float, float, int]) -> None:
     lo, hi, count = grid_spec
     if count < 100:
         raise InsufficientGridError(f"grid needs at least 100 points, got {count}")
@@ -135,7 +138,13 @@ def _validate_grid(grid_spec: Tuple[float, float, int]) -> np.ndarray:
         raise InsufficientGridError(f"grid needs finite lo, hi and hi - lo, got {lo!r}:{hi!r}")
     if not lo < hi:
         raise InsufficientGridError("grid needs lo < hi")
-    return np.linspace(lo, hi, int(count))
+
+
+def _validate_grid(grid_spec: Tuple[float, float, int]) -> np.ndarray:
+    import numpy as np
+
+    _check_grid(grid_spec)
+    return np.linspace(grid_spec[0], grid_spec[1], int(grid_spec[2]))
 
 
 def _maxima_curve(model: WeibullTypeModel, log_n: float, xs: np.ndarray,
@@ -170,10 +179,17 @@ def error_comparison(
     Grid points outside the support of G_{gamma_n} are clipped from the
     penultimate sup and counted in ``n_clipped``.
     """
+    _check_grid(grid_spec)  # a bad grid is refused before a bad log n
+    return error_comparison_at(model, locate(model, log_n), grid_spec, gamma_mode)
+
+
+def error_comparison_at(model: WeibullTypeModel, loc: Location,
+                        grid_spec: Tuple[float, float, int], gamma_mode: str) -> ErrorComparison:
+    """:func:`error_comparison` at a located block size."""
     import numpy as np
 
     xs = _validate_grid(grid_spec)
-    b, jet = locate(model, log_n)
+    log_n, b, jet = loc
     if gamma_mode == "exact":
         gamma_n = jet.phi
     elif gamma_mode == "asymptotic":
@@ -284,6 +300,6 @@ def remainder_profile(
     grid (the exact-Gumbel fixture).
     """
     xs = _validate_grid(grid_spec)
-    b, jet = locate(model, log_n)
+    _, b, jet = locate(model, log_n)
     fn = _maxima_curve(model, log_n, xs, b, 1.0 / jet.values[0])
     return _remainder_deviation(model, xs, fn - gumbel_cdf_array(xs), -jet.phi)

@@ -14,7 +14,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from weibtail import cli
+from weibtail import cli, numerics
 
 
 def run_cli(argv):
@@ -252,14 +252,73 @@ def test_exit_code_numeric_failure():
     assert payload["error"]["code"] == "invalid_block_size"
 
 
-def test_norming_refusal_order():
-    # the log n check, then b_asymptotic = H^-1(log n), then b_exact: a log n
-    # below the extended-Weibull support floor is refused at the H level y
-    code, out, err = run_cli(["norming", "--model", "extended-weibull", "--beta", "2",
-                              "--log-n", "1"])
-    assert (code, out) == (3, "")
-    assert err == ('{"error": {"code": "below_range", '
-                   '"message": "y=1.0 below H(support) = 7.3890560989306495"}}\n')
+EXT_BETA2 = ["--model", "extended-weibull", "--beta", "2"]
+GAMMA2 = ["--model", "gamma", "--shape", "2"]
+# the extended-Weibull support floor H = e^2, met at the H level y = log n
+# by b_asymptotic and at the exact level T = log n by b_exact
+BELOW_H = ('{"error": {"code": "below_range", '
+           '"message": "y=1.0 below H(support) = 7.3890560989306495"}}\n')
+BELOW_T = ('{"error": {"code": "below_range", '
+           '"message": "y=1.1783070964207178 below H(support) = 7.3890560989306495"}}\n')
+SHORT_GRID = ('{"error": {"code": "insufficient_grid", '
+              '"message": "grid needs at least 100 points, got 10"}}\n')
+NEGATIVE_LOG_N = ('{"error": {"code": "invalid_block_size", '
+                  '"message": "log n must be positive, got -5.0"}}\n')
+THETA_ONE = ('{"error": {"code": "theta_one_excluded", '
+             '"message": "gamma(shape=2): asymptotic gamma undefined at theta = 1"}}\n')
+
+
+@pytest.mark.parametrize("argv, err", [
+    # norming: the log n check, then b_asymptotic = H^-1(log n), then b_exact
+    (["norming", *EXT_BETA2, "--log-n", "1"], BELOW_H),
+    (["norming", *EXT_BETA2, "--log-n", "10,1"], BELOW_H),
+    # report: its norming pass runs first, over every log n
+    (["report", *EXT_BETA2, "--log-n", "1"], BELOW_H),
+    (["report", *EXT_BETA2, "--log-n", "10,1"], BELOW_H),
+    (["report", "--model", "normal", "--grid", "-3:6:10", "--log-n", "10,-5"], NEGATIVE_LOG_N),
+    (["report", *GAMMA2, "--gamma-mode", "asymptotic", "--log-n", "10,-5"], NEGATIVE_LOG_N),
+    # penultimate and errors solve b_exact only
+    (["penultimate", *EXT_BETA2, "--log-n", "1"], BELOW_T),
+    (["penultimate", *EXT_BETA2, "--log-n", "10,1"], BELOW_T),
+    (["errors", *EXT_BETA2, "--log-n", "1"], BELOW_T),
+    (["errors", *EXT_BETA2, "--log-n", "10,1"], BELOW_T),
+    # errors: the grid before the log n; each log n in turn
+    (["errors", "--model", "normal", "--grid", "-3:6:10", "--log-n", "-5"], SHORT_GRID),
+    (["errors", *GAMMA2, "--gamma-mode", "asymptotic", "--log-n", "10,-5"], THETA_ONE),
+], ids=["norming-1", "norming-10-1", "report-1", "report-10-1", "report-grid-10-neg",
+        "report-gamma-asym-10-neg", "penultimate-1", "penultimate-10-1", "errors-1",
+        "errors-10-1", "errors-grid-neg", "errors-gamma-asym-10-neg"])
+def test_refusal_order(argv, err):
+    # an input that fails two checks is refused by the first one each
+    # command makes, with the same code and message bytes
+    assert run_cli(argv) == (3, "", err)
+
+
+@pytest.mark.parametrize("model", [
+    ["--model", "normal"],
+    ["--model", "extended-weibull", "--beta", "0.5"],
+    GAMMA2,
+    ["--model", "pure-weibull", "--theta", "2"],
+], ids=["normal", "ext-beta05", "gamma-2", "pure-weibull"])
+def test_root_solves_per_log_n(monkeypatch, model):
+    # one Location per log n: report reuses the b_exact of its norming pass
+    # in the penultimate and error sections; pure-Weibull has closed forms
+    calls = []
+    solve = numerics.solve_increasing
+
+    def counted_solve(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(numerics, "solve_increasing", counted_solve)
+    per_log_n = {"norming": 2, "penultimate": 1, "errors": 1, "report": 2}
+    if model[1] == "pure-weibull":
+        per_log_n = dict.fromkeys(per_log_n, 0)
+    for command, solves in per_log_n.items():
+        calls.clear()
+        code, _, err = run_cli([command, *model, "--log-n", "10,20,40"])
+        assert (code, err) == (0, "")
+        assert len(calls) == 3 * solves, command
 
 
 @pytest.mark.parametrize("grid", ["-3:inf:1000", "-1e308:1e308:1000"])
