@@ -297,6 +297,7 @@ def _vonmises_rows(model: WeibullTypeModel, args):
         for i, t in enumerate(report.t_grid)
     ]
     verdict_row = {"row_type": "verdict", "t": None}
+    verdicts = {}
     for name in vm_mod.CONDITIONS:
         v = report.verdicts[name]
         text = v.kind
@@ -305,20 +306,14 @@ def _vonmises_rows(model: WeibullTypeModel, args):
         if v.reason:
             text += f":{v.reason}"
         verdict_row[name] = text
+        verdicts[name] = {**v._asdict(), "value": _jsonable(v.value)}
     json_payload = {
         "t_grid": list(report.t_grid),
         "derivative_path": report.derivative_path,
         "sequences": {
             name: [_jsonable(v) for v in getattr(report, name)] for name in vm_mod.CONDITIONS
         },
-        "verdicts": {
-            name: {
-                "kind": report.verdicts[name].kind,
-                "value": _jsonable(report.verdicts[name].value),
-                "reason": report.verdicts[name].reason,
-            }
-            for name in vm_mod.CONDITIONS
-        },
+        "verdicts": verdicts,
         "gomes84_theoretical": _jsonable(report.gomes84_theoretical),
         "gomes84_relative_gap": _jsonable(report.gomes84_relative_gap),
     }

@@ -25,9 +25,13 @@ class StencilFailureError(WeibtailError):
 
 
 class BracketMissError(WeibtailError):
-    """Root target lies outside the supplied bracket."""
+    """Root target outside the bracket: ``below`` f at its left end, or above the cap."""
 
     code = "bracket_miss"
+
+    def __init__(self, message: str = "", below: bool = False):
+        super().__init__(message)
+        self.below = below
 
 
 class NoConvergenceError(WeibtailError):

@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Tuple
 
 from . import numerics
 from .errors import (
@@ -34,6 +34,7 @@ from .errors import (
     BelowSupportError,
     BracketMissError,
     DomainError,
+    EvalFailureError,
     OutsideTailRegionError,
     TailUnderflowError,
 )
@@ -209,12 +210,15 @@ def cumulative_hazard_inverse(model: WeibullTypeModel, y: float) -> float:
 def _invert_increasing(f: ScalarFn, y: float, lo: Optional[float] = None) -> float:
     """x with f(x) = y for increasing f.  The bracket starts at
     [lo, max(2, 2 lo, lo + 1)] and grows only to the right, so a y below
-    f(lo) is out of range; ``lo`` None starts from -1 and grows both ways."""
+    f(lo) is out of range (``below_range``); ``lo`` None starts from -1 and
+    grows both ways.  A y above f(``BRACKET_HI_CAP``) stays a bracket miss."""
     start = -1.0 if lo is None else lo
     hi = max(2.0, start * 2.0, start + 1.0)
     try:
         return numerics.solve_increasing(f, y, start, hi, lo_fixed=lo is not None)
     except BracketMissError as exc:
+        if not exc.below:
+            raise  # above f at the right-hand cap: a plain bracket miss
         raise BelowRangeError(str(exc)) from exc
 
 
@@ -361,8 +365,7 @@ def k_function(model: WeibullTypeModel, x: float) -> float:
     return _hazard_value(model, x) * g1
 
 
-@dataclass(frozen=True)
-class KJet:
+class KJet(NamedTuple):
     """(k, k', ..., k^(order)) at one point and the path that produced it.
 
     On the numeric path ``errors[j - 1]`` is the Richardson error estimate
@@ -391,7 +394,8 @@ def k_jet(model: WeibullTypeModel, x: float, order: int = 3, method: str = "auto
     estimate per order up to ``order``), or "auto" preferring analytic.
     Third-order numeric differentiation of classical models without hazard
     recurrences raises the extrapolation depth, since that path is the
-    only one available there.
+    only one available there.  An analytic jet past the double range is
+    refused as ``eval_failure``.
     """
     if not 1 <= order <= 3:
         raise ValueError("k_jet order must be in [1, 3]")
@@ -402,17 +406,20 @@ def k_jet(model: WeibullTypeModel, x: float, order: int = 3, method: str = "auto
     if method == "analytic":
         if not model.analytic_k_path:
             raise TailUnderflowError(f"{model.label}: analytic k path unavailable")
-        g1, g2, g3, g4 = _chain_weights(model, x)
-        d1, d2, d3, d4 = hazard_derivative_block(model, x)
-        values = (
-            d1 * g1,
-            d2 * g1 + d1 * d1 * g2,
-            d3 * g1 + 3.0 * d1 * d2 * g2 + d1**3 * g3,
-            d4 * g1
-            + (4.0 * d1 * d3 + 3.0 * d2 * d2) * g2
-            + 6.0 * d1 * d1 * d2 * g3
-            + d1**4 * g4,
-        )
+        try:
+            g1, g2, g3, g4 = _chain_weights(model, x)
+            d1, d2, d3, d4 = hazard_derivative_block(model, x)
+            values = (
+                d1 * g1,
+                d2 * g1 + d1 * d1 * g2,
+                d3 * g1 + 3.0 * d1 * d2 * g2 + d1**3 * g3,
+                d4 * g1
+                + (4.0 * d1 * d3 + 3.0 * d2 * d2) * g2
+                + 6.0 * d1 * d1 * d2 * g3
+                + d1**4 * g4,
+            )
+        except OverflowError as exc:  # a float ** past the double range
+            raise EvalFailureError(f"{model.label}: k-jet overflows at x={x!r}") from exc
         return KJet(values=values[: order + 1], method="analytic")
     k0 = k_function(model, x)
     ests = [

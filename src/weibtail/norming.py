@@ -17,7 +17,6 @@ Convention note: the defining level is F(b_n) = exp(-1/n), not
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Tuple
 
 from .errors import InvalidBlockSizeError
@@ -32,8 +31,7 @@ from .model import (
 NORMING_CONVENTION = "F(b_n) = exp(-1/n)"
 
 
-@dataclass(frozen=True)
-class NormingConstants:
+class NormingConstants(NamedTuple):
     """a_n and b_n, exact and asymptotic, of F^n(a_n x + b_n), n = e^log_n."""
 
     log_n: float

@@ -126,7 +126,8 @@ def solve_increasing(
     The bracket is grown first: ``hi`` doubles (to max(2 hi, 2)) up to
     ``BRACKET_HI_CAP``, and ``lo`` walks left the same way unless
     ``lo_fixed``, in which case a target below f(lo) is a miss.  Growth
-    past the cap, or past -1e300 on the left, raises BracketMissError.
+    past the cap, or past -1e300 on the left, raises BracketMissError,
+    with ``below`` set for a miss on the left.
 
     The solve is safeguarded bisection with secant acceleration on
     alternate steps, started from the residuals the growth computed, so
@@ -148,10 +149,10 @@ def solve_increasing(
         gb = _residual(f, hi, target)
     while ga > 0.0:
         if lo_fixed:
-            raise BracketMissError(f"target {target!r} below f({lo!r})")
+            raise BracketMissError(f"target {target!r} below f({lo!r})", below=True)
         lo = lo * 2.0 if lo < -1.0 else lo - max(1.0, abs(lo))
         if lo < -1e300:
-            raise BracketMissError(f"target {target!r} below f(-1e300)")
+            raise BracketMissError(f"target {target!r} below f(-1e300)", below=True)
         ga = _residual(f, lo, target)
     tol = ROOT_REL_TOL * max(1.0, abs(target))
     if abs(ga) <= tol:

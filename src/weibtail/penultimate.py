@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, NamedTuple, Optional, Tuple
 
 from .errors import (
     DegenerateProfileError,
+    EvalFailureError,
     GridSupportEmptyError,
     InsufficientGridError,
     ThetaOneExcludedError,
@@ -47,8 +47,7 @@ class Classification(enum.Enum):
     EXCLUDED_THETA_ONE = "excluded_theta_one"
 
 
-@dataclass(frozen=True)
-class PenultimateIndex:
+class PenultimateIndex(NamedTuple):
     """Exact and asymptotic penultimate shape at one block size.
 
     ``rate_ultimate`` is the (1-theta)/log n convergence-rate functional of
@@ -57,8 +56,8 @@ class PenultimateIndex:
     evaluates the closed form
     (2(c-1)^2 - (c-1)(c-2)) / (b k(b))^2,  c = 1/theta,
     with the exact b k(b).  All theta-dependent fields are None with
-    ``error`` = "theta_one_excluded" when theta = 1; the exact gamma_n is
-    always filled.
+    ``error`` = "theta_one_excluded" when theta = 1, and a non-finite one
+    (log^2 n underflows) is refused as ``eval_failure``; gamma_n is always filled.
     """
 
     log_n: float
@@ -71,8 +70,7 @@ class PenultimateIndex:
     error: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class ErrorComparison:
+class ErrorComparison(NamedTuple):
     """Sup-norm errors of the ultimate and penultimate approximations.
 
     ``grid_spec`` is the (lo, hi, count) window; ``grid`` builds its points
@@ -111,23 +109,23 @@ def penultimate_index_at(model: WeibullTypeModel, loc: Location) -> PenultimateI
     gamma_exact = jet.phi
     theta = model.theta
     if model.theta_is_one:
-        return PenultimateIndex(
-            log_n=log_n,
-            gamma_exact=gamma_exact,
-            classification=Classification.EXCLUDED_THETA_ONE,
-            error=ThetaOneExcludedError.code,
-        )
+        return PenultimateIndex(log_n, gamma_exact, Classification.EXCLUDED_THETA_ONE,
+                                error=ThetaOneExcludedError.code)
     c = 1.0 / theta
     bk = b_exact * jet.values[0]
-    return PenultimateIndex(
-        log_n=log_n,
-        gamma_exact=gamma_exact,
-        classification=Classification.FRECHET if theta > 1.0 else Classification.WEIBULL,
-        gamma_asymptotic=(theta - 1.0) / log_n,
-        rate_ultimate=(1.0 - theta) / log_n,
-        rate_penultimate=2.0 * theta * (1.0 - theta) / (log_n * log_n),
-        gamma_prime_exact=(2.0 * (c - 1.0) ** 2 - (c - 1.0) * (c - 2.0)) / (bk * bk),
-    )
+    try:
+        asymptotic = (
+            (theta - 1.0) / log_n,
+            (1.0 - theta) / log_n,
+            2.0 * theta * (1.0 - theta) / (log_n * log_n),
+            (2.0 * (c - 1.0) ** 2 - (c - 1.0) * (c - 2.0)) / (bk * bk),
+        )
+    except (OverflowError, ZeroDivisionError):  # a square over- or underflowed
+        asymptotic = (math.inf,)
+    if not all(map(math.isfinite, asymptotic)):
+        raise EvalFailureError(f"{model.label}: asymptotic fields not finite at log n = {log_n!r}")
+    classification = Classification.FRECHET if theta > 1.0 else Classification.WEIBULL
+    return PenultimateIndex(log_n, gamma_exact, classification, *asymptotic)
 
 
 def _check_grid(grid_spec: Tuple[float, float, int]) -> None:
@@ -198,6 +196,8 @@ def error_comparison_at(model: WeibullTypeModel, loc: Location,
                 f"{model.label}: asymptotic gamma undefined at theta = 1"
             )
         gamma_n = (model.theta - 1.0) / log_n
+        if not math.isfinite(gamma_n):
+            raise EvalFailureError(f"{model.label}: asymptotic gamma not finite at log n = {log_n!r}")
     else:
         raise ValueError(f"unknown gamma_mode {gamma_mode!r}")
 

@@ -21,8 +21,7 @@ degenerate, never silently dropped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InsufficientGridError, ThetaOneExcludedError, WeibtailError
 from .model import WeibullTypeModel, k_jet
@@ -36,8 +35,7 @@ _TINY = 1e-280
 CONDITIONS = ("first_order", "second_order", "penultimate_cond", "anderson", "gomes84")
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """One condition's finite-sample judgment: its kind, limit or reason."""
 
     kind: str  # "confirmed_decaying" | "confirmed_limit" | "not_confirmed"
@@ -45,8 +43,7 @@ class Verdict:
     reason: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     """The five functionals along ``t_grid`` and their verdicts."""
 
     t_grid: Tuple[float, ...]
@@ -55,10 +52,10 @@ class ConditionReport:
     penultimate_cond: Tuple[float, ...]
     anderson: Tuple[float, ...]
     gomes84: Tuple[float, ...]
-    verdicts: Dict[str, Verdict] = field(default_factory=dict)
-    derivative_path: str = "analytic"
-    gomes84_theoretical: Optional[float] = None
-    gomes84_relative_gap: Optional[float] = None
+    verdicts: Dict[str, Verdict]
+    derivative_path: str  # "analytic" | "numeric"
+    gomes84_theoretical: Optional[float]
+    gomes84_relative_gap: Optional[float]
 
 
 def gomes84_closed_form(theta: float) -> float:
@@ -129,18 +126,9 @@ def condition_sweep(model: WeibullTypeModel, t_grid: Sequence[float]) -> Conditi
         if v.kind == "confirmed_limit":
             gap = abs(v.value - theoretical) / abs(theoretical)
 
-    return ConditionReport(
-        t_grid=grid,
-        first_order=tuple(seqs["first_order"]),
-        second_order=tuple(seqs["second_order"]),
-        penultimate_cond=tuple(seqs["penultimate_cond"]),
-        anderson=tuple(seqs["anderson"]),
-        gomes84=tuple(seqs["gomes84"]),
-        verdicts=verdicts,
-        derivative_path=path,
-        gomes84_theoretical=theoretical,
-        gomes84_relative_gap=gap,
-    )
+    # the sequence fields follow t_grid in CONDITIONS order
+    sequences = (tuple(seqs[name]) for name in CONDITIONS)
+    return ConditionReport(grid, *sequences, verdicts, path, theoretical, gap)
 
 
 def _split_failures(seq: Sequence[float]):

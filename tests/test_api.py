@@ -2,8 +2,14 @@
 
 import dataclasses
 import enum
+import importlib
+import pkgutil
+from typing import NamedTuple
+
+import pytest
 
 import weibtail as wt
+from weibtail.model import k_jet
 
 PUBLIC = {
     "__version__",
@@ -40,13 +46,15 @@ def test_star_import():
 
 def _own_docstring(obj) -> bool:
     """Whether obj carries a docstring written for it: not inherited, not
-    the signature dataclasses generate, not the stock enum text."""
+    the signature dataclasses or NamedTuple generate, not the stock enum
+    text."""
     if not isinstance(obj, type):
         return bool(obj.__doc__)
     doc = obj.__dict__.get("__doc__")
     if not doc:
         return False
-    if dataclasses.is_dataclass(obj) and doc.startswith(obj.__name__ + "("):
+    generated = dataclasses.is_dataclass(obj) or issubclass(obj, tuple)
+    if generated and doc.startswith(obj.__name__ + "("):
         return False
     return not (issubclass(obj, enum.Enum) and doc == "An enumeration.")
 
@@ -62,11 +70,42 @@ def test_docstring_check_sees_generated_ones():
     class Bare:
         x: int
 
+    class BareTuple(NamedTuple):
+        x: int
+
     class BareEnum(enum.Enum):
         A = 1
 
     def bare():
         pass
 
-    assert not any(_own_docstring(obj) for obj in (Bare, BareEnum, bare))
+    assert not any(_own_docstring(obj) for obj in (Bare, BareTuple, BareEnum, bare))
     assert _own_docstring(wt.Verdict) and _own_docstring(wt.Family)
+
+
+def test_records_are_named_tuples():
+    # results are plain immutable records; only the two configurable types,
+    # whose API is dataclasses.replace, stay dataclasses
+    dataclass_names = {
+        name
+        for info in pkgutil.iter_modules(wt.__path__)
+        for name, obj in vars(importlib.import_module(f"weibtail.{info.name}")).items()
+        if isinstance(obj, type) and obj.__module__ == f"weibtail.{info.name}"
+        and dataclasses.is_dataclass(obj)
+    }
+    assert dataclass_names == {"WeibullTypeModel", "SlowlyVaryingSpec"}
+
+    m = wt.pure_weibull(theta=2.0)
+    report = wt.condition_sweep(m, [1e2, 1e4, 1e6, 1e8, 1e10])
+    records = [
+        wt.norming(m, 10.0), wt.penultimate_index(m, 10.0), wt.error_comparison(m, 10.0),
+        report, report.verdicts["gomes84"], k_jet(m, 100.0),
+    ]
+    assert [type(r).__name__ for r in records] == [
+        "NormingConstants", "PenultimateIndex", "ErrorComparison",
+        "ConditionReport", "Verdict", "KJet",
+    ]
+    for record in records:
+        assert isinstance(record, tuple)
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)

@@ -355,6 +355,36 @@ def test_exit_code_theta_one_gamma_mode():
     assert json.loads(err)["error"]["code"] == "theta_one_excluded"
 
 
+PURE2 = ["--model", "pure-weibull", "--theta", "2"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    # log^2 n underflows to 0, or 2 theta (1 - theta)/log^2 n to -inf
+    (["penultimate", *PURE2, "--log-n", "1e-300"], "eval_failure"),
+    (["penultimate", *PURE2, "--log-n", "1e-160"], "eval_failure"),
+    (["penultimate", *PURE2, "--log-n", "1e-160", "--format", "json"], "eval_failure"),
+    (["report", *PURE2, "--log-n", "1e-160"], "eval_failure"),
+    # (theta - 1)/log n overflows
+    (["errors", *PURE2, "--gamma-mode", "asymptotic", "--log-n", "1e-310"], "eval_failure"),
+    # a float ** in the analytic k-jet overflows
+    (["norming", "--model", "pure-weibull", "--theta", "1e-100", "--log-n", "10"],
+     "eval_failure"),
+    (["norming", "--model", "normal", "--log-n", "1e200"], "eval_failure"),
+    (["norming", "--model", "extended-weibull", "--beta", "50", "--log-n", "1e200"],
+     "eval_failure"),
+    (["norming", "--model", "gumbel-fixture", "--log-n", "1e200"], "eval_failure"),
+    (["norming", *GAMMA2, "--log-n", "1e200"], "eval_failure"),
+    # above f at the capped right end of the bracket, not below the range
+    (["norming", "--model", "exponential", "--log-n", "1e301"], "bracket_miss"),
+], ids=["pen-1e-300", "pen-1e-160", "pen-1e-160-json", "report-1e-160", "errors-asym-1e-310",
+        "pure-theta-1e-100", "normal-1e200", "ext-beta50-1e200", "gumbel-1e200", "gamma-1e200",
+        "exp-1e301"])
+def test_extreme_inputs_refused_with_a_code(argv, code):
+    exit_code, out, err = run_cli(argv)
+    assert (exit_code, out) == (3, "")
+    assert json.loads(err)["error"]["code"] == code
+
+
 def test_subprocess_entrypoint():
     proc = subprocess.run(
         [sys.executable, "-m", "weibtail.cli", "models", "--format", "json"],

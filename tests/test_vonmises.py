@@ -8,7 +8,7 @@ import pytest
 import weibtail as wt
 from weibtail.errors import InsufficientGridError, TailUnderflowError, ThetaOneExcludedError
 from weibtail.model import k_jet
-from weibtail.vonmises import condition_sweep, gomes84_closed_form
+from weibtail.vonmises import CONDITIONS, ConditionReport, condition_sweep, gomes84_closed_form
 
 GRID = [1e2, 1e4, 1e6, 1e8, 1e10]
 
@@ -35,6 +35,11 @@ def test_gomes84_closed_form_values():
         gomes84_closed_form(1.0)
     with pytest.raises(ValueError):
         gomes84_closed_form(-0.5)
+
+
+def test_report_fields_follow_conditions():
+    # condition_sweep fills the sequence fields positionally, in CONDITIONS order
+    assert ConditionReport._fields[:6] == ("t_grid", *CONDITIONS)
 
 
 @pytest.mark.parametrize("theta", [0.25, 0.5, 2.0, 4.0])
