@@ -234,7 +234,17 @@ def gumbel_coordinate(model: WeibullTypeModel, x: float) -> float:
     return numerics.log_neg_log_cdf_from_H(h)
 
 
+def array_form_of(model: WeibullTypeModel) -> Optional[ArrayFn]:
+    """The model's array form, ``classical_log_sf_array`` or
+    ``l.value_array``, or None when it has only scalar callables."""
+    if model.family is Family.CLASSICAL:
+        return model.classical_log_sf_array
+    return model.l.value_array
+
+
 def _saturated_coordinate(model: WeibullTypeModel, x: float) -> float:
+    """:func:`gumbel_coordinate`, saturated as :func:`gumbel_coordinate_array`
+    does: -inf where F = 0 and +inf where F = 1 at double precision."""
     try:
         return gumbel_coordinate(model, x)
     except (BelowSupportError, DomainError, OutsideTailRegionError):
@@ -249,19 +259,14 @@ def gumbel_coordinate_array(model: WeibullTypeModel, xs: np.ndarray) -> np.ndarr
     non-positive l, or H <= 0) and +inf where F = 1 at double precision.
 
     In the LOG_CDF_EXP family T = H, so H = 0 at the support endpoint is a
-    finite T = 0.  Models with an array form (``l.value_array``, or
-    ``classical_log_sf_array``) are evaluated in one pass; the rest call
-    :func:`gumbel_coordinate` point by point with the same saturation.
-    ``xs`` is only read, and the result is always a new array.
+    finite T = 0.  The model needs an array form (:func:`array_form_of`); the
+    error curves of the rest take the scalar :func:`_saturated_coordinate`
+    point by point.  ``xs`` is only read, and the result is always a new
+    array.
     """
     import numpy as np
 
-    if model.family is Family.CLASSICAL:
-        array_form = model.classical_log_sf_array
-    else:
-        array_form = model.l.value_array
-    if array_form is None:
-        return np.fromiter((_saturated_coordinate(model, x) for x in xs), float, len(xs))
+    array_form = array_form_of(model)
     if model.family is Family.CLASSICAL:
         h = np.negative(array_form(xs))
     else:

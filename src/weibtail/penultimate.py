@@ -6,14 +6,16 @@ theta < 1 (Weibull-type); at theta = 1 the asymptotic fields are refused
 because the 1/log n scaling does not hold uniformly there.  Error curves
 compare F^n(a_n x + b_n) against the Gumbel limit G_0 and against the
 penultimate GEV G_{gamma_n} on a fixed grid, all in log space so no block
-scale underflows.
+scale underflows.  Grids up to the default 1000 points, and models without
+an array form, take one scalar pass in ``math``, which needs no numpy;
+larger grids run over numpy arrays.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from typing import TYPE_CHECKING, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
 
 from .errors import (
     DegenerateProfileError,
@@ -23,7 +25,11 @@ from .errors import (
     ThetaOneExcludedError,
 )
 from .model import (
+    _GEV_SERIES_GAMMA,
+    _GEV_SERIES_T,
     WeibullTypeModel,
+    _saturated_coordinate,
+    array_form_of,
     gev_cdf_array,
     gumbel_cdf_array,
     gumbel_coordinate_array,
@@ -89,7 +95,7 @@ class ErrorComparison(NamedTuple):
 
     @property
     def grid(self) -> Tuple[float, ...]:
-        return tuple(_validate_grid(self.grid_spec).tolist())
+        return tuple(_linspace(*self.grid_spec))
 
 
 def gamma_of_t(model: WeibullTypeModel, t: float) -> float:
@@ -138,11 +144,116 @@ def _check_grid(grid_spec: Tuple[float, float, int]) -> None:
         raise InsufficientGridError("grid needs lo < hi")
 
 
+def _linspace(lo: float, hi: float, count: int) -> List[float]:
+    """``np.linspace(lo, hi, count)`` bit for bit, as floats: i * step + lo,
+    with numpy's scaling by the span when the step underflows to 0, and hi
+    itself last."""
+    div = int(count) - 1
+    span = hi - lo
+    step = span / div
+    if step == 0.0:
+        xs = [i / div * span + lo for i in range(div)]
+    else:
+        xs = [i * step + lo for i in range(div)]
+    xs.append(hi)
+    return xs
+
+
 def _validate_grid(grid_spec: Tuple[float, float, int]) -> np.ndarray:
     import numpy as np
 
     _check_grid(grid_spec)
     return np.linspace(grid_spec[0], grid_spec[1], int(grid_spec[2]))
+
+
+# (sup |F^n - G_0|, its argmax, sup |F^n - G_gamma|, its argmax, n_clipped,
+# max |R - 1| or None where the remainder denominator is below the cutoff
+# on the whole grid)
+_Curve = Tuple[float, float, float, float, int, Optional[float]]
+
+
+def _curve(model: WeibullTypeModel, log_n: float, grid_spec: Tuple[float, float, int],
+           b: float, a: float, gamma: float, rate: float) -> _Curve:
+    """The error curve on the grid, by the scalar pass up to the default
+    grid size or when the model has no array form, else over arrays.
+
+    The choice depends on the configuration only, so equal configurations
+    print equal bytes; the two paths differ in the last bits (libm against
+    numpy's exp and log, and each model's own scalar and array T).
+    """
+    if _takes_scalar_path(model, grid_spec[2]):
+        return _scalar_curve(model, log_n, _linspace(*grid_spec), b, a, gamma, rate)
+    return _array_curve(model, log_n, _validate_grid(grid_spec), b, a, gamma, rate)
+
+
+def _takes_scalar_path(model: WeibullTypeModel, count: int) -> bool:
+    return count <= DEFAULT_GRID[2] or array_form_of(model) is None
+
+
+def _maxima_point(model: WeibullTypeModel, log_n: float, z: float) -> float:
+    """F^n(z) = exp(-e^(log n - T(z))), saturated as :func:`_maxima_curve`."""
+    try:
+        return math.exp(-math.exp(log_n - _saturated_coordinate(model, z)))
+    except OverflowError:  # e^(log n - T) past the double range: F^n = 0
+        return 0.0
+
+
+def _scalar_curve(model: WeibullTypeModel, log_n: float, xs: List[float],
+                  b: float, a: float, gamma: float, rate: float) -> _Curve:
+    """:func:`_array_curve` in one pass over the grid points in ``math``:
+    the same formulas point by point, first-index argmaxes as np.argmax."""
+    series = abs(gamma) < _GEV_SERIES_GAMMA
+    sup_ult = sup_pen = dev = -1.0
+    arg_ult = arg_pen = math.nan
+    n_clipped = 0
+    for x in xs:
+        fn = _maxima_point(model, log_n, x * a + b)
+        try:
+            e = math.exp(-x)
+        except OverflowError:
+            e = math.inf
+        diff = fn - math.exp(-e)
+        d = abs(diff)
+        if d > sup_ult:
+            sup_ult, arg_ult = d, x
+        t = x * gamma
+        if t + 1.0 > 0.0:  # inside the support of G_gamma
+            if series and abs(t) < _GEV_SERIES_T:
+                w = (1.0 - t / 2.0 + t * t / 3.0) * x
+            else:
+                w = math.log1p(t) / gamma
+            try:
+                d = abs(fn - math.exp(-math.exp(-w)))
+            except OverflowError:  # G_gamma = 0
+                d = fn
+            if d > sup_pen:
+                sup_pen, arg_pen = d, x
+        else:
+            n_clipped += 1
+        # g_0 is 0 beyond |x| = 1e3, where the array path clips the grid
+        if -1e3 <= x <= 1e3:
+            den = x * 0.5 * x * rate * math.exp(-e - x)
+            if abs(den) > REMAINDER_DENOMINATOR_CUTOFF:
+                d = abs(diff / den - 1.0)
+                if d > dev:
+                    dev = d
+    return sup_ult, arg_ult, sup_pen, arg_pen, n_clipped, dev if dev >= 0.0 else None
+
+
+def _array_curve(model: WeibullTypeModel, log_n: float, xs: np.ndarray,
+                 b: float, a: float, gamma: float, rate: float) -> _Curve:
+    """The error curve over the grid array ``xs``, in numpy."""
+    import numpy as np
+
+    fn = _maxima_curve(model, log_n, xs, b, a)
+    g0 = gumbel_cdf_array(xs)
+    # F^n - G_0, shared by the remainder ratio and the ultimate sup
+    diff = np.subtract(fn, g0, out=g0)
+    sup_pen, arg_pen, n_clipped = _penultimate_sup(xs, fn, gamma)
+    del fn  # the rest needs only diff
+    dev = _remainder_deviation(xs, diff, rate)
+    i_ult, sup_ult = _argmax_abs(diff)
+    return sup_ult, float(xs[i_ult]), sup_pen, arg_pen, n_clipped, dev
 
 
 def _maxima_curve(model: WeibullTypeModel, log_n: float, xs: np.ndarray,
@@ -184,9 +295,7 @@ def error_comparison(
 def error_comparison_at(model: WeibullTypeModel, loc: Location,
                         grid_spec: Tuple[float, float, int], gamma_mode: str) -> ErrorComparison:
     """:func:`error_comparison` at a located block size."""
-    import numpy as np
-
-    xs = _validate_grid(grid_spec)
+    _check_grid(grid_spec)
     log_n, b, jet = loc
     if gamma_mode == "exact":
         gamma_n = jet.phi
@@ -200,27 +309,22 @@ def error_comparison_at(model: WeibullTypeModel, loc: Location,
             raise EvalFailureError(f"{model.label}: asymptotic gamma not finite at log n = {log_n!r}")
     else:
         raise ValueError(f"unknown gamma_mode {gamma_mode!r}")
-
-    fn = _maxima_curve(model, log_n, xs, b, 1.0 / jet.values[0])
-    g0 = gumbel_cdf_array(xs)
-    # F^n - G_0, shared by the remainder ratio and the ultimate sup
-    diff = np.subtract(fn, g0, out=g0)
-    sup_pen, argmax_pen, n_clipped = _penultimate_sup(xs, fn, gamma_n)
-    del fn  # the rest needs only diff
-    try:
-        remainder = _remainder_deviation(model, xs, diff, -jet.phi)
-    except DegenerateProfileError:
-        remainder = None
-    i_ult, sup_ult = _argmax_abs(diff)
-
+    # 1 + gamma x rounds monotonically in x, so an end of the window decides
+    lo, hi, _ = grid_spec
+    if not max(lo * gamma_n, hi * gamma_n) + 1.0 > 0.0:
+        raise GridSupportEmptyError(
+            f"no grid point satisfies 1 + gamma*x > 0 for gamma = {gamma_n!r}"
+        )
+    sup_ult, arg_ult, sup_pen, arg_pen, n_clipped, dev = _curve(
+        model, log_n, grid_spec, b, 1.0 / jet.values[0], gamma_n, -jet.phi)
     return ErrorComparison(
         log_n=log_n,
         grid_spec=tuple(grid_spec),
         sup_error_ultimate=sup_ult,
         sup_error_penultimate=sup_pen,
-        argmax_ultimate=float(xs[i_ult]),
-        argmax_penultimate=argmax_pen,
-        remainder_max_deviation=remainder,
+        argmax_ultimate=arg_ult,
+        argmax_penultimate=arg_pen,
+        remainder_max_deviation=dev,
         gamma_used=gamma_n,
         n_clipped=n_clipped,
     )
@@ -228,17 +332,13 @@ def error_comparison_at(model: WeibullTypeModel, loc: Location,
 
 def _penultimate_sup(xs: np.ndarray, fn: np.ndarray, gamma: float) -> Tuple[float, float, int]:
     """(sup |F^n - G_gamma|, its argmax, n_clipped) over the grid points
-    inside the support 1 + gamma x > 0 of G_gamma."""
+    inside the support 1 + gamma x > 0 of G_gamma, which holds some."""
     import numpy as np
 
     n_clipped = 0
     if gamma != 0.0:
         valid = xs * gamma + 1.0 > 0.0
         n_clipped = xs.size - int(np.count_nonzero(valid))
-    if n_clipped == xs.size:
-        raise GridSupportEmptyError(
-            f"no grid point satisfies 1 + gamma*x > 0 for gamma = {gamma!r}"
-        )
     if n_clipped:
         xs, fn = xs[valid], fn[valid]
     diff = gev_cdf_array(gamma, xs)
@@ -256,10 +356,10 @@ def _argmax_abs(diff: np.ndarray) -> Tuple[int, float]:
     return i, float(diff[i])
 
 
-def _remainder_deviation(model: WeibullTypeModel, xs: np.ndarray, diff: np.ndarray,
-                         rate: float) -> float:
+def _remainder_deviation(xs: np.ndarray, diff: np.ndarray, rate: float) -> Optional[float]:
     """max |R - 1| with R = (F^n - G_0) / ((x^2/2) rate g_0(x)), rate = k'(b)/k^2(b),
-    given ``diff`` = F^n - G_0.
+    given ``diff`` = F^n - G_0, over the points where the denominator
+    passes the cutoff; None where it passes nowhere.
 
     g_0(x) is 0 beyond |x| = 1e3, so the ascending grid is clipped there:
     x^2 stays finite in a window wide enough to overflow it, and the
@@ -278,9 +378,7 @@ def _remainder_deviation(model: WeibullTypeModel, xs: np.ndarray, diff: np.ndarr
     del scratch
     n_inside = np.count_nonzero(inside)
     if not n_inside:
-        raise DegenerateProfileError(
-            f"{model.label}: remainder denominator below cutoff everywhere"
-        )
+        return None
     if n_inside < inside.size:
         diff, den = diff[inside], den[inside]
     ratio = np.divide(diff, den)
@@ -299,7 +397,12 @@ def remainder_profile(
     ``DegenerateProfileError`` when the denominator vanishes on the whole
     grid (the exact-Gumbel fixture).
     """
-    xs = _validate_grid(grid_spec)
+    _check_grid(grid_spec)
     _, b, jet = locate(model, log_n)
-    fn = _maxima_curve(model, log_n, xs, b, 1.0 / jet.values[0])
-    return _remainder_deviation(model, xs, fn - gumbel_cdf_array(xs), -jet.phi)
+    # gamma 0 clips no point; only the remainder is read
+    dev = _curve(model, log_n, grid_spec, b, 1.0 / jet.values[0], 0.0, -jet.phi)[5]
+    if dev is None:
+        raise DegenerateProfileError(
+            f"{model.label}: remainder denominator below cutoff everywhere"
+        )
+    return dev

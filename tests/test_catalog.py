@@ -133,6 +133,20 @@ def test_gamma_at_largest_shape_against_mpmath(log_n):
         wt.gamma_model(math.nextafter(shape, math.inf))
 
 
+def test_gamma_at_smallest_shape_typed():
+    # the smallest shape gamma_model takes gives numbers or a typed refusal
+    m = wt.gamma_model(catalog._GAMMA_MIN_SHAPE)
+    for log_n in (1e-3, 0.1, 1.0, 10.0, 100.0, 700.0):
+        for call in (wt.norming, wt.penultimate_index, wt.error_comparison):
+            try:
+                call(m, log_n)
+            except wt.errors.WeibtailError:
+                pass
+    wt.condition_sweep(m, (1e2, 1e4, 1e6, 1e8, 1e10))
+    with pytest.raises(ValueError):
+        wt.gamma_model(math.nextafter(catalog._GAMMA_MIN_SHAPE, 0.0))
+
+
 def _mp_normal_q(x):
     """Q(x) at 40 digits."""
     x = mp.mpf(x)
@@ -217,8 +231,12 @@ print(repr((scalar, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 """ % ", ".join(build for _, build in CATALOG_CASES)
 
 SCALAR_COMMANDS = ("norming", "penultimate", "vonmises")
+# above the default grid size the error curve runs over numpy arrays
+DENSE_ERRORS = ["errors", "--model", "pure-weibull", "--theta", "2", "--log-n", "10",
+                "--grid", "-3:6:100000"]
 
-# Every CLI command on every catalog model, the scalar ones first, in one
+# Every CLI command on every catalog model, the scalar ones first, then the
+# error curves on the default grid and last one dense grid, in one
 # interpreter where a meta-path finder refuses any scipy import.
 _CLI_PROBE = """
 import contextlib, importlib.abc, io, runpy, sys
@@ -248,7 +266,7 @@ print(repr(seen))
     for commands in (SCALAR_COMMANDS, ("errors", "report"))
     for flags, _ in CATALOG_CASES
     for command in commands
-],)
+] + [DENSE_ERRORS],)
 
 
 def _probe(source):
@@ -280,9 +298,22 @@ def test_scalar_cli_leaves_numpy_out(cli_runs):
         assert argv[0] in ("models", *SCALAR_COMMANDS) and modules == [], argv
 
 
+def test_default_grid_curves_leave_numpy_out(cli_runs):
+    # errors and report on the default grid take the scalar curve
+    curves = cli_runs[1 + len(SCALAR_COMMANDS) * len(CATALOG_CASES):-1]
+    assert len(curves) == 2 * len(CATALOG_CASES)
+    for argv, modules in curves:
+        assert argv[0] in ("errors", "report") and modules == [], argv
+
+
+def test_dense_grid_curve_loads_numpy(cli_runs):
+    # the path follows the grid size, not what is already imported
+    assert cli_runs[-1] == (DENSE_ERRORS, ["numpy"])
+
+
 def test_every_command_runs_with_scipy_refused(cli_runs):
     # each run exited 0 with every scipy import refused
-    assert len(cli_runs) == 1 + (len(SCALAR_COMMANDS) + 2) * len(CATALOG_CASES)
+    assert len(cli_runs) == 1 + (len(SCALAR_COMMANDS) + 2) * len(CATALOG_CASES) + 1
 
 
 # ------------------------------------------------ the Normal's array log sf

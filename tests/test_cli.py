@@ -241,7 +241,17 @@ def test_exit_code_gamma_shape_above_bound(shape):
     # past the accuracy bound; now refused as usage
     code, out, err = run_cli(["norming", "--model", "gamma", "--shape", shape, "--log-n", "10"])
     assert (code, out) == (2, "")
-    assert "error: shape must be in (0, 1000]" in err
+    assert "error: shape must be in [1e-14, 1000]" in err
+
+
+@pytest.mark.parametrize("shape", ["1e-17", "1e-300", "5e-324"])
+def test_exit_code_gamma_shape_below_bound(shape):
+    # once a "math domain error" traceback from log(1 - P), where the
+    # series' log P rounds positive; now refused as usage
+    for command in ("norming", "errors"):
+        code, out, err = run_cli([command, "--model", "gamma", "--shape", shape, "--log-n", "1"])
+        assert (code, out) == (2, "")
+        assert "error: shape must be in [1e-14, 1000]" in err
 
 
 def test_exit_code_numeric_failure():

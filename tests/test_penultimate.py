@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import weibtail as wt
-from weibtail import numerics
+from weibtail import numerics, penultimate
 from weibtail.errors import (
     BelowSupportError,
     DegenerateProfileError,
@@ -20,7 +20,8 @@ from weibtail.errors import (
     ThetaOneExcludedError,
 )
 from weibtail.model import Family, k_function
-from weibtail.penultimate import Classification, _maxima_curve
+from weibtail.norming import locate
+from weibtail.penultimate import REMAINDER_DENOMINATOR_CUTOFF, Classification, _maxima_curve
 
 
 # -------------------------------------------------------------- gamma_of_t
@@ -261,19 +262,108 @@ def _scalar_only_model(kind):
     return model, model.classical_log_sf
 
 
+def _reference_curve(model, log_n, grid):
+    """error_comparison's fields on a grid, point by point in math."""
+    _, b, jet = locate(model, log_n)
+    a, gamma, rate = 1.0 / jet.values[0], jet.phi, -jet.phi
+    xs = np.linspace(*grid).tolist()
+    fn = []
+    for x in xs:
+        try:
+            t = wt.gumbel_coordinate(model, x * a + b)
+        except (BelowSupportError, DomainError, OutsideTailRegionError):
+            t = -math.inf
+        except TailUnderflowError:
+            t = math.inf
+        try:
+            fn.append(math.exp(-math.exp(log_n - t)))
+        except OverflowError:
+            fn.append(0.0)
+    diff = [f - math.exp(-math.exp(-x)) for f, x in zip(fn, xs)]
+    ult = [abs(d) for d in diff]
+    inside = [(x, f) for x, f in zip(xs, fn) if x * gamma + 1.0 > 0.0]
+    pen = []
+    for x, f in inside:
+        t = x * gamma
+        if abs(gamma) < 1e-8 and abs(t) < 1e-5:
+            w = (1.0 - t / 2.0 + t * t / 3.0) * x
+        else:
+            w = math.log1p(t) / gamma
+        pen.append(abs(f - math.exp(-math.exp(-w))))
+    ratios = []
+    for x, d in zip(xs, diff):
+        den = x * 0.5 * x * rate * math.exp(-math.exp(-x) - x)
+        if abs(den) > REMAINDER_DENOMINATOR_CUTOFF:
+            ratios.append(abs(d / den - 1.0))
+    return (max(ult), xs[ult.index(max(ult))], max(pen), inside[pen.index(max(pen))][0],
+            len(xs) - len(inside), max(ratios) if ratios else None)
+
+
 @pytest.mark.parametrize("kind", ["tail", "classical"])
 def test_maxima_curve_scalar_fallback(kind):
-    # callables that reject arrays take the point-by-point loop, bit for bit
+    # callables that reject arrays take the scalar curve on any grid, bit
+    # for bit against the same formulas written out point by point
     model, fn = _scalar_only_model(kind)
     with pytest.raises((TypeError, ValueError)):
         fn(np.array([3.0, 4.0]))
     for log_n in (10.0, 20.0, 100.0):
-        b, a = _location(model, log_n)
-        xs = np.linspace(-3.0, 6.0, 1000)
-        assert np.array_equal(_maxima_curve(model, log_n, xs, b, a),
-                              _scalar_maxima_curve(model, log_n, xs, b, a))
-        cmp_ = wt.error_comparison(model, log_n)
-        assert cmp_.grid == tuple(float(v) for v in xs)
+        for grid in ((-3.0, 6.0, 1000), (-20.0, 40.0, 2000)):
+            cmp_ = wt.error_comparison(model, log_n, grid)
+            assert (cmp_.sup_error_ultimate, cmp_.argmax_ultimate, cmp_.sup_error_penultimate,
+                    cmp_.argmax_penultimate, cmp_.n_clipped,
+                    cmp_.remainder_max_deviation) == _reference_curve(model, log_n, grid)
+            assert cmp_.grid == tuple(np.linspace(*grid).tolist())
+
+
+@pytest.mark.parametrize("grid", [(-3.0, 6.0, 1000), (-20.0, 40.0, 5000), (0.1, 0.7, 333),
+                                  (-1e307, 1e307, 1000), (0.0, 1e-322, 1000), (-3.0, 6.0, 100.0)])
+def test_grid_is_linspace(grid):
+    # the grid the scalar curve walks is numpy's, without numpy
+    assert penultimate._linspace(*grid) == np.linspace(*grid[:2], int(grid[2])).tolist()
+
+
+def _curve_outcome(model, loc, grid, mode, scalar, monkeypatch):
+    monkeypatch.setattr(penultimate, "_takes_scalar_path", lambda model, count: scalar)
+    try:
+        return penultimate.error_comparison_at(model, loc, grid, mode)
+    except wt.errors.WeibtailError as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("name", sorted(PARITY_MODELS))
+def test_curve_paths_agree(name, monkeypatch):
+    # the scalar and the array curve differ only in the last bits of exp,
+    # log and each model's T: on the same configuration F^n and both sups
+    # agree to 1e-12, clipping and refusals match, and each argmax is the
+    # same grid point or a neighbour
+    model = PARITY_MODELS[name]()
+    compared = 0
+    for log_n in (0.01, 1.0, 10.0, 100.0, 300.0, 700.0):
+        try:
+            loc = locate(model, log_n)
+        except wt.errors.WeibtailError:
+            continue  # extended-Weibull below its support level
+        b, a = loc.b, 1.0 / loc.jet.values[0]
+        for grid in ((-3.0, 6.0, 200), (-20.0, 40.0, 1000)):
+            xs = np.linspace(*grid)
+            scalar_fn = [penultimate._maxima_point(model, log_n, x * a + b) for x in xs.tolist()]
+            assert np.max(np.abs(_maxima_curve(model, log_n, xs, b, a) - scalar_fn)) <= 1e-12
+            index = {x: i for i, x in enumerate(xs.tolist())}
+            for mode in ("exact", "asymptotic"):
+                got, want = (_curve_outcome(model, loc, grid, mode, scalar, monkeypatch)
+                             for scalar in (True, False))
+                if isinstance(got, str) or isinstance(want, str):
+                    assert got == want, (log_n, grid, mode)
+                    continue
+                assert abs(got.sup_error_ultimate - want.sup_error_ultimate) <= 1e-12
+                assert abs(got.sup_error_penultimate - want.sup_error_penultimate) <= 1e-12
+                assert got.n_clipped == want.n_clipped
+                assert (got.remainder_max_deviation is None) == (want.remainder_max_deviation is None)
+                for field in ("argmax_ultimate", "argmax_penultimate"):
+                    assert abs(index[getattr(got, field)] - index[getattr(want, field)]) <= 1, \
+                        (log_n, grid, mode, field)
+                compared += 1
+    assert compared >= 12
 
 
 # ------------------------------------------------------------- remainder

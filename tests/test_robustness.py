@@ -21,7 +21,9 @@ PARAMS = {
     "extended-weibull": {"beta": (0.2, 5.0), "delta": (0.1, 3.0)},
     "gamma": {"shape": (0.05, 1000.0)},
 }
-GRID = (-3.0, 6.0, 200)
+# one grid for each error-curve path: the scalar pass up to the default
+# size of 1000 points, the array one above it
+GRIDS = ((-3.0, 6.0, 200), (-3.0, 6.0, 1200))
 
 
 def _log_uniform(lo, hi):
@@ -68,6 +70,8 @@ def test_quantities_finite_or_typed_refusal(case):
         allowed = set(below)
         if mode == "asymptotic" and model.theta_is_one:
             allowed.add("theta_one_excluded")
-        cmp_ = _outcome(lambda: wt.error_comparison(model, log_n, GRID, gamma_mode=mode), allowed)
-        if cmp_ is not None:
-            assert _finite(cmp_.sup_error_ultimate, cmp_.sup_error_penultimate), cmp_
+        for grid in GRIDS:
+            cmp_ = _outcome(lambda: wt.error_comparison(model, log_n, grid, gamma_mode=mode),
+                            allowed)
+            if cmp_ is not None:
+                assert _finite(cmp_.sup_error_ultimate, cmp_.sup_error_penultimate), cmp_
