@@ -676,10 +676,13 @@ def gamma_model(shape: float = 2.0) -> WeibullTypeModel:
 
     def hazard_block(x: float) -> Tuple[float, float, float, float]:
         if x < x_large:
+            x3 = x**3
+            if x3 == 0.0:  # x^3 underflowed, so 1/x^3 is past the double range
+                raise OverflowError(f"1/x^3 past the double range at x={x!r}")
             h = tail(x)[2]
             psi = (a - 1.0) / x - 1.0  # f'/f
             psi1 = -(a - 1.0) / (x * x)
-            psi2 = 2.0 * (a - 1.0) / (x**3)
+            psi2 = 2.0 * (a - 1.0) / x3
             h1 = h * (psi + h)
             h2 = h1 * (psi + h) + h * (psi1 + h1)
             h3 = h2 * (psi + h) + 2.0 * h1 * (psi1 + h1) + h * (psi2 + h2)

@@ -25,13 +25,9 @@ class StencilFailureError(WeibtailError):
 
 
 class BracketMissError(WeibtailError):
-    """Root target outside the bracket: ``below`` f at its left end, or above the cap."""
+    """Root target above f at the capped right end of the bracket."""
 
     code = "bracket_miss"
-
-    def __init__(self, message: str = "", below: bool = False):
-        super().__init__(message)
-        self.below = below
 
 
 class NoConvergenceError(WeibtailError):
@@ -71,7 +67,7 @@ class BelowSupportError(WeibtailError):
 
 
 class BelowRangeError(WeibtailError):
-    """Inverse-hazard target below the attainable range."""
+    """Root target below f at the lower end of the range it is solved over."""
 
     code = "below_range"
 

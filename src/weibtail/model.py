@@ -16,14 +16,13 @@ block of family-specific H-derivatives (the slowly varying spec for tail
 families, hazard recurrences for classical models), or by Richardson
 differentiation of k for classical models without hazard recurrences.
 ``KJet.phi`` = (1/k)' = -k'/k^2 is the one place that shape is formed.
-This module also evaluates the Gumbel and generalized extreme value cdfs
-over arrays, the latter with a series-corrected branch through gamma = 0.
 Only the array functions import numpy, so scalar quantities start without it.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Tuple
@@ -32,7 +31,6 @@ from . import numerics
 from .errors import (
     BelowRangeError,
     BelowSupportError,
-    BracketMissError,
     DomainError,
     EvalFailureError,
     OutsideTailRegionError,
@@ -189,12 +187,13 @@ def hazard_derivative_block(model: WeibullTypeModel, x: float) -> Tuple[float, f
 def cumulative_hazard_inverse(model: WeibullTypeModel, y: float) -> float:
     """x with H(x) = y.
 
-    Constant l uses the closed form (y/c)^theta; otherwise a bracket is
-    grown from the support endpoint and solved by the monotone root
-    finder.  Classical models invert -log sf the same way.
+    Constant l uses the closed form (y/c)^theta; otherwise
+    :func:`numerics.solve_increasing` solves above the support endpoint,
+    and a y below H(support) is refused as ``below_range``.  Classical
+    models invert -log sf over the whole line.
     """
     if model.family is Family.CLASSICAL:
-        return _invert_increasing(lambda t: cumulative_hazard(model, t), y)
+        return numerics.solve_increasing(lambda t: cumulative_hazard(model, t), y)
     lo = model.support_lower
     h_lo = cumulative_hazard(model, lo) if lo > 0.0 else 0.0
     if y < h_lo:
@@ -202,24 +201,7 @@ def cumulative_hazard_inverse(model: WeibullTypeModel, y: float) -> float:
     if model.l.is_constant:
         cval = model.l.value(max(lo, 2.0))
         return _pow(y / cval, model.theta)
-    return _invert_increasing(
-        lambda t: cumulative_hazard(model, t), y, lo=lo + 1e-9 * max(1.0, lo)
-    )
-
-
-def _invert_increasing(f: ScalarFn, y: float, lo: Optional[float] = None) -> float:
-    """x with f(x) = y for increasing f.  The bracket starts at
-    [lo, max(2, 2 lo, lo + 1)] and grows only to the right, so a y below
-    f(lo) is out of range (``below_range``); ``lo`` None starts from -1 and
-    grows both ways.  A y above f(``BRACKET_HI_CAP``) stays a bracket miss."""
-    start = -1.0 if lo is None else lo
-    hi = max(2.0, start * 2.0, start + 1.0)
-    try:
-        return numerics.solve_increasing(f, y, start, hi, lo_fixed=lo is not None)
-    except BracketMissError as exc:
-        if not exc.below:
-            raise  # above f at the right-hand cap: a plain bracket miss
-        raise BelowRangeError(str(exc)) from exc
+    return numerics.solve_increasing(lambda t: cumulative_hazard(model, t), y, lo)
 
 
 def gumbel_coordinate(model: WeibullTypeModel, x: float) -> float:
@@ -317,7 +299,12 @@ def exact_level_for_gumbel_coordinate(t: float) -> float:
 
 
 def gumbel_coordinate_inverse(model: WeibullTypeModel, t: float) -> float:
-    """x with T(x) = t (exact level, solved per family)."""
+    """x with T(x) = t.
+
+    The tail families invert H at the exact level of t.  Classical models
+    solve T itself, above a finite support endpoint (a t below T there is
+    ``below_range``) or over the whole line.
+    """
     if model.family is Family.LOG_CDF_EXP:
         return cumulative_hazard_inverse(model, t)
     if model.family is Family.TAIL_EXP:
@@ -331,10 +318,8 @@ def gumbel_coordinate_inverse(model: WeibullTypeModel, t: float) -> float:
             # large-shape gamma: below every level, a lower bracket end
             return -math.inf
 
-    lo = None
-    if math.isfinite(model.support_lower):
-        lo = model.support_lower + 1e-9 * max(1.0, abs(model.support_lower))
-    return _invert_increasing(coordinate, t, lo)
+    lower = model.support_lower if math.isfinite(model.support_lower) else None
+    return numerics.solve_increasing(coordinate, t, lower)
 
 
 def _chain_weights(model: WeibullTypeModel, x: float) -> Tuple[float, float, float, float]:
@@ -360,11 +345,27 @@ def _hazard_value(model: WeibullTypeModel, x: float) -> float:
     return hazard_derivative_block(model, x)[0]
 
 
+def _refuses_overflow(k_fn):
+    """``k_fn(model, x, ...)``, refusing an OverflowError (a value past the
+    double range in the chain weights, the jet or a hazard block) as ``eval_failure``."""
+
+    @functools.wraps(k_fn)
+    def guarded(model: WeibullTypeModel, x: float, *args, **kwargs):
+        try:
+            return k_fn(model, x, *args, **kwargs)
+        except OverflowError as exc:
+            raise EvalFailureError(f"{model.label}: k-jet overflows at x={x!r}") from exc
+
+    return guarded
+
+
+@_refuses_overflow
 def k_function(model: WeibullTypeModel, x: float) -> float:
     """k(x) = d/dx [-log(-log F(x))].
 
     Equals f / (F * (-log F)) for densities, H' exactly for the
-    LOG_CDF_EXP family, and H' * (1 + O(e^-H)) in the tail otherwise.
+    LOG_CDF_EXP family, and H' * (1 + O(e^-H)) in the tail otherwise.  A
+    value past the double range is refused as ``eval_failure``.
     """
     g1 = _chain_weights(model, x)[0]
     return _hazard_value(model, x) * g1
@@ -390,6 +391,7 @@ class KJet(NamedTuple):
         return -k1 / (k * k)
 
 
+@_refuses_overflow
 def k_jet(model: WeibullTypeModel, x: float, order: int = 3, method: str = "auto") -> KJet:
     """k and its first ``order`` derivatives at x.
 
@@ -399,8 +401,8 @@ def k_jet(model: WeibullTypeModel, x: float, order: int = 3, method: str = "auto
     estimate per order up to ``order``), or "auto" preferring analytic.
     Third-order numeric differentiation of classical models without hazard
     recurrences raises the extrapolation depth, since that path is the
-    only one available there.  An analytic jet past the double range is
-    refused as ``eval_failure``.
+    only one available there.  A jet past the double range is refused as
+    ``eval_failure``.
     """
     if not 1 <= order <= 3:
         raise ValueError("k_jet order must be in [1, 3]")
@@ -411,25 +413,23 @@ def k_jet(model: WeibullTypeModel, x: float, order: int = 3, method: str = "auto
     if method == "analytic":
         if not model.analytic_k_path:
             raise TailUnderflowError(f"{model.label}: analytic k path unavailable")
-        try:
-            g1, g2, g3, g4 = _chain_weights(model, x)
-            d1, d2, d3, d4 = hazard_derivative_block(model, x)
-            values = (
-                d1 * g1,
-                d2 * g1 + d1 * d1 * g2,
-                d3 * g1 + 3.0 * d1 * d2 * g2 + d1**3 * g3,
-                d4 * g1
-                + (4.0 * d1 * d3 + 3.0 * d2 * d2) * g2
-                + 6.0 * d1 * d1 * d2 * g3
-                + d1**4 * g4,
-            )
-        except OverflowError as exc:  # a float ** past the double range
-            raise EvalFailureError(f"{model.label}: k-jet overflows at x={x!r}") from exc
+        g1, g2, g3, g4 = _chain_weights(model, x)
+        d1, d2, d3, d4 = hazard_derivative_block(model, x)
+        values = (
+            d1 * g1,
+            d2 * g1 + d1 * d1 * g2,
+            d3 * g1 + 3.0 * d1 * d2 * g2 + d1**3 * g3,
+            d4 * g1
+            + (4.0 * d1 * d3 + 3.0 * d2 * d2) * g2
+            + 6.0 * d1 * d1 * d2 * g3
+            + d1**4 * g4,
+        )
         return KJet(values=values[: order + 1], method="analytic")
-    k0 = k_function(model, x)
+    k = k_function.__wrapped__  # the stencils type their own failures
+    k0 = k(model, x)
     ests = [
         numerics.derivative(
-            lambda t: k_function(model, t),
+            lambda t: k(model, t),
             x,
             j,
             levels=4 if j == 3 and not model.analytic_k_path else 3,
@@ -448,88 +448,3 @@ def k_jet(model: WeibullTypeModel, x: float, order: int = 3, method: str = "auto
 def k_derivative(model: WeibullTypeModel, x: float, order: int, method: str = "auto") -> float:
     """k^(order)(x), the one entry of :func:`k_jet` at that order."""
     return k_jet(model, x, order, method).values[order]
-
-
-# ----------------------------------------------------------------------
-# Generalized extreme value family
-# ----------------------------------------------------------------------
-
-_GEV_SERIES_GAMMA = 1e-8
-# |gamma x| below which the series' first dropped term, (gamma x)^3/4
-# relative, is under an ulp
-_GEV_SERIES_T = 1e-5
-
-
-def gev_cdf_array(gamma: float, xs: np.ndarray) -> np.ndarray:
-    """G_gamma(x) = exp(-(1 + gamma x)^(-1/gamma)) over points already
-    inside the support; Gumbel at gamma = 0.
-
-    With w = log1p(gamma x)/gamma, G_gamma = exp(-e^-w).  Tiny |gamma| goes
-    through the series x(1 - t/2 + t^2/3), t = gamma x, so the map is
-    continuous through gamma = 0; points where |t| is not small keep the
-    log1p form, so a window near 1e307 neither overflows t^2 nor leaves
-    the series' range.
-    """
-    import numpy as np
-
-    x = np.asarray(xs, dtype=float)
-    if abs(gamma) < _GEV_SERIES_GAMMA:
-        t = np.multiply(x, gamma)
-        w = numerics.piecewise(np.abs(t) < _GEV_SERIES_T, _gev_series,
-                               lambda x, t: _gev_log1p(x, gamma), x, t)
-    else:
-        w = _gev_log1p(x, gamma)
-    return _gumbel_cdf(w, out=w)
-
-
-def _gev_series(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """x (1 - t/2 + t^2/3), t = gamma x."""
-    import numpy as np
-
-    w = np.divide(t, 2.0)
-    np.subtract(1.0, w, out=w)
-    t2 = np.multiply(t, t)
-    t2 /= 3.0
-    w += t2
-    w *= x
-    return w
-
-
-def _gev_log1p(x: np.ndarray, gamma: float) -> np.ndarray:
-    """log1p(gamma x) / gamma."""
-    import numpy as np
-
-    w = np.multiply(x, gamma)
-    np.log1p(w, out=w)
-    w /= gamma
-    return w
-
-
-def _gumbel_cdf(w: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """exp(-e^-w) into ``out`` (which may be ``w`` itself) or a new array."""
-    import numpy as np
-
-    with np.errstate(over="ignore"):
-        out = np.negative(w, out=out)
-        np.exp(out, out=out)
-        np.negative(out, out=out)
-        return np.exp(out, out=out)
-
-
-def gumbel_cdf_array(xs: np.ndarray) -> np.ndarray:
-    import numpy as np
-
-    return _gumbel_cdf(np.asarray(xs, dtype=float))
-
-
-def gumbel_density_array(xs: np.ndarray) -> np.ndarray:
-    """g_0(x) = exp(-e^-x - x)."""
-    import numpy as np
-
-    xs = np.asarray(xs, dtype=float)
-    with np.errstate(over="ignore"):
-        out = np.negative(xs)
-        np.exp(out, out=out)
-        np.negative(out, out=out)
-        out -= xs
-        return np.exp(out, out=out)

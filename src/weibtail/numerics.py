@@ -14,6 +14,7 @@ import math
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Tuple, Union
 
 from .errors import (
+    BelowRangeError,
     BracketMissError,
     EvalFailureError,
     NoConvergenceError,
@@ -117,17 +118,17 @@ def derivative(
 def solve_increasing(
     f: Callable[[float], float],
     target: float,
-    lo: float,
-    hi: float,
-    lo_fixed: bool = False,
+    lower: Optional[float] = None,
 ) -> float:
-    """Solve f(x) = target for increasing f, from the start bracket [lo, hi].
+    """Solve f(x) = target for f increasing on (lower, inf), or on the whole
+    line when ``lower`` is None.
 
-    The bracket is grown first: ``hi`` doubles (to max(2 hi, 2)) up to
-    ``BRACKET_HI_CAP``, and ``lo`` walks left the same way unless
-    ``lo_fixed``, in which case a target below f(lo) is a miss.  Growth
-    past the cap, or past -1e300 on the left, raises BracketMissError,
-    with ``below`` set for a miss on the left.
+    The bracket starts at lo = lower + 1e-9 max(1, |lower|), just inside
+    the lower end (lo = -1 when ``lower`` is None), and hi = max(2, 2 lo,
+    lo + 1).  ``hi`` doubles up to ``BRACKET_HI_CAP``, and a target above f
+    there raises BracketMissError.  A target below f(lo) raises
+    BelowRangeError: at once when ``lower`` is given, else once lo has
+    doubled past -1e300.
 
     The solve is safeguarded bisection with secant acceleration on
     alternate steps, started from the residuals the growth computed, so
@@ -138,21 +139,21 @@ def solve_increasing(
     values of f may be +/-inf (treated purely by sign), which lets the
     bracket grow into overflow territory without special cases.
     """
-    if not lo < hi:
-        raise ValueError("solve_increasing requires lo < hi")
+    lo = -1.0 if lower is None else lower + 1e-9 * max(1.0, abs(lower))
+    hi = max(2.0, 2.0 * lo, lo + 1.0)
     ga = _residual(f, lo, target)
     gb = _residual(f, hi, target)
     while gb < 0.0:
         if hi >= BRACKET_HI_CAP:
             raise BracketMissError(f"target {target!r} above f({BRACKET_HI_CAP!r})")
-        hi = min(max(hi * 2.0, 2.0), BRACKET_HI_CAP)
+        hi = min(hi * 2.0, BRACKET_HI_CAP)
         gb = _residual(f, hi, target)
     while ga > 0.0:
-        if lo_fixed:
-            raise BracketMissError(f"target {target!r} below f({lo!r})", below=True)
-        lo = lo * 2.0 if lo < -1.0 else lo - max(1.0, abs(lo))
+        if lower is not None:
+            raise BelowRangeError(f"target {target!r} below f({lo!r})")
+        lo *= 2.0
         if lo < -1e300:
-            raise BracketMissError(f"target {target!r} below f(-1e300)", below=True)
+            raise BelowRangeError(f"target {target!r} below f(-1e300)")
         ga = _residual(f, lo, target)
     tol = ROOT_REL_TOL * max(1.0, abs(target))
     if abs(ga) <= tol:
@@ -310,6 +311,8 @@ def log_neg_log_cdf_derivs(h_value: float) -> Tuple[float, float, float, float]:
         g4 = -s * (0.5 + s * (10.0 / 3.0 + s * (10.125 + s * (1004.0 / 45.0))))
         return g1, g2, g3, g4
     a = 1.0 / math.expm1(h_value)  # e^-u / (1 - e^-u)
+    if a == math.inf:  # a subnormal H, where a**3 below would not raise
+        raise OverflowError(f"1/H past the double range at H={h_value!r}")
     b = 1.0 + a
     w = -math.log(-math.expm1(-h_value))  # -log F
     r = a / w

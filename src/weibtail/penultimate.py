@@ -8,7 +8,8 @@ compare F^n(a_n x + b_n) against the Gumbel limit G_0 and against the
 penultimate GEV G_{gamma_n} on a fixed grid, all in log space so no block
 scale underflows.  Grids up to the default 1000 points, and models without
 an array form, take one scalar pass in ``math``, which needs no numpy;
-larger grids run over numpy arrays.
+larger grids run over numpy arrays.  Both forms of G_gamma live here, with
+one series switch through gamma = 0.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import enum
 import math
 from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
 
+from . import numerics
 from .errors import (
     DegenerateProfileError,
     EvalFailureError,
@@ -25,15 +27,10 @@ from .errors import (
     ThetaOneExcludedError,
 )
 from .model import (
-    _GEV_SERIES_GAMMA,
-    _GEV_SERIES_T,
     WeibullTypeModel,
     _saturated_coordinate,
     array_form_of,
-    gev_cdf_array,
-    gumbel_cdf_array,
     gumbel_coordinate_array,
-    gumbel_density_array,
 )
 from .norming import Location, locate
 
@@ -43,6 +40,10 @@ if TYPE_CHECKING:
 # Default evaluation window: covers all but ~1e-3 of the Gumbel mass.
 DEFAULT_GRID: Tuple[float, float, int] = (-3.0, 6.0, 1000)
 REMAINDER_DENOMINATOR_CUTOFF = 1e-12
+_GEV_SERIES_GAMMA = 1e-8
+# |gamma x| below which the series' first dropped term, (gamma x)^3/4
+# relative, is under an ulp
+_GEV_SERIES_T = 1e-5
 
 
 class Classification(enum.Enum):
@@ -406,3 +407,81 @@ def remainder_profile(
             f"{model.label}: remainder denominator below cutoff everywhere"
         )
     return dev
+
+
+# Gumbel and generalized extreme value cdfs over arrays
+
+
+def gev_cdf_array(gamma: float, xs: np.ndarray) -> np.ndarray:
+    """G_gamma(x) = exp(-(1 + gamma x)^(-1/gamma)) over points already
+    inside the support; Gumbel at gamma = 0.
+
+    With w = log1p(gamma x)/gamma, G_gamma = exp(-e^-w).  Tiny |gamma| goes
+    through the series x(1 - t/2 + t^2/3), t = gamma x, so the map is
+    continuous through gamma = 0; points where |t| is not small keep the
+    log1p form, so a window near 1e307 neither overflows t^2 nor leaves
+    the series' range.
+    """
+    import numpy as np
+
+    x = np.asarray(xs, dtype=float)
+    if abs(gamma) < _GEV_SERIES_GAMMA:
+        t = np.multiply(x, gamma)
+        w = numerics.piecewise(np.abs(t) < _GEV_SERIES_T, _gev_series,
+                               lambda x, t: _gev_log1p(x, gamma), x, t)
+    else:
+        w = _gev_log1p(x, gamma)
+    return _gumbel_cdf(w, out=w)
+
+
+def _gev_series(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """x (1 - t/2 + t^2/3), t = gamma x."""
+    import numpy as np
+
+    w = np.divide(t, 2.0)
+    np.subtract(1.0, w, out=w)
+    t2 = np.multiply(t, t)
+    t2 /= 3.0
+    w += t2
+    w *= x
+    return w
+
+
+def _gev_log1p(x: np.ndarray, gamma: float) -> np.ndarray:
+    """log1p(gamma x) / gamma."""
+    import numpy as np
+
+    w = np.multiply(x, gamma)
+    np.log1p(w, out=w)
+    w /= gamma
+    return w
+
+
+def _gumbel_cdf(w: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """exp(-e^-w) into ``out`` (which may be ``w`` itself) or a new array."""
+    import numpy as np
+
+    with np.errstate(over="ignore"):
+        out = np.negative(w, out=out)
+        np.exp(out, out=out)
+        np.negative(out, out=out)
+        return np.exp(out, out=out)
+
+
+def gumbel_cdf_array(xs: np.ndarray) -> np.ndarray:
+    import numpy as np
+
+    return _gumbel_cdf(np.asarray(xs, dtype=float))
+
+
+def gumbel_density_array(xs: np.ndarray) -> np.ndarray:
+    """g_0(x) = exp(-e^-x - x)."""
+    import numpy as np
+
+    xs = np.asarray(xs, dtype=float)
+    with np.errstate(over="ignore"):
+        out = np.negative(xs)
+        np.exp(out, out=out)
+        np.negative(out, out=out)
+        out -= xs
+        return np.exp(out, out=out)

@@ -1,14 +1,17 @@
-"""The package's public names: ``weibtail.__all__`` against the module."""
+"""The package's public names: ``weibtail.__all__`` against the module, and
+the error codes against README's list."""
 
 import dataclasses
 import enum
 import importlib
 import pkgutil
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
 
 import weibtail as wt
+from weibtail.errors import WeibtailError
 from weibtail.model import k_jet
 
 PUBLIC = {
@@ -109,3 +112,17 @@ def test_records_are_named_tuples():
         assert isinstance(record, tuple)
         with pytest.raises(AttributeError):
             setattr(record, record._fields[0], None)
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_error_codes_unique_and_in_readme():
+    # each code the CLI may print names one cause, and README lists it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    codes = [cls.code for cls in _subclasses(WeibtailError)]
+    assert len(codes) == len(set(codes)), sorted(codes)
+    assert [code for code in codes if f"`{code}`" not in readme] == []

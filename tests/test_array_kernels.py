@@ -16,7 +16,8 @@ import pytest
 
 import weibtail as wt
 from weibtail import catalog, numerics, penultimate
-from weibtail.model import Family, _saturated_coordinate, gev_cdf_array, gumbel_coordinate_array
+from weibtail.model import Family, _saturated_coordinate, gumbel_coordinate_array
+from weibtail.penultimate import gev_cdf_array
 
 
 def _pieces_agree(fn, xs, switches):

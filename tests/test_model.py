@@ -8,17 +8,15 @@ import numpy as np
 import pytest
 
 import weibtail as wt
+from weibtail import numerics
 from weibtail.errors import (
     BelowRangeError,
     BelowSupportError,
+    EvalFailureError,
     TailUnderflowError,
 )
-from weibtail.model import (
-    gev_cdf_array,
-    gumbel_density_array,
-    k_jet,
-)
-from weibtail.penultimate import _maxima_curve
+from weibtail.model import k_jet
+from weibtail.penultimate import _maxima_curve, gev_cdf_array, gumbel_density_array
 
 
 def _gev_cdf(g, x):
@@ -71,11 +69,9 @@ def test_hazard_inverse_round_trip_log_l():
 def test_hazard_inverse_constant_l_matches_solver():
     # closed form (y/c)^theta against the generic root-finding path
     m = wt.pure_weibull(theta=2.0, scale=3.0)
-    from weibtail.model import _invert_increasing
-
     for y in (0.5, 5.0, 120.0):
         closed = wt.cumulative_hazard_inverse(m, y)
-        solved = _invert_increasing(lambda t: wt.cumulative_hazard(m, t), y, lo=1e-12)
+        solved = numerics.solve_increasing(lambda t: wt.cumulative_hazard(m, t), y, lower=0.0)
         assert solved == pytest.approx(closed, rel=1e-12)
 
 
@@ -259,6 +255,23 @@ def test_k_tail_underflow_classical():
     assert bare.classical_cdf(40.0) == 1.0
     with pytest.raises(TailUnderflowError):
         wt.k_function(bare, 40.0)
+
+
+@pytest.mark.parametrize("shape, x", [
+    (0.5, 1e-300),  # the chain weights' a**3 overflows at H ~ 1e-150
+    (2.0, 1e-160),  # x^3 underflows in the hazard block
+    (1e-3, 1e-300),  # x^2 and x^3 underflow in the hazard block
+    (200.0, 2.0),  # 1/H overflows at a subnormal H, where a**3 does not raise
+])
+def test_k_layer_overflow_refused(shape, x):
+    # k and every k-derivative order refuse alike, with a typed code
+    m = wt.gamma_model(shape)
+    calls = [lambda: wt.k_function(m, x)]
+    calls += [lambda order=order: wt.k_derivative(m, x, order) for order in (1, 2, 3)]
+    for call in calls:
+        with pytest.raises(EvalFailureError) as info:
+            call()
+        assert info.value.code == "eval_failure"
     # the gamma tail is evaluated in log space: log Q(2, 1e6) ~ -1e6 is finite
     k = wt.k_function(wt.gamma_model(2.0), 1e6)
     with mp.workdps(50):

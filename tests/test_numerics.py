@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import weibtail as wt
 from weibtail import numerics
 from weibtail.errors import (
+    BelowRangeError,
     BracketMissError,
     EvalFailureError,
     NoConvergenceError,
@@ -26,8 +27,7 @@ from weibtail.numerics import (
     log_neg_log_cdf_margin,
     solve_increasing,
 )
-from weibtail.model import gumbel_cdf_array
-from weibtail.penultimate import _maxima_curve
+from weibtail.penultimate import _maxima_curve, gumbel_cdf_array
 
 
 # ---------------------------------------------------------------- derivative
@@ -94,12 +94,12 @@ def test_order_validation():
 # ----------------------------------------------------------- solve_increasing
 
 def test_solve_sqrt():
-    root = solve_increasing(math.sqrt, 5.0, 0.0, 100.0)
+    root = solve_increasing(math.sqrt, 5.0, lower=0.0)
     assert root == pytest.approx(25.0, rel=1e-12)
 
 
 def test_solve_identity():
-    root = solve_increasing(lambda x: x, 0.0, -1.0, 1.0)
+    root = solve_increasing(lambda x: x, 0.0)
     assert abs(root) < 1e-13
 
 
@@ -121,7 +121,7 @@ def test_solve_x_plus_log_x():
     frozen = 7.929420095019697
     oracle = _bisect_oracle(f, 10.0, 1.0, 20.0)
     assert oracle == pytest.approx(frozen, rel=1e-14)
-    root = solve_increasing(f, 10.0, 1.0, 20.0)
+    root = solve_increasing(f, 10.0, lower=1.0)
     assert root == pytest.approx(frozen, rel=1e-12)
 
 
@@ -134,20 +134,20 @@ def test_solve_many_random_monotone_functions():
         f = lambda x, a=a, b=b, c=c, d=d: a * x + b * x**3 + c * math.log1p(x) + d
         u = rng.uniform(0.0, 10.0)
         target = f(u)
-        root = solve_increasing(f, target, 0.0, 10.0)
+        root = solve_increasing(f, target, lower=0.0)
         assert abs(f(root) - target) <= 1e-12 * max(1.0, abs(target))
 
 
 def test_solve_eval_failure():
     with pytest.raises(EvalFailureError):
-        solve_increasing(lambda x: math.nan, 0.5, 0.0, 1.0)
+        solve_increasing(lambda x: math.nan, 0.5, lower=0.0)
 
 
 def test_solve_no_convergence_typed(monkeypatch):
-    # sqrt on [0, 100] needs more than three steps to reach 1e-13
+    # sqrt above 0 needs more than three steps to reach 1e-13
     monkeypatch.setattr(numerics, "ROOT_MAX_ITER", 3)
     with pytest.raises(NoConvergenceError) as info:
-        solve_increasing(math.sqrt, 5.5, 0.0, 100.0)
+        solve_increasing(math.sqrt, 5.5, lower=0.0)
     assert info.value.code == "no_convergence"
 
 
@@ -155,42 +155,47 @@ def test_solve_spacing_exhausted_returns_best():
     # a jump of 1 at x = 1 leaves no point within the residual tolerance;
     # the bracket shrinks to a few ulp and the best point seen is returned
     f = lambda x: x - 1.0 + (0.5 if x >= 1.0 else -0.5)
-    root = solve_increasing(f, 0.0, 0.0, 3.0)
+    root = solve_increasing(f, 0.0, lower=0.0)
     assert root == pytest.approx(1.0, rel=1e-14)
 
 
 def test_solve_with_infinite_endpoint():
-    # f(hi) = inf only constrains the sign; the solve still converges
+    # the bracket grows to hi = 8, where f = inf only constrains the sign;
+    # the solve still converges
     f = lambda x: math.inf if x > 5.0 else x
-    root = solve_increasing(f, 2.0, 0.0, 10.0)
-    assert root == pytest.approx(2.0, rel=1e-10)
+    root = solve_increasing(f, 4.5, lower=0.0)
+    assert root == pytest.approx(4.5, rel=1e-10)
 
 
 def test_solve_grows_bracket_below_root():
-    # the start bracket [1, 2] lies wholly below the root 1000 of x^3 = 1e9
-    root = solve_increasing(lambda x: x**3, 1e9, 1.0, 2.0)
+    # the start bracket, about [1, 2] from lower = 1, lies wholly below the
+    # root 1000 of x^3 = 1e9
+    root = solve_increasing(lambda x: x**3, 1e9, lower=1.0)
     assert root == pytest.approx(1000.0, rel=1e-14)
 
 
 def test_solve_grows_lo_left_unless_fixed():
-    # f(lo) above the target: lo walks left, or the solve misses if lo is fixed
-    root = solve_increasing(lambda x: x, -5.0, 0.0, 2.0)
+    # f(lo) above the target: lo walks left from -1, or, with the lower end
+    # fixed by ``lower``, the target is below the range
+    root = solve_increasing(lambda x: x, -5.0)
     assert root == pytest.approx(-5.0, rel=1e-14)
-    with pytest.raises(BracketMissError) as info:
-        solve_increasing(lambda x: x, -5.0, 0.0, 2.0, lo_fixed=True)
-    assert info.value.code == "bracket_miss"
+    with pytest.raises(BelowRangeError) as info:
+        solve_increasing(lambda x: x, -5.0, lower=0.0)
+    assert (info.value.code, info.value.message) == ("below_range", "target -5.0 below f(1e-09)")
+
+
+def test_solve_left_walk_misses_past_minus_1e300():
+    # lo doubles from -1 until it passes -1e300; atan stays above -2
+    with pytest.raises(BelowRangeError) as info:
+        solve_increasing(math.atan, -2.0)
+    assert (info.value.code, info.value.message) == ("below_range", "target -2.0 below f(-1e300)")
 
 
 def test_solve_capped_hi_misses():
     # hi doubles up to BRACKET_HI_CAP; a target above f(cap) is a miss
     with pytest.raises(BracketMissError) as info:
-        solve_increasing(math.log, 1e4, 1.0, 2.0)
+        solve_increasing(math.log, 1e4, lower=1.0)
     assert info.value.code == "bracket_miss"
-
-
-def test_solve_rejects_empty_bracket():
-    with pytest.raises(ValueError):
-        solve_increasing(lambda x: x, 0.0, 1.0, 1.0)
 
 
 @given(st.floats(min_value=-3.0, max_value=3.0), st.floats(min_value=0.1, max_value=2.0))
@@ -198,7 +203,7 @@ def test_solve_rejects_empty_bracket():
 def test_solve_recovers_target_hypothesis(shift, slope):
     f = lambda x: slope * x + shift
     target = f(1.2345)
-    root = solve_increasing(f, target, -10.0, 10.0)
+    root = solve_increasing(f, target, lower=-10.0)
     assert abs(f(root) - target) <= 1e-13 * max(1.0, abs(target))
 
 

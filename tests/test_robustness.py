@@ -1,5 +1,7 @@
 """Robustness sweep: every catalog model, drawn parameters and log n in
 [1e-3, 700] give finite numbers or a typed refusal that names the cause.
+The same draws also cover ``gamma_of_t`` at t = log n and ``condition_sweep``
+on 5-point grids spanning 4 to 8 decades above the support.
 
 ``below_range`` is allowed only for extended-weibull, whose support floor
 x0 = e puts a lower bound on log n, and ``theta_one_excluded`` only for
@@ -75,3 +77,29 @@ def test_quantities_finite_or_typed_refusal(case):
                             allowed)
             if cmp_ is not None:
                 assert _finite(cmp_.sup_error_ultimate, cmp_.sup_error_penultimate), cmp_
+
+
+@st.composite
+def _sweep_cases(draw):
+    """A :func:`_cases` draw plus a condition-sweep grid: its first point
+    1e-3 to 1e3 above the support floor, and the decades it spans."""
+    return (*draw(_cases()), draw(_log_uniform(1e-3, 1e3)), draw(st.floats(4.0, 8.0)))
+
+
+@seed(20261019)
+@settings(max_examples=500, deadline=None, database=None)
+@given(_sweep_cases())
+def test_gamma_of_t_and_condition_sweep_finite_or_typed_refusal(case):
+    name, params, t, offset, decades = case
+    model = wt.build_model(name, **params)
+    below = {"below_range"} if name == "extended-weibull" else set()
+
+    gamma = _outcome(lambda: wt.gamma_of_t(model, t), below)
+    assert _finite(gamma), gamma
+    start = max(model.support_lower, 0.0) + offset
+    grid = [start * 10.0 ** (decades * i / 4) for i in range(5)]
+    report = _outcome(lambda: wt.condition_sweep(model, grid), set())
+    # a point that fails is recorded as +inf; phi itself is never NaN
+    assert all(math.isfinite(v) or v == math.inf for v in report.first_order), report
+    assert _finite(report.gomes84_theoretical, report.gomes84_relative_gap,
+                   *(v.value for v in report.verdicts.values())), report
