@@ -452,13 +452,8 @@ def logistic() -> WeibullTypeModel:
     )
 
 
-def _log1mexp(v: float) -> float:
-    """log(1 - e^v) for v <= 0, accurate at both ends."""
-    return math.log(-math.expm1(v)) if v > -_LN2 else math.log1p(-math.exp(v))
-
-
 def _log1mexp_array(v: np.ndarray) -> np.ndarray:
-    """``_log1mexp`` over an array."""
+    """:func:`numerics.log1mexp` over an array."""
     return numerics.piecewise(v > -_LN2, _log_neg_expm1, _log1p_neg_exp, v)
 
 
@@ -566,7 +561,7 @@ def gamma_model(shape: float = 2.0) -> WeibullTypeModel:
                 if term <= _EPS * total:
                     break
             log_p = a * math.log(x) - x - lga1 + math.log(total)
-            log_q = _log1mexp(log_p)
+            log_q = numerics.log1mexp(log_p)
             return log_p, log_q, math.exp(log_pdf(x) - log_q)
         if x == math.inf:
             return 0.0, -math.inf, 1.0
@@ -591,7 +586,7 @@ def gamma_model(shape: float = 2.0) -> WeibullTypeModel:
             if abs(delta - 1.0) <= _EPS:
                 break
         log_q = a * math.log(x) - x - lga + math.log(cf)
-        return _log1mexp(log_q), log_q, 1.0 / (x * cf)
+        return numerics.log1mexp(log_q), log_q, 1.0 / (x * cf)
 
     def scaled_log(x: np.ndarray, s: np.ndarray, log_norm: float) -> np.ndarray:
         """a log x - x - log_norm + log s, in the storage of s (consumed)."""

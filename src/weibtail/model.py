@@ -24,6 +24,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Tuple
 
@@ -110,6 +111,9 @@ class WeibullTypeModel:
 
 
 def _pow(x: float, p: float) -> float:
+    """x^p, with inf past the double range and at the pole 0^(p < 0)."""
+    if x == 0.0 and p < 0.0:
+        return math.inf
     try:
         return math.pow(x, p)
     except OverflowError:
@@ -291,24 +295,36 @@ def _saturate(h: np.ndarray) -> np.ndarray:
 
 
 def exact_level_for_gumbel_coordinate(t: float) -> float:
-    """H-level y with -log(-log(1 - e^-y)) = t, stable for all t."""
-    if t < 36.0:
-        return -math.log(-math.expm1(-math.exp(-t)))
-    # margin below double resolution: y = t + e^-t/2 rounds to t
-    return t
+    """H-level y = -log(1 - e^(-e^-t)), so that -log(-log(1 - e^-y)) = t.
+
+    The level e^(-e^-t) underflows to 0.0 for t below about -6.6.
+    """
+    if t >= 36.0:
+        # margin below double resolution: y = t + e^-t/2 rounds to t
+        return t
+    if t < -7.0:
+        return 0.0  # y < e^-1096, and e^-t may overflow
+    return -numerics.log1mexp(-math.exp(-t))
 
 
 def gumbel_coordinate_inverse(model: WeibullTypeModel, t: float) -> float:
     """x with T(x) = t.
 
-    The tail families invert H at the exact level of t.  Classical models
-    solve T itself, above a finite support endpoint (a t below T there is
-    ``below_range``) or over the whole line.
+    The tail families invert H at the exact level of t.  In the 1 - F =
+    e^-H family a level below the normal double range (t below about
+    -6.5) or a root that underflows to 0 is refused as ``tail_underflow``,
+    or as ``below_range`` above a positive support endpoint.  Classical
+    models solve T itself, above a finite support endpoint (a t below T
+    there is ``below_range``) or over the whole line.
     """
     if model.family is Family.LOG_CDF_EXP:
         return cumulative_hazard_inverse(model, t)
     if model.family is Family.TAIL_EXP:
-        return cumulative_hazard_inverse(model, exact_level_for_gumbel_coordinate(t))
+        y = exact_level_for_gumbel_coordinate(t)
+        x = cumulative_hazard_inverse(model, y)
+        if y < sys.float_info.min or x == 0.0:
+            raise TailUnderflowError(f"t={t!r}: level y={y!r}, x={x!r} underflow the double range")
+        return x
 
     def coordinate(z: float) -> float:
         try:
@@ -323,9 +339,11 @@ def gumbel_coordinate_inverse(model: WeibullTypeModel, t: float) -> float:
 
 
 def _chain_weights(model: WeibullTypeModel, x: float) -> Tuple[float, float, float, float]:
-    if model.family is Family.LOG_CDF_EXP:
-        return 1.0, 0.0, 0.0, 0.0
     h = cumulative_hazard(model, x)
+    if model.family is Family.LOG_CDF_EXP:
+        if not math.isfinite(h):
+            raise TailUnderflowError(f"H(x) = {h!r} at x={x!r}")
+        return 1.0, 0.0, 0.0, 0.0  # T = H
     if not h > 0.0:
         raise TailUnderflowError(f"F(x) = 0 numerically at x={x!r}")
     if math.isinf(h):
@@ -423,8 +441,10 @@ def k_jet(model: WeibullTypeModel, x: float, order: int = 3, method: str = "auto
             + (4.0 * d1 * d3 + 3.0 * d2 * d2) * g2
             + 6.0 * d1 * d1 * d2 * g3
             + d1**4 * g4,
-        )
-        return KJet(values=values[: order + 1], method="analytic")
+        )[: order + 1]
+        if not all(map(math.isfinite, values)):
+            raise EvalFailureError(f"{model.label}: k-jet {values!r} at x={x!r}")
+        return KJet(values=values, method="analytic")
     k = k_function.__wrapped__  # the stencils type their own failures
     k0 = k(model, x)
     ests = [

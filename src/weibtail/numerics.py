@@ -28,6 +28,7 @@ if TYPE_CHECKING:
 ArrayFormula = Callable[..., "np.ndarray"]
 
 _EPS = math.ulp(1.0)
+_LN2 = math.log(2.0)
 
 # Central-difference stencils with O(h^2) leading truncation error,
 # (offset, weight) with weights in units of h**-order.
@@ -196,6 +197,11 @@ def _residual(f: Callable[[float], float], x: float, target: float) -> float:
     if math.isnan(fx):
         raise EvalFailureError(f"f({x!r}) is NaN")
     return fx - target
+
+
+def log1mexp(v: float) -> float:
+    """log(1 - e^v) for v <= 0, accurate at both ends."""
+    return math.log(-math.expm1(v)) if v > -_LN2 else math.log1p(-math.exp(v))
 
 
 def log_neg_log_cdf_from_H(h_value: float) -> float:

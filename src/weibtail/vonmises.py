@@ -56,6 +56,7 @@ class ConditionReport(NamedTuple):
     derivative_path: str  # "analytic" | "numeric"
     gomes84_theoretical: Optional[float]
     gomes84_relative_gap: Optional[float]
+    point_codes: Tuple[Optional[str], ...]  # per t: a refusal's code, or None
 
 
 def gomes84_closed_form(theta: float) -> float:
@@ -81,8 +82,8 @@ def condition_sweep(model: WeibullTypeModel, t_grid: Sequence[float]) -> Conditi
     support.  Uses closed-form k-derivatives when the model offers them
     (all built-ins do), Richardson differentiation of k otherwise; a
     condition is not confirmed when more than 20% of its points fail.  A
-    point fails on a typed :class:`WeibtailError`; any other exception is
-    a bug and propagates.
+    point fails on a typed :class:`WeibtailError`, whose code goes to
+    ``point_codes``; any other exception is a bug and propagates.
     """
     grid = tuple(float(t) for t in t_grid)
     if len(grid) < 5:
@@ -97,38 +98,32 @@ def condition_sweep(model: WeibullTypeModel, t_grid: Sequence[float]) -> Conditi
         )
 
     path = "analytic" if model.analytic_k_path else "numeric"
-    seqs: Dict[str, list] = {name: [] for name in CONDITIONS}
-    for t in grid:
-        try:
-            jet = k_jet(model, t)
-            k, k1, k2, k3 = jet.values
-            phi_v = jet.phi
-            phi_p = -(k2 * k - 2.0 * k1 * k1) / k**3
-            phi_pp = -6.0 * phi_v * (k2 / k - (k1 / k) ** 2) - k3 / (k * k)
-            seqs["first_order"].append(phi_v)
-            seqs["second_order"].append(_ratio(phi_p, k * phi_v))
-            seqs["penultimate_cond"].append(_ratio(phi_pp, k * phi_p))
-            seqs["anderson"].append(_ratio(k2, k * k1))
-            seqs["gomes84"].append(_ratio(phi_p, k * phi_v * phi_v))
-        except WeibtailError:
-            for name in CONDITIONS:
-                seqs[name].append(math.inf)  # recorded evaluation failure
-
-    verdicts: Dict[str, Verdict] = {}
-    for name in ("first_order", "second_order", "penultimate_cond", "anderson"):
-        verdicts[name] = _decay_verdict(seqs[name])
-    verdicts["gomes84"] = _limit_verdict(seqs["gomes84"])
+    # the sequence fields follow t_grid in CONDITIONS order
+    *sequences, point_codes = zip(*(_functionals(model, t) for t in grid))
+    verdicts = {name: _decay_verdict(seq) for name, seq in zip(CONDITIONS[:-1], sequences)}
+    verdicts["gomes84"] = v = _limit_verdict(sequences[-1])
 
     theoretical = gap = None
-    v = verdicts["gomes84"]
     if not model.theta_is_one:
         theoretical = gomes84_closed_form(model.theta)
         if v.kind == "confirmed_limit":
             gap = abs(v.value - theoretical) / abs(theoretical)
+    return ConditionReport(grid, *sequences, verdicts, path, theoretical, gap, point_codes)
 
-    # the sequence fields follow t_grid in CONDITIONS order
-    sequences = (tuple(seqs[name]) for name in CONDITIONS)
-    return ConditionReport(grid, *sequences, verdicts, path, theoretical, gap)
+
+def _functionals(model: WeibullTypeModel, t: float) -> Tuple:
+    """The five functionals at t in CONDITIONS order and None, or inf in
+    each (a recorded evaluation failure) and the jet's refusal code."""
+    try:
+        jet = k_jet(model, t)
+    except WeibtailError as exc:
+        return (math.inf,) * len(CONDITIONS) + (exc.code,)
+    k, k1, k2, k3 = jet.values
+    phi_v = jet.phi
+    phi_p = -(k2 * k - 2.0 * k1 * k1) / k**3
+    phi_pp = -6.0 * phi_v * (k2 / k - (k1 / k) ** 2) - k3 / (k * k)
+    return (phi_v, _ratio(phi_p, k * phi_v), _ratio(phi_pp, k * phi_p), _ratio(k2, k * k1),
+            _ratio(phi_p, k * phi_v * phi_v), None)
 
 
 def _split_failures(seq: Sequence[float]):

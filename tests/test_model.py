@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -14,8 +15,9 @@ from weibtail.errors import (
     BelowSupportError,
     EvalFailureError,
     TailUnderflowError,
+    WeibtailError,
 )
-from weibtail.model import k_jet
+from weibtail.model import exact_level_for_gumbel_coordinate, k_jet
 from weibtail.penultimate import _maxima_curve, gev_cdf_array, gumbel_density_array
 
 
@@ -79,6 +81,37 @@ def test_hazard_inverse_below_range():
     m = wt.extended_weibull(beta=2.0)
     with pytest.raises(BelowRangeError):
         wt.cumulative_hazard_inverse(m, 0.5 * wt.cumulative_hazard(m, m.support_lower))
+
+
+# t from where e^-t overflows, through where the level e^(-e^-t) underflows
+# (~ -6.6) and the closed-form switch (-log(log 2) ~ 0.367), to the t = 36 cut
+_LEVEL_TS = sorted({*np.linspace(-8.0, 2.0, 201).tolist(), -1e3, -709.8, -100.0, -5.0, -3.6,
+                    0.3665, 0.367, 5.0, 20.0, 35.9, 36.0})
+
+
+def test_exact_level_and_inverse_against_mpmath():
+    # the level y = -log(1 - e^(-e^-t)) and the pure-Weibull root x = y^theta
+    # meet 40 digits, or the inverse refuses a level or root below the
+    # normal double range
+    eps = math.ulp(1.0)
+    for t in _LEVEL_TS:
+        with mp.workdps(40):
+            level = -mp.log1p(-mp.exp(-mp.exp(-mp.mpf(t))))
+            tol = 2.0 * eps * max(1, mp.exp(-t))  # e^-t's rounding, scaled by e^-t
+            y = exact_level_for_gumbel_coordinate(t)
+            assert abs(y - level) <= tol * level + 1e-322, (t, y, level)
+            for theta in (0.5, 2.0):
+                root = level**theta
+                try:
+                    x = wt.gumbel_coordinate_inverse(wt.pure_weibull(theta=theta), t)
+                except WeibtailError as exc:
+                    assert exc.code == "tail_underflow", (t, theta)
+                    assert min(level, root) < sys.float_info.min, (t, theta)
+                else:
+                    assert abs(x - root) <= (theta * tol + 2.0 * eps) * root + 1e-322, (t, theta)
+    # above a positive support endpoint the level is below H(support)
+    with pytest.raises(BelowRangeError):
+        wt.gumbel_coordinate_inverse(wt.extended_weibull(beta=2.0), -1e3)
 
 
 @pytest.mark.parametrize("name", ["pw-0.25", "pw-0.5", "pw-2", "pw-4", "ext"])
@@ -179,22 +212,22 @@ def test_k_chain_against_mpmath(x):
     # tail model with theta = 2, l = log x (exercises the H-block, the
     # chain weights, and their composition at all three orders)
     m = wt.weibull_type(2.0, wt.log_power(1.0), support_lower=1.5)
-    mp.mp.dps = 300
     T = lambda z: -mp.log(-mp.log(1 - mp.e ** (-mp.sqrt(z) * mp.log(z))))
     k0, k1, k2, k3 = k_jet(m, x).values
-    for got, order in ((k0, 1), (k1, 2), (k2, 3), (k3, 4)):
-        exact = mp.diff(T, mp.mpf(x), order)
-        assert float(abs((mp.mpf(got) - exact) / exact)) < 5e-9, (x, order)
+    with mp.workdps(300):
+        for got, order in ((k0, 1), (k1, 2), (k2, 3), (k3, 4)):
+            exact = mp.diff(T, mp.mpf(x), order)
+            assert float(abs((mp.mpf(got) - exact) / exact)) < 5e-9, (x, order)
 
 
 def test_k_classical_exponential_derivative_against_mpmath():
     m = wt.exponential()
-    mp.mp.dps = 50
     T = lambda z: -mp.log(-mp.log(1 - mp.e**-z))
     for x in (3.0, 10.0, 30.0):
         got = wt.k_derivative(m, x, 1)
-        exact = mp.diff(T, mp.mpf(x), 2)
-        assert float(abs((mp.mpf(got) - exact) / exact)) < 1e-11
+        with mp.workdps(50):
+            exact = mp.diff(T, mp.mpf(x), 2)
+            assert float(abs((mp.mpf(got) - exact) / exact)) < 1e-11
 
 
 def test_k_cross_path_consistency(models):
@@ -279,6 +312,31 @@ def test_k_layer_overflow_refused(shape, x):
         exact = x * mp.exp(-x) / mp.gammainc(2, x, mp.inf)  # hazard; g'(H) = 1 here
     assert math.isfinite(k)
     assert float(abs((mp.mpf(k) - exact) / exact)) < 1e-14
+
+
+@pytest.mark.parametrize("x, finite_orders, code", [
+    (0.0, 0, "eval_failure"),  # 0^-1 in the hazard block meets a zero bracket
+    (1e-160, 1, "eval_failure"),  # (1e-160)^-2 overflows and meets a zero bracket
+    (1e-300, 1, "eval_failure"),
+    (math.inf, -1, "tail_underflow"),  # H = inf: F = 1 at double precision
+    (math.nan, -1, "tail_underflow"),
+])
+def test_k_layer_log_cdf_exp_finite_or_typed(x, finite_orders, code):
+    # -log F = e^-H, where k = H': every k-layer entry is exact (k = 1,
+    # k' = 0 for the fixture) or refused with a typed code, never NaN
+    fx = wt.gumbel_fixture()
+    for order in range(4):
+        calls = [lambda: wt.k_function(fx, x)]
+        if order:
+            calls = [lambda: k_jet(fx, x, order).values[order],
+                     lambda: wt.k_derivative(fx, x, order)]
+        for call in calls:
+            if order <= finite_orders:
+                assert call() == (0.0 if order else 1.0), (x, order)
+                continue
+            with pytest.raises(WeibtailError) as info:
+                call()
+            assert info.value.code == code, (x, order, info.value.message)
 
 
 # ------------------------------------------------------- regular variation

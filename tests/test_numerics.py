@@ -234,8 +234,8 @@ def test_lnlcdf_h2_against_high_precision():
     frozen = 1.9281741606084144
     got = log_neg_log_cdf_from_H(2.0)
     assert got == pytest.approx(frozen, rel=1e-13)
-    mp.mp.dps = 40
-    oracle = float(-mp.log(-mp.log(1 - mp.e**-2)))
+    with mp.workdps(40):
+        oracle = float(-mp.log(-mp.log(1 - mp.e**-2)))
     assert got == pytest.approx(oracle, rel=1e-13)
 
 
@@ -271,12 +271,12 @@ def test_lnlcdf_margin_positive_hypothesis(h):
 
 @pytest.mark.parametrize("u", [0.05, 0.3, 1.0, 3.0, 5.0, 6.9, 7.1, 10.0, 20.0, 40.0])
 def test_lnlcdf_derivs_against_mpmath(u):
-    mp.mp.dps = 50
     T = lambda z: -mp.log(-mp.log(1 - mp.e**-z))
-    exact = [mp.diff(T, mp.mpf(u), n) for n in (1, 2, 3, 4)]
     got = log_neg_log_cdf_derivs(u)
-    for g, e in zip(got, exact):
-        assert float(abs((mp.mpf(g) - e) / e)) < 3e-10
+    with mp.workdps(50):
+        exact = [mp.diff(T, mp.mpf(u), n) for n in (1, 2, 3, 4)]
+        for g, e in zip(got, exact):
+            assert float(abs((mp.mpf(g) - e) / e)) < 3e-10
 
 
 def test_lnlcdf_derivs_limits():

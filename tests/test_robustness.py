@@ -1,7 +1,8 @@
 """Robustness sweep: every catalog model, drawn parameters and log n in
 [1e-3, 700] give finite numbers or a typed refusal that names the cause.
 The same draws also cover ``gamma_of_t`` at t = log n and ``condition_sweep``
-on 5-point grids spanning 4 to 8 decades above the support.
+on 5-point grids spanning 4 to 8 decades above the support; a sweep point
+that fails carries its refusal's code, and the set of codes is pinned.
 
 ``below_range`` is allowed only for extended-weibull, whose support floor
 x0 = e puts a lower bound on log n, and ``theta_one_excluded`` only for
@@ -26,6 +27,9 @@ PARAMS = {
 # one grid for each error-curve path: the scalar pass up to the default
 # size of 1000 points, the array one above it
 GRIDS = ((-3.0, 6.0, 200), (-3.0, 6.0, 1200))
+# every point code the condition-sweep draws produce, None for a point
+# that evaluated
+SWEEP_POINT_CODES = {None, "eval_failure", "tail_underflow"}
 
 
 def _log_uniform(lo, hi):
@@ -86,20 +90,30 @@ def _sweep_cases(draw):
     return (*draw(_cases()), draw(_log_uniform(1e-3, 1e3)), draw(st.floats(4.0, 8.0)))
 
 
-@seed(20261019)
-@settings(max_examples=500, deadline=None, database=None)
-@given(_sweep_cases())
-def test_gamma_of_t_and_condition_sweep_finite_or_typed_refusal(case):
-    name, params, t, offset, decades = case
-    model = wt.build_model(name, **params)
-    below = {"below_range"} if name == "extended-weibull" else set()
+def test_gamma_of_t_and_condition_sweep_finite_or_typed_refusal():
+    point_codes = set()
 
-    gamma = _outcome(lambda: wt.gamma_of_t(model, t), below)
-    assert _finite(gamma), gamma
-    start = max(model.support_lower, 0.0) + offset
-    grid = [start * 10.0 ** (decades * i / 4) for i in range(5)]
-    report = _outcome(lambda: wt.condition_sweep(model, grid), set())
-    # a point that fails is recorded as +inf; phi itself is never NaN
-    assert all(math.isfinite(v) or v == math.inf for v in report.first_order), report
-    assert _finite(report.gomes84_theoretical, report.gomes84_relative_gap,
-                   *(v.value for v in report.verdicts.values())), report
+    @seed(20261019)
+    @settings(max_examples=500, deadline=None, database=None)
+    @given(_sweep_cases())
+    def check(case):
+        name, params, t, offset, decades = case
+        model = wt.build_model(name, **params)
+        below = {"below_range"} if name == "extended-weibull" else set()
+
+        gamma = _outcome(lambda: wt.gamma_of_t(model, t), below)
+        assert _finite(gamma), gamma
+        start = max(model.support_lower, 0.0) + offset
+        grid = [start * 10.0 ** (decades * i / 4) for i in range(5)]
+        report = _outcome(lambda: wt.condition_sweep(model, grid), set())
+        # a point that fails is recorded as +inf with its refusal's code;
+        # phi itself is never NaN
+        assert all(math.isfinite(v) or v == math.inf for v in report.first_order), report
+        assert [c is not None for c in report.point_codes] == [
+            v == math.inf for v in report.first_order], report
+        point_codes.update(report.point_codes)
+        assert _finite(report.gomes84_theoretical, report.gomes84_relative_gap,
+                       *(v.value for v in report.verdicts.values())), report
+
+    check()
+    assert point_codes == SWEEP_POINT_CODES

@@ -142,6 +142,7 @@ def test_report_sequences_lengths():
     report = condition_sweep(wt.pure_weibull(theta=0.5), GRID)
     for name in ("first_order", "second_order", "penultimate_cond", "anderson", "gomes84"):
         assert len(getattr(report, name)) == len(GRID)
+    assert report.point_codes == (None,) * len(GRID)
 
 
 def test_sweep_records_typed_failures_and_propagates_bugs():
@@ -154,6 +155,7 @@ def test_sweep_records_typed_failures_and_propagates_bugs():
 
     report = condition_sweep(dataclasses.replace(base, hazard_derivs=hazard_block), GRID)
     assert all(math.isinf(v) for v in report.first_order[1:])
+    assert report.point_codes == (None, *["tail_underflow"] * 4)
     assert report.verdicts["first_order"].reason == "eval_failure"
 
     def broken(x):
