@@ -153,6 +153,14 @@ def cumulative_hazard(model: WeibullTypeModel, x: float) -> float:
         raise
 
 
+def _power_term(x: float, p: float, l0: float, bracket: float) -> float:
+    """x^p l0 bracket; a zero bracket gives itself, also where x^p
+    overflows and the product would be inf * 0 = NaN."""
+    if bracket == 0.0:
+        return bracket
+    return _pow(x, p) * l0 * bracket
+
+
 def hazard_derivative_block(model: WeibullTypeModel, x: float) -> Tuple[float, float, float, float]:
     """(H', H'', H''', H'''') at x.
 
@@ -173,18 +181,16 @@ def hazard_derivative_block(model: WeibullTypeModel, x: float) -> Tuple[float, f
     u2 = x * x * spec.deriv(2, x) / l0
     u3 = x**3 * spec.deriv(3, x) / l0
     u4 = x**4 * spec.deriv(4, x) / l0
-    d1 = _pow(x, c - 1.0) * l0 * (c + u1)
-    d2 = _pow(x, c - 2.0) * l0 * (c * (c - 1.0) + 2.0 * c * u1 + u2)
-    d3 = _pow(x, c - 3.0) * l0 * (
-        c * (c - 1.0) * (c - 2.0) + 3.0 * c * (c - 1.0) * u1 + 3.0 * c * u2 + u3
-    )
-    d4 = _pow(x, c - 4.0) * l0 * (
-        c * (c - 1.0) * (c - 2.0) * (c - 3.0)
-        + 4.0 * c * (c - 1.0) * (c - 2.0) * u1
-        + 6.0 * c * (c - 1.0) * u2
-        + 4.0 * c * u3
-        + u4
-    )
+    d1 = _power_term(x, c - 1.0, l0, c + u1)
+    d2 = _power_term(x, c - 2.0, l0, c * (c - 1.0) + 2.0 * c * u1 + u2)
+    d3 = _power_term(x, c - 3.0, l0,
+                     c * (c - 1.0) * (c - 2.0) + 3.0 * c * (c - 1.0) * u1 + 3.0 * c * u2 + u3)
+    d4 = _power_term(x, c - 4.0, l0,
+                     c * (c - 1.0) * (c - 2.0) * (c - 3.0)
+                     + 4.0 * c * (c - 1.0) * (c - 2.0) * u1
+                     + 6.0 * c * (c - 1.0) * u2
+                     + 4.0 * c * u3
+                     + u4)
     return d1, d2, d3, d4
 
 

@@ -9,7 +9,10 @@ penultimate GEV G_{gamma_n} on a fixed grid, all in log space so no block
 scale underflows.  Grids up to the default 1000 points, and models without
 an array form, take one scalar pass in ``math``, which needs no numpy;
 larger grids run over numpy arrays.  Both forms of G_gamma live here, with
-one series switch through gamma = 0.
+one series switch through gamma = 0.  Each pass forms e^-x once for both
+G_0 = exp(-e^-x) and the density g_0 = exp(-e^-x - x) of the remainder
+ratio, and gamma x once for both the support test 1 + gamma x > 0 and
+G_gamma.
 """
 
 from __future__ import annotations
@@ -161,10 +164,24 @@ def _linspace(lo: float, hi: float, count: int) -> List[float]:
 
 
 def _validate_grid(grid_spec: Tuple[float, float, int]) -> np.ndarray:
+    """The grid as a new array: :func:`_linspace`'s steps over ``np.arange``,
+    so ``np.linspace`` bit for bit without its per-call overhead."""
     import numpy as np
 
     _check_grid(grid_spec)
-    return np.linspace(grid_spec[0], grid_spec[1], int(grid_spec[2]))
+    lo, hi, count = grid_spec
+    div = int(count) - 1
+    span = hi - lo
+    step = span / div
+    xs = np.arange(div + 1, dtype=float)
+    if step == 0.0:
+        xs /= div
+        xs *= span
+    else:
+        xs *= step
+    xs += lo
+    xs[-1] = hi
+    return xs
 
 
 # (sup |F^n - G_0|, its argmax, sup |F^n - G_gamma|, its argmax, n_clipped,
@@ -243,17 +260,24 @@ def _scalar_curve(model: WeibullTypeModel, log_n: float, xs: List[float],
 
 def _array_curve(model: WeibullTypeModel, log_n: float, xs: np.ndarray,
                  b: float, a: float, gamma: float, rate: float) -> _Curve:
-    """The error curve over the grid array ``xs``, in numpy."""
+    """The error curve over the grid array ``xs``, in numpy, under one
+    floating-point context: overflow to inf is the saturation the formulas
+    expect (e^-x past the double range gives G_0 = g_0 = 0)."""
     import numpy as np
 
-    fn = _maxima_curve(model, log_n, xs, b, a)
-    g0 = gumbel_cdf_array(xs)
-    # F^n - G_0, shared by the remainder ratio and the ultimate sup
-    diff = np.subtract(fn, g0, out=g0)
-    sup_pen, arg_pen, n_clipped = _penultimate_sup(xs, fn, gamma)
-    del fn  # the rest needs only diff
-    dev = _remainder_deviation(xs, diff, rate)
-    i_ult, sup_ult = _argmax_abs(diff)
+    with np.errstate(over="ignore"):
+        fn = _maxima(model, log_n, xs, b, a)
+        sup_pen, arg_pen, n_clipped = _penultimate_sup(xs, fn, gamma)
+        # -e^-x, shared by G_0 = exp(-e^-x) and g_0 = exp(-e^-x - x)
+        density = _neg_exp_neg(xs)
+        # F^n - G_0, shared by the remainder ratio and the ultimate sup
+        diff = np.exp(density)
+        np.subtract(fn, diff, out=diff)
+        del fn  # the rest needs only diff
+        density -= xs
+        np.exp(density, out=density)
+        dev = _remainder_deviation(xs, diff, density, rate)
+        i_ult, sup_ult = _argmax_abs(diff)
     return sup_ult, float(xs[i_ult]), sup_pen, arg_pen, n_clipped, dev
 
 
@@ -265,14 +289,22 @@ def _maxima_curve(model: WeibullTypeModel, log_n: float, xs: np.ndarray,
     import numpy as np
 
     with np.errstate(over="ignore"):
-        z = np.multiply(xs, a)
-        z += b
-        # a new array of the coordinate's own: the chain runs in its storage
-        t = gumbel_coordinate_array(model, z)
-        np.subtract(log_n, t, out=t)
-        np.exp(t, out=t)
-        np.negative(t, out=t)
-        return np.exp(t, out=t)
+        return _maxima(model, log_n, xs, b, a)
+
+
+def _maxima(model: WeibullTypeModel, log_n: float, xs: np.ndarray,
+            b: float, a: float) -> np.ndarray:
+    """:func:`_maxima_curve` inside the caller's floating-point context."""
+    import numpy as np
+
+    z = np.multiply(xs, a)
+    z += b
+    # a new array of the coordinate's own: the chain runs in its storage
+    t = gumbel_coordinate_array(model, z)
+    np.subtract(log_n, t, out=t)
+    np.exp(t, out=t)
+    np.negative(t, out=t)
+    return np.exp(t, out=t)
 
 
 def error_comparison(
@@ -333,16 +365,19 @@ def error_comparison_at(model: WeibullTypeModel, loc: Location,
 
 def _penultimate_sup(xs: np.ndarray, fn: np.ndarray, gamma: float) -> Tuple[float, float, int]:
     """(sup |F^n - G_gamma|, its argmax, n_clipped) over the grid points
-    inside the support 1 + gamma x > 0 of G_gamma, which holds some."""
+    inside the support 1 + gamma x > 0 of G_gamma, which holds some.
+    gamma x is formed once, for the support test and for G_gamma."""
     import numpy as np
 
+    t = np.multiply(xs, gamma)
     n_clipped = 0
-    if gamma != 0.0:
-        valid = xs * gamma + 1.0 > 0.0
+    # 1 + gamma x rounds monotonically along the ascending grid, so the
+    # ends decide whether any point is clipped
+    if not (t[0] + 1.0 > 0.0 and t[-1] + 1.0 > 0.0):
+        valid = t + 1.0 > 0.0
         n_clipped = xs.size - int(np.count_nonzero(valid))
-    if n_clipped:
-        xs, fn = xs[valid], fn[valid]
-    diff = gev_cdf_array(gamma, xs)
+        t, xs, fn = t[valid], xs[valid], fn[valid]
+    diff = _gev_cdf(gamma, xs, t)
     np.subtract(fn, diff, out=diff)
     i, sup = _argmax_abs(diff)
     return sup, float(xs[i]), n_clipped
@@ -357,34 +392,35 @@ def _argmax_abs(diff: np.ndarray) -> Tuple[int, float]:
     return i, float(diff[i])
 
 
-def _remainder_deviation(xs: np.ndarray, diff: np.ndarray, rate: float) -> Optional[float]:
+def _remainder_deviation(xs: np.ndarray, diff: np.ndarray, density: np.ndarray,
+                         rate: float) -> Optional[float]:
     """max |R - 1| with R = (F^n - G_0) / ((x^2/2) rate g_0(x)), rate = k'(b)/k^2(b),
-    given ``diff`` = F^n - G_0, over the points where the denominator
-    passes the cutoff; None where it passes nowhere.
+    given ``diff`` = F^n - G_0 and ``density`` = g_0 on the grid, over the
+    points where the denominator passes the cutoff; None where it passes
+    nowhere.  The denominator and the ratio are formed in ``density``'s
+    storage, and the points below the cutoff are masked, not gathered.
 
-    g_0(x) is 0 beyond |x| = 1e3, so the ascending grid is clipped there:
-    x^2 stays finite in a window wide enough to overflow it, and the
-    denominator is 0 there rather than inf * 0.
+    g_0(x) is 0 beyond |x| = 1e3, so x^2 is taken on the ascending grid
+    clipped there: x^2 stays finite in a window wide enough to overflow it,
+    and the denominator is 0 there rather than inf * 0.
     """
     import numpy as np
 
     if xs[0] < -1e3 or xs[-1] > 1e3:
         xs = np.clip(xs, -1e3, 1e3)
-    den = np.multiply(xs, 0.5)
-    den *= xs
-    den *= rate
-    scratch = gumbel_density_array(xs)
-    den *= scratch
+    scratch = np.multiply(xs, 0.5)
+    scratch *= xs
+    scratch *= rate
+    den = np.multiply(density, scratch, out=density)
     inside = np.abs(den, out=scratch) > REMAINDER_DENOMINATOR_CUTOFF
     del scratch
     n_inside = np.count_nonzero(inside)
     if not n_inside:
         return None
-    if n_inside < inside.size:
-        diff, den = diff[inside], den[inside]
-    ratio = np.divide(diff, den)
+    where = True if n_inside == inside.size else inside
+    ratio = np.divide(diff, den, out=den, where=where)
     ratio -= 1.0
-    return float(np.max(np.abs(ratio, out=ratio)))
+    return float(np.max(np.abs(ratio, out=ratio), where=where, initial=0.0))
 
 
 def remainder_profile(
@@ -425,12 +461,19 @@ def gev_cdf_array(gamma: float, xs: np.ndarray) -> np.ndarray:
     import numpy as np
 
     x = np.asarray(xs, dtype=float)
+    with np.errstate(over="ignore"):
+        return _gev_cdf(gamma, x, np.multiply(x, gamma))
+
+
+def _gev_cdf(gamma: float, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """:func:`gev_cdf_array` given t = gamma x, whose storage it may reuse."""
+    import numpy as np
+
     if abs(gamma) < _GEV_SERIES_GAMMA:
-        t = np.multiply(x, gamma)
         w = numerics.piecewise(np.abs(t) < _GEV_SERIES_T, _gev_series,
-                               lambda x, t: _gev_log1p(x, gamma), x, t)
+                               lambda x, t: _gev_log1p(t, gamma), x, t)
     else:
-        w = _gev_log1p(x, gamma)
+        w = _gev_log1p(t, gamma, out=t)
     return _gumbel_cdf(w, out=w)
 
 
@@ -447,31 +490,39 @@ def _gev_series(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     return w
 
 
-def _gev_log1p(x: np.ndarray, gamma: float) -> np.ndarray:
-    """log1p(gamma x) / gamma."""
+def _gev_log1p(t: np.ndarray, gamma: float, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """log1p(t) / gamma, t = gamma x, into ``out`` (which may be ``t``) or a new array."""
     import numpy as np
 
-    w = np.multiply(x, gamma)
-    np.log1p(w, out=w)
-    w /= gamma
-    return w
+    out = np.log1p(t, out=out)
+    out /= gamma
+    return out
+
+
+def _neg_exp_neg(w: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """-e^-w into ``out`` (which may be ``w`` itself) or a new array, inside
+    the caller's floating-point context: the exponent of G_0 and of g_0."""
+    import numpy as np
+
+    out = np.negative(w, out=out)
+    np.exp(out, out=out)
+    return np.negative(out, out=out)
 
 
 def _gumbel_cdf(w: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """exp(-e^-w) into ``out`` (which may be ``w`` itself) or a new array."""
+    """exp(-e^-w) into ``out`` (which may be ``w`` itself) or a new array,
+    inside the caller's floating-point context."""
     import numpy as np
 
-    with np.errstate(over="ignore"):
-        out = np.negative(w, out=out)
-        np.exp(out, out=out)
-        np.negative(out, out=out)
-        return np.exp(out, out=out)
+    out = _neg_exp_neg(w, out=out)
+    return np.exp(out, out=out)
 
 
 def gumbel_cdf_array(xs: np.ndarray) -> np.ndarray:
     import numpy as np
 
-    return _gumbel_cdf(np.asarray(xs, dtype=float))
+    with np.errstate(over="ignore"):
+        return _gumbel_cdf(np.asarray(xs, dtype=float))
 
 
 def gumbel_density_array(xs: np.ndarray) -> np.ndarray:
@@ -480,8 +531,6 @@ def gumbel_density_array(xs: np.ndarray) -> np.ndarray:
 
     xs = np.asarray(xs, dtype=float)
     with np.errstate(over="ignore"):
-        out = np.negative(xs)
-        np.exp(out, out=out)
-        np.negative(out, out=out)
+        out = _neg_exp_neg(xs)
         out -= xs
         return np.exp(out, out=out)

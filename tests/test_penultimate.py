@@ -316,10 +316,15 @@ def test_maxima_curve_scalar_fallback(kind):
 
 
 @pytest.mark.parametrize("grid", [(-3.0, 6.0, 1000), (-20.0, 40.0, 5000), (0.1, 0.7, 333),
-                                  (-1e307, 1e307, 1000), (0.0, 1e-322, 1000), (-3.0, 6.0, 100.0)])
+                                  (-1e307, 1e307, 1000), (0.0, 1e-322, 1000), (-3.0, 6.0, 100.0),
+                                  (-3.0, 6.0, 1075), (-3.0, 6.0, 10_000)])
 def test_grid_is_linspace(grid):
-    # the grid the scalar curve walks is numpy's, without numpy
-    assert penultimate._linspace(*grid) == np.linspace(*grid[:2], int(grid[2])).tolist()
+    # the grid the scalar curve walks is numpy's, without numpy, and the
+    # array curve's is numpy's bit for bit, without np.linspace
+    want = np.linspace(*grid[:2], int(grid[2]))
+    assert penultimate._linspace(*grid) == want.tolist()
+    got = penultimate._validate_grid(grid)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def _curve_outcome(model, loc, grid, mode, scalar, monkeypatch):
