@@ -16,7 +16,9 @@ block of family-specific H-derivatives (the slowly varying spec for tail
 families, hazard recurrences for classical models), or by Richardson
 differentiation of k for classical models without hazard recurrences.
 ``KJet.phi`` = (1/k)' = -k'/k^2 is the one place that shape is formed.
-Only the array functions import numpy, so scalar quantities start without it.
+Everything here is scalar; T over an array is
+``weibtail.arrays.gumbel_coordinate_array``, which saturates as
+:func:`_saturated_coordinate` does.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 from . import numerics
 from .errors import (
@@ -38,9 +40,6 @@ from .errors import (
     TailUnderflowError,
 )
 from .slowly_varying import ArrayFn, SlowlyVaryingSpec
-
-if TYPE_CHECKING:
-    import numpy as np
 
 ScalarFn = Callable[[float], float]
 # (H', H'', H''', H'''') of the classical hazard H = -log(1 - F); the first
@@ -65,7 +64,7 @@ class WeibullTypeModel:
     models must supply cdf/density plus log-space variants accurate deep in
     the tail; ``hazard_derivs`` unlocks the analytic k-derivative path, and
     ``classical_log_sf_array`` (``classical_log_sf`` over a float array)
-    the array evaluation of :func:`gumbel_coordinate_array`.  The library
+    the array evaluation of ``arrays.gumbel_coordinate_array``.  The library
     never writes into the array it returns, so a read-only array or a view
     will do.
     """
@@ -235,7 +234,7 @@ def array_form_of(model: WeibullTypeModel) -> Optional[ArrayFn]:
 
 
 def _saturated_coordinate(model: WeibullTypeModel, x: float) -> float:
-    """:func:`gumbel_coordinate`, saturated as :func:`gumbel_coordinate_array`
+    """:func:`gumbel_coordinate`, saturated as ``arrays.gumbel_coordinate_array``
     does: -inf where F = 0 and +inf where F = 1 at double precision."""
     try:
         return gumbel_coordinate(model, x)
@@ -243,61 +242,6 @@ def _saturated_coordinate(model: WeibullTypeModel, x: float) -> float:
         return -math.inf  # F = 0
     except TailUnderflowError:
         return math.inf  # F = 1 at double precision
-
-
-def gumbel_coordinate_array(model: WeibullTypeModel, xs: np.ndarray) -> np.ndarray:
-    """T(x) = -log(-log F(x)) over an array, saturated rather than raising:
-    -inf where F = 0 (below the support or the slowly varying domain, a
-    non-positive l, or H <= 0) and +inf where F = 1 at double precision.
-
-    In the LOG_CDF_EXP family T = H, so H = 0 at the support endpoint is a
-    finite T = 0.  The model needs an array form (:func:`array_form_of`); the
-    error curves of the rest take the scalar :func:`_saturated_coordinate`
-    point by point.  ``xs`` is only read, and the result is always a new
-    array.
-    """
-    import numpy as np
-
-    array_form = array_form_of(model)
-    if model.family is Family.CLASSICAL:
-        h = np.negative(array_form(xs))
-    else:
-        # H = -inf where F = 0; support_lower >= l.domain_lower, so l is
-        # only asked for points in its domain
-        h = numerics.piecewise(xs >= model.support_lower, _tail_hazard_array(model, array_form),
-                               -math.inf, xs)
-        if model.family is Family.LOG_CDF_EXP:
-            return h
-    return numerics.piecewise((h > 0.0) & (h < math.inf), numerics.log_neg_log_cdf_from_H_array,
-                              _saturate, h)
-
-
-def _tail_hazard_array(model: WeibullTypeModel, array_form: ArrayFn):
-    """z -> H(z) = z^c l(z) for z in the support, -inf where l(z) is not
-    finite and positive, but +inf at z = +inf."""
-    import numpy as np
-
-    c = 1.0 / model.theta
-
-    def power_times(z: np.ndarray, l: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            h = np.power(z, c)
-            h *= l
-        return h
-
-    def hazard(z: np.ndarray) -> np.ndarray:
-        l = array_form(z)
-        return numerics.piecewise(np.isfinite(l) & (l > 0.0), power_times,
-                                  lambda z, l: _saturate(z), z, l)
-
-    return hazard
-
-
-def _saturate(h: np.ndarray) -> np.ndarray:
-    """T for H outside (0, inf): +inf where H = inf (F = 1), else -inf (F = 0)."""
-    import numpy as np
-
-    return np.where(h == math.inf, math.inf, -math.inf)
 
 
 def exact_level_for_gumbel_coordinate(t: float) -> float:
@@ -317,18 +261,18 @@ def gumbel_coordinate_inverse(model: WeibullTypeModel, t: float) -> float:
     """x with T(x) = t.
 
     The tail families invert H at the exact level of t.  In the 1 - F =
-    e^-H family a level below the normal double range (t below about
-    -6.5) or a root that underflows to 0 is refused as ``tail_underflow``,
-    or as ``below_range`` above a positive support endpoint.  Classical
-    models solve T itself, above a finite support endpoint (a t below T
-    there is ``below_range``) or over the whole line.
+    e^-H family a level or a root below the normal double range (a
+    subnormal root keeps too few bits for T(x) to be t) is refused as
+    ``tail_underflow``, or as ``below_range`` above a positive support
+    endpoint.  Classical models solve T itself, above a finite support
+    endpoint (a t below T there is ``below_range``) or over the whole line.
     """
     if model.family is Family.LOG_CDF_EXP:
         return cumulative_hazard_inverse(model, t)
     if model.family is Family.TAIL_EXP:
         y = exact_level_for_gumbel_coordinate(t)
         x = cumulative_hazard_inverse(model, y)
-        if y < sys.float_info.min or x == 0.0:
+        if min(y, x) < sys.float_info.min:
             raise TailUnderflowError(f"t={t!r}: level y={y!r}, x={x!r} underflow the double range")
         return x
 

@@ -11,7 +11,7 @@ past where F^n would underflow in linear space.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Tuple, Union
+from typing import Callable, NamedTuple, Optional, Tuple
 
 from .errors import (
     BelowRangeError,
@@ -21,11 +21,6 @@ from .errors import (
     OutsideTailRegionError,
     StencilFailureError,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
-
-ArrayFormula = Callable[..., "np.ndarray"]
 
 _EPS = math.ulp(1.0)
 _LN2 = math.log(2.0)
@@ -46,7 +41,7 @@ _STENCILS = {
 _SERIES_SWITCH = 7.0
 
 
-# Residual tolerance of every root solve, relative to max(1, |target|).
+# Residual tolerance of every root solve, relative to |target|.
 ROOT_REL_TOL = 1e-14
 # Upper end past which a bracket is not grown.
 BRACKET_HI_CAP = 1e300
@@ -131,14 +126,15 @@ def solve_increasing(
     BelowRangeError: at once when ``lower`` is given, else once lo has
     doubled past -1e300.
 
-    The solve is safeguarded bisection with secant acceleration on
-    alternate steps, started from the residuals the growth computed, so
-    neither bracket end is evaluated again.  It terminates when
-    |f(x) - target| <= ROOT_REL_TOL * max(1, |target|), or returns the
-    best point seen once the bracket is down to a few ulp.  Raises
-    NoConvergenceError when ``ROOT_MAX_ITER`` steps reach neither.  The
-    values of f may be +/-inf (treated purely by sign), which lets the
-    bracket grow into overflow territory without special cases.
+    Each lo the walk leaves becomes hi, so the bracket is [2 lo, lo] of
+    the last step.  The solve is safeguarded bisection with secant
+    acceleration on alternate steps, started from the residuals the growth
+    computed, so no bracket end is evaluated again.  It terminates when
+    |f(x) - target| <= ROOT_REL_TOL * |target| (a target of 0 only when hit
+    exactly), or returns the best point seen once the bracket is down to a
+    few ulp.  Raises NoConvergenceError when ``ROOT_MAX_ITER`` steps reach
+    neither.  The values of f may be +/-inf (treated purely by sign), which
+    lets the bracket grow into overflow territory without special cases.
     """
     lo = -1.0 if lower is None else lower + 1e-9 * max(1.0, abs(lower))
     hi = max(2.0, 2.0 * lo, lo + 1.0)
@@ -152,11 +148,12 @@ def solve_increasing(
     while ga > 0.0:
         if lower is not None:
             raise BelowRangeError(f"target {target!r} below f({lo!r})")
+        hi, gb = lo, ga  # f(lo) is above the target: lo bounds the root
         lo *= 2.0
         if lo < -1e300:
             raise BelowRangeError(f"target {target!r} below f(-1e300)")
         ga = _residual(f, lo, target)
-    tol = ROOT_REL_TOL * max(1.0, abs(target))
+    tol = ROOT_REL_TOL * abs(target)
     if abs(ga) <= tol:
         return lo
     if abs(gb) <= tol:
@@ -221,69 +218,6 @@ def log_neg_log_cdf_from_H(h_value: float) -> float:
         one_minus_f = -math.expm1(-h_value)  # = F(x), in (0, 1)
         return -math.log(-math.log(one_minus_f))
     return h_value - log_neg_log_cdf_margin(h_value)
-
-
-def piecewise(mask: np.ndarray, formula: ArrayFormula,
-              otherwise: Union[ArrayFormula, float], *arrays: np.ndarray) -> np.ndarray:
-    """``formula(*arrays)`` where ``mask`` holds, ``otherwise`` elsewhere.
-
-    Each formula maps float arrays of equal shape to a new array and never
-    writes into its arguments; ``otherwise`` may be a constant fill
-    instead.  A formula sees only its own points, or the arrays themselves
-    when ``mask`` is uniform, so a grid that lies in one regime pays no
-    gather and no scatter.  Every point goes through the same operations
-    either way.
-    """
-    import numpy as np
-
-    n_true = np.count_nonzero(mask)
-    if n_true == mask.size:
-        return formula(*arrays)
-    if not callable(otherwise):
-        out = np.full(mask.shape, otherwise)
-        if n_true:
-            out[mask] = formula(*(a[mask] for a in arrays))
-        return out
-    if not n_true:
-        return otherwise(*arrays)
-    out = np.empty(mask.shape)
-    out[mask] = formula(*(a[mask] for a in arrays))
-    mask = ~mask
-    out[mask] = otherwise(*(a[mask] for a in arrays))
-    return out
-
-
-def _log_neg_log_closed(h: np.ndarray) -> np.ndarray:
-    """-log(-log(-expm1(-H))), below the series switch."""
-    import numpy as np
-
-    out = np.negative(h)
-    np.expm1(out, out=out)
-    np.negative(out, out=out)
-    np.log(out, out=out)
-    np.negative(out, out=out)
-    np.log(out, out=out)
-    return np.negative(out, out=out)
-
-
-def _log_neg_log_series(h: np.ndarray) -> np.ndarray:
-    """H - log1p(s/2 + s^2/3 + s^3/4 + s^4/5), s = e^-H, from the switch on."""
-    import numpy as np
-
-    s = np.negative(h)
-    np.exp(s, out=s)
-    out = np.multiply(s, 0.2)
-    for coef in (0.25, 1.0 / 3.0, 0.5):
-        out += coef
-        out *= s
-    np.log1p(out, out=out)
-    return np.subtract(h, out, out=out)
-
-
-def log_neg_log_cdf_from_H_array(h: np.ndarray) -> np.ndarray:
-    """:func:`log_neg_log_cdf_from_H` over an array of H in (0, inf), with
-    the same closed form and series on either side of the switch."""
-    return piecewise(h < _SERIES_SWITCH, _log_neg_log_closed, _log_neg_log_series, h)
 
 
 def log_neg_log_cdf_margin(h_value: float) -> float:

@@ -7,21 +7,21 @@ because the 1/log n scaling does not hold uniformly there.  Error curves
 compare F^n(a_n x + b_n) against the Gumbel limit G_0 and against the
 penultimate GEV G_{gamma_n} on a fixed grid, all in log space so no block
 scale underflows.  Grids up to the default 1000 points, and models without
-an array form, take one scalar pass in ``math``, which needs no numpy;
-larger grids run over numpy arrays.  Both forms of G_gamma live here, with
-one series switch through gamma = 0.  Each pass forms e^-x once for both
-G_0 = exp(-e^-x) and the density g_0 = exp(-e^-x - x) of the remainder
-ratio, and gamma x once for both the support test 1 + gamma x > 0 and
-G_gamma.
+an array form, take the one scalar pass here, in ``math``; larger grids
+take its array twin, ``weibtail.arrays.curve``, which :func:`_curve`
+imports when it first needs it.  Both passes switch G_gamma to a series
+through gamma = 0 at the same ``_GEV_SERIES_*`` constants, and each forms
+e^-x once for both G_0 = exp(-e^-x) and the density g_0 = exp(-e^-x - x)
+of the remainder ratio, and gamma x once for both the support test
+1 + gamma x > 0 and G_gamma.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
-from . import numerics
 from .errors import (
     DegenerateProfileError,
     EvalFailureError,
@@ -29,16 +29,8 @@ from .errors import (
     InsufficientGridError,
     ThetaOneExcludedError,
 )
-from .model import (
-    WeibullTypeModel,
-    _saturated_coordinate,
-    array_form_of,
-    gumbel_coordinate_array,
-)
+from .model import WeibullTypeModel, _saturated_coordinate, array_form_of
 from .norming import Location, locate
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # Default evaluation window: covers all but ~1e-3 of the Gumbel mass.
 DEFAULT_GRID: Tuple[float, float, int] = (-3.0, 6.0, 1000)
@@ -163,27 +155,6 @@ def _linspace(lo: float, hi: float, count: int) -> List[float]:
     return xs
 
 
-def _validate_grid(grid_spec: Tuple[float, float, int]) -> np.ndarray:
-    """The grid as a new array: :func:`_linspace`'s steps over ``np.arange``,
-    so ``np.linspace`` bit for bit without its per-call overhead."""
-    import numpy as np
-
-    _check_grid(grid_spec)
-    lo, hi, count = grid_spec
-    div = int(count) - 1
-    span = hi - lo
-    step = span / div
-    xs = np.arange(div + 1, dtype=float)
-    if step == 0.0:
-        xs /= div
-        xs *= span
-    else:
-        xs *= step
-    xs += lo
-    xs[-1] = hi
-    return xs
-
-
 # (sup |F^n - G_0|, its argmax, sup |F^n - G_gamma|, its argmax, n_clipped,
 # max |R - 1| or None where the remainder denominator is below the cutoff
 # on the whole grid)
@@ -201,7 +172,9 @@ def _curve(model: WeibullTypeModel, log_n: float, grid_spec: Tuple[float, float,
     """
     if _takes_scalar_path(model, grid_spec[2]):
         return _scalar_curve(model, log_n, _linspace(*grid_spec), b, a, gamma, rate)
-    return _array_curve(model, log_n, _validate_grid(grid_spec), b, a, gamma, rate)
+    from . import arrays
+
+    return arrays.curve(model, log_n, arrays.grid(grid_spec), b, a, gamma, rate)
 
 
 def _takes_scalar_path(model: WeibullTypeModel, count: int) -> bool:
@@ -209,7 +182,7 @@ def _takes_scalar_path(model: WeibullTypeModel, count: int) -> bool:
 
 
 def _maxima_point(model: WeibullTypeModel, log_n: float, z: float) -> float:
-    """F^n(z) = exp(-e^(log n - T(z))), saturated as :func:`_maxima_curve`."""
+    """F^n(z) = exp(-e^(log n - T(z))), saturated as ``arrays._maxima_curve``."""
     try:
         return math.exp(-math.exp(log_n - _saturated_coordinate(model, z)))
     except OverflowError:  # e^(log n - T) past the double range: F^n = 0
@@ -218,8 +191,8 @@ def _maxima_point(model: WeibullTypeModel, log_n: float, z: float) -> float:
 
 def _scalar_curve(model: WeibullTypeModel, log_n: float, xs: List[float],
                   b: float, a: float, gamma: float, rate: float) -> _Curve:
-    """:func:`_array_curve` in one pass over the grid points in ``math``:
-    the same formulas point by point, first-index argmaxes as np.argmax."""
+    """``arrays.curve`` in one pass over the grid points in ``math``: the
+    same formulas point by point, first-index argmaxes as np.argmax."""
     series = abs(gamma) < _GEV_SERIES_GAMMA
     sup_ult = sup_pen = dev = -1.0
     arg_ult = arg_pen = math.nan
@@ -256,55 +229,6 @@ def _scalar_curve(model: WeibullTypeModel, log_n: float, xs: List[float],
                 if d > dev:
                     dev = d
     return sup_ult, arg_ult, sup_pen, arg_pen, n_clipped, dev if dev >= 0.0 else None
-
-
-def _array_curve(model: WeibullTypeModel, log_n: float, xs: np.ndarray,
-                 b: float, a: float, gamma: float, rate: float) -> _Curve:
-    """The error curve over the grid array ``xs``, in numpy, under one
-    floating-point context: overflow to inf is the saturation the formulas
-    expect (e^-x past the double range gives G_0 = g_0 = 0)."""
-    import numpy as np
-
-    with np.errstate(over="ignore"):
-        fn = _maxima(model, log_n, xs, b, a)
-        sup_pen, arg_pen, n_clipped = _penultimate_sup(xs, fn, gamma)
-        # -e^-x, shared by G_0 = exp(-e^-x) and g_0 = exp(-e^-x - x)
-        density = _neg_exp_neg(xs)
-        # F^n - G_0, shared by the remainder ratio and the ultimate sup
-        diff = np.exp(density)
-        np.subtract(fn, diff, out=diff)
-        del fn  # the rest needs only diff
-        density -= xs
-        np.exp(density, out=density)
-        dev = _remainder_deviation(xs, diff, density, rate)
-        i_ult, sup_ult = _argmax_abs(diff)
-    return sup_ult, float(xs[i_ult]), sup_pen, arg_pen, n_clipped, dev
-
-
-def _maxima_curve(model: WeibullTypeModel, log_n: float, xs: np.ndarray,
-                  b: float, a: float) -> np.ndarray:
-    """F^n(a x + b) on the grid, via exp(-e^(log n - T(z))); T = -inf where
-    F = 0 gives F^n = 0, T = +inf where F = 1 gives F^n = 1, and a z that
-    overflows to +/-inf in a huge window saturates the same way."""
-    import numpy as np
-
-    with np.errstate(over="ignore"):
-        return _maxima(model, log_n, xs, b, a)
-
-
-def _maxima(model: WeibullTypeModel, log_n: float, xs: np.ndarray,
-            b: float, a: float) -> np.ndarray:
-    """:func:`_maxima_curve` inside the caller's floating-point context."""
-    import numpy as np
-
-    z = np.multiply(xs, a)
-    z += b
-    # a new array of the coordinate's own: the chain runs in its storage
-    t = gumbel_coordinate_array(model, z)
-    np.subtract(log_n, t, out=t)
-    np.exp(t, out=t)
-    np.negative(t, out=t)
-    return np.exp(t, out=t)
 
 
 def error_comparison(
@@ -363,66 +287,6 @@ def error_comparison_at(model: WeibullTypeModel, loc: Location,
     )
 
 
-def _penultimate_sup(xs: np.ndarray, fn: np.ndarray, gamma: float) -> Tuple[float, float, int]:
-    """(sup |F^n - G_gamma|, its argmax, n_clipped) over the grid points
-    inside the support 1 + gamma x > 0 of G_gamma, which holds some.
-    gamma x is formed once, for the support test and for G_gamma."""
-    import numpy as np
-
-    t = np.multiply(xs, gamma)
-    n_clipped = 0
-    # 1 + gamma x rounds monotonically along the ascending grid, so the
-    # ends decide whether any point is clipped
-    if not (t[0] + 1.0 > 0.0 and t[-1] + 1.0 > 0.0):
-        valid = t + 1.0 > 0.0
-        n_clipped = xs.size - int(np.count_nonzero(valid))
-        t, xs, fn = t[valid], xs[valid], fn[valid]
-    diff = _gev_cdf(gamma, xs, t)
-    np.subtract(fn, diff, out=diff)
-    i, sup = _argmax_abs(diff)
-    return sup, float(xs[i]), n_clipped
-
-
-def _argmax_abs(diff: np.ndarray) -> Tuple[int, float]:
-    """(first index of max |diff|, that |diff|), taking |diff| in place."""
-    import numpy as np
-
-    np.abs(diff, out=diff)
-    i = int(np.argmax(diff))
-    return i, float(diff[i])
-
-
-def _remainder_deviation(xs: np.ndarray, diff: np.ndarray, density: np.ndarray,
-                         rate: float) -> Optional[float]:
-    """max |R - 1| with R = (F^n - G_0) / ((x^2/2) rate g_0(x)), rate = k'(b)/k^2(b),
-    given ``diff`` = F^n - G_0 and ``density`` = g_0 on the grid, over the
-    points where the denominator passes the cutoff; None where it passes
-    nowhere.  The denominator and the ratio are formed in ``density``'s
-    storage, and the points below the cutoff are masked, not gathered.
-
-    g_0(x) is 0 beyond |x| = 1e3, so x^2 is taken on the ascending grid
-    clipped there: x^2 stays finite in a window wide enough to overflow it,
-    and the denominator is 0 there rather than inf * 0.
-    """
-    import numpy as np
-
-    if xs[0] < -1e3 or xs[-1] > 1e3:
-        xs = np.clip(xs, -1e3, 1e3)
-    scratch = np.multiply(xs, 0.5)
-    scratch *= xs
-    scratch *= rate
-    den = np.multiply(density, scratch, out=density)
-    inside = np.abs(den, out=scratch) > REMAINDER_DENOMINATOR_CUTOFF
-    del scratch
-    n_inside = np.count_nonzero(inside)
-    if not n_inside:
-        return None
-    where = True if n_inside == inside.size else inside
-    ratio = np.divide(diff, den, out=den, where=where)
-    ratio -= 1.0
-    return float(np.max(np.abs(ratio, out=ratio), where=where, initial=0.0))
-
-
 def remainder_profile(
     model: WeibullTypeModel,
     log_n: float,
@@ -443,94 +307,3 @@ def remainder_profile(
             f"{model.label}: remainder denominator below cutoff everywhere"
         )
     return dev
-
-
-# Gumbel and generalized extreme value cdfs over arrays
-
-
-def gev_cdf_array(gamma: float, xs: np.ndarray) -> np.ndarray:
-    """G_gamma(x) = exp(-(1 + gamma x)^(-1/gamma)) over points already
-    inside the support; Gumbel at gamma = 0.
-
-    With w = log1p(gamma x)/gamma, G_gamma = exp(-e^-w).  Tiny |gamma| goes
-    through the series x(1 - t/2 + t^2/3), t = gamma x, so the map is
-    continuous through gamma = 0; points where |t| is not small keep the
-    log1p form, so a window near 1e307 neither overflows t^2 nor leaves
-    the series' range.
-    """
-    import numpy as np
-
-    x = np.asarray(xs, dtype=float)
-    with np.errstate(over="ignore"):
-        return _gev_cdf(gamma, x, np.multiply(x, gamma))
-
-
-def _gev_cdf(gamma: float, x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """:func:`gev_cdf_array` given t = gamma x, whose storage it may reuse."""
-    import numpy as np
-
-    if abs(gamma) < _GEV_SERIES_GAMMA:
-        w = numerics.piecewise(np.abs(t) < _GEV_SERIES_T, _gev_series,
-                               lambda x, t: _gev_log1p(t, gamma), x, t)
-    else:
-        w = _gev_log1p(t, gamma, out=t)
-    return _gumbel_cdf(w, out=w)
-
-
-def _gev_series(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """x (1 - t/2 + t^2/3), t = gamma x."""
-    import numpy as np
-
-    w = np.divide(t, 2.0)
-    np.subtract(1.0, w, out=w)
-    t2 = np.multiply(t, t)
-    t2 /= 3.0
-    w += t2
-    w *= x
-    return w
-
-
-def _gev_log1p(t: np.ndarray, gamma: float, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """log1p(t) / gamma, t = gamma x, into ``out`` (which may be ``t``) or a new array."""
-    import numpy as np
-
-    out = np.log1p(t, out=out)
-    out /= gamma
-    return out
-
-
-def _neg_exp_neg(w: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """-e^-w into ``out`` (which may be ``w`` itself) or a new array, inside
-    the caller's floating-point context: the exponent of G_0 and of g_0."""
-    import numpy as np
-
-    out = np.negative(w, out=out)
-    np.exp(out, out=out)
-    return np.negative(out, out=out)
-
-
-def _gumbel_cdf(w: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """exp(-e^-w) into ``out`` (which may be ``w`` itself) or a new array,
-    inside the caller's floating-point context."""
-    import numpy as np
-
-    out = _neg_exp_neg(w, out=out)
-    return np.exp(out, out=out)
-
-
-def gumbel_cdf_array(xs: np.ndarray) -> np.ndarray:
-    import numpy as np
-
-    with np.errstate(over="ignore"):
-        return _gumbel_cdf(np.asarray(xs, dtype=float))
-
-
-def gumbel_density_array(xs: np.ndarray) -> np.ndarray:
-    """g_0(x) = exp(-e^-x - x)."""
-    import numpy as np
-
-    xs = np.asarray(xs, dtype=float)
-    with np.errstate(over="ignore"):
-        out = _neg_exp_neg(xs)
-        out -= xs
-        return np.exp(out, out=out)

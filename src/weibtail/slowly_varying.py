@@ -11,16 +11,27 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
 from . import numerics
 from .errors import DomainError
 
-if TYPE_CHECKING:
-    import numpy as np
-
 ScalarFn = Callable[[float], float]
-ArrayFn = Callable[["np.ndarray"], "np.ndarray"]
+# a float array to a float array of the same shape
+ArrayFn = Callable[["numpy.ndarray"], "numpy.ndarray"]
+
+
+def array_form(name: str, *params: float) -> ArrayFn:
+    """x -> ``weibtail.arrays.<name>(x, *params)``, the array form of a
+    stock spec or catalog model; numpy loads at its first call."""
+
+    def form(x):
+        from . import arrays
+
+        return getattr(arrays, name)(x, *params)
+
+    return form
+
 
 @dataclass(frozen=True)
 class SlowlyVaryingSpec:
@@ -75,18 +86,13 @@ def constant(c: float = 1.0) -> SlowlyVaryingSpec:
         raise ValueError("constant l must be positive")
     zero = lambda x: 0.0
 
-    def value_array(x: np.ndarray) -> np.ndarray:
-        import numpy as np
-
-        return np.full_like(x, c)
-
     return SlowlyVaryingSpec(
         value=lambda x, c=c: c,
         d1=zero, d2=zero, d3=zero, d4=zero,
         domain_lower=0.0,
         label=f"const[{c:g}]",
         is_constant=True,
-        value_array=value_array,
+        value_array=array_form("_constant_value_array", c),
     )
 
 
@@ -123,17 +129,12 @@ def log_power(beta: float = 1.0) -> SlowlyVaryingSpec:
         return constant(1.0)
     d1, d2, d3, d4 = _log_power_derivs(beta)
 
-    def value_array(x: np.ndarray) -> np.ndarray:
-        import numpy as np
-
-        return np.log(x) ** beta
-
     return SlowlyVaryingSpec(
         value=lambda x, b=beta: math.log(x) ** b,
         d1=d1, d2=d2, d3=d3, d4=d4,
         domain_lower=1.5,
         label=f"logpow[{beta:g}]",
-        value_array=value_array,
+        value_array=array_form("_log_power_value_array", beta),
     )
 
 
@@ -147,11 +148,6 @@ def log_shift(c: float = 1.0, d: float = 1.0) -> SlowlyVaryingSpec:
         # keep away from the zero of c + d/L at L = -d/c
         lower = max(lower, 2.0 * math.exp(-d / c))
 
-    def value_array(x: np.ndarray) -> np.ndarray:
-        import numpy as np
-
-        return c + d / np.log(x)
-
     return SlowlyVaryingSpec(
         value=lambda x, c=c, d=d: c + d / math.log(x),
         d1=lambda x, d=d: d * m1(x),
@@ -160,6 +156,6 @@ def log_shift(c: float = 1.0, d: float = 1.0) -> SlowlyVaryingSpec:
         d4=lambda x, d=d: d * m4(x),
         domain_lower=lower,
         label=f"logshift[{c:g},{d:g}]",
-        value_array=value_array,
+        value_array=array_form("_log_shift_value_array", c, d),
     )
 

@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 import weibtail as wt
-from weibtail import catalog, numerics, penultimate
-from weibtail.model import Family, _saturated_coordinate, gumbel_coordinate_array
-from weibtail.penultimate import gev_cdf_array
+from weibtail import arrays, catalog, numerics
+from weibtail.arrays import gev_cdf_array, gumbel_coordinate_array
+from weibtail.model import Family, _saturated_coordinate
 
 
 def _pieces_agree(fn, xs, switches):
@@ -35,7 +35,7 @@ def test_log_neg_log_cdf_pieces_at_series_switch():
     h = np.concatenate([np.geomspace(1e-300, 6.9, 300), np.linspace(6.9, 7.1, 201),
                         np.geomspace(7.2, 1e300, 300)])
     h.sort()
-    _pieces_agree(numerics.log_neg_log_cdf_from_H_array, h, [numerics._SERIES_SWITCH])
+    _pieces_agree(arrays.log_neg_log_cdf_from_H_array, h, [numerics._SERIES_SWITCH])
 
 
 @pytest.mark.parametrize("shape", [0.01, 0.5, 1.0, 2.0, 5.0, 100.5])
@@ -163,14 +163,14 @@ def _ownership_models():
 def test_no_writes_into_caller_or_array_form_arrays(kind, monkeypatch):
     model = _ownership_models()[kind]
     grids = []
-    validate = penultimate._validate_grid
+    validate = arrays.grid
 
     def read_only_grid(spec):
         xs = _read_only(validate(spec))
         grids.append((xs, xs.copy()))
         return xs
 
-    monkeypatch.setattr(penultimate, "_validate_grid", read_only_grid)
+    monkeypatch.setattr(arrays, "grid", read_only_grid)
     for log_n in (1.0, 20.0):
         # grids above the default size, which take the array curve
         for grid in ((-3.0, 6.0, 2000), (-20.0, 40.0, 1500)):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import weibtail as wt
-from weibtail import catalog
+from weibtail import arrays, catalog
 
 SHAPES = (0.5, 2.0, 5.0)
 
@@ -316,6 +316,54 @@ def test_every_command_runs_with_scipy_refused(cli_runs):
     assert len(cli_runs) == 1 + (len(SCALAR_COMMANDS) + 2) * len(CATALOG_CASES) + 1
 
 
+def _import_sites(tree):
+    """(imported module, enclosing function or None) of every import in a
+    module of the package, relative imports resolved against weibtail."""
+    sites = []
+
+    def visit(node, function):
+        if isinstance(node, ast.Import):
+            sites.extend((alias.name, function) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = "weibtail" + ("." + base if base else "")
+            sites.append((base, function))
+            sites.extend((f"{base}.{alias.name}", function) for alias in node.names)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = function or node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return sites
+
+
+def test_numpy_behind_one_module():
+    # numpy loads exactly when weibtail.arrays does: arrays imports it once
+    # at its top, no other module names it (no TYPE_CHECKING block either),
+    # and the others reach arrays only from inside a function
+    source = Path(wt.__file__).parent
+    lazy = set()
+    for path in sorted(source.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        name = path.stem
+        sites = _import_sites(tree)
+        numpy_sites = [fn for module, fn in sites if module.split(".")[0] == "numpy"]
+        if name == "arrays":
+            assert numpy_sites == [None]
+            assert any(isinstance(node, ast.Import) and node.names[0].name == "numpy"
+                       for node in tree.body)
+        else:
+            assert numpy_sites == [], name
+        assert "TYPE_CHECKING" not in {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}, name
+        for module, fn in sites:
+            if module == "weibtail.arrays" and name != "arrays":
+                assert fn is not None, f"{name} imports weibtail.arrays at module level"
+                lazy.add(f"{name}.{fn}")
+    assert lazy == {"penultimate._curve", "slowly_varying.array_form"}
+
+
 # ------------------------------------------------ the Normal's array log sf
 
 def _kernel_points():
@@ -342,7 +390,7 @@ def _mp_log_q(x):
 def _kernel(xs):
     with warnings.catch_warnings(), np.errstate(divide="raise", invalid="raise"):
         warnings.simplefilter("error")
-        return wt.catalog._normal_log_sf_array(xs)
+        return arrays._normal_log_sf_array(xs)
 
 
 def test_normal_log_sf_array_against_mpmath():
@@ -390,6 +438,6 @@ def test_normal_log_sf_table_reproducible():
     spec.loader.exec_module(gen)
     rebuilt = gen.coefficient_table()
     assert [[c.hex() for c in row] for row in rebuilt] == [
-        [c.hex() for c in row] for row in wt.catalog._NORMAL_LOG_SF_TABLE
+        [c.hex() for c in row] for row in arrays._NORMAL_LOG_SF_TABLE
     ]
-    assert gen.INTERVALS == wt.catalog._NORMAL_LOG_SF_PIECES
+    assert gen.INTERVALS == arrays._NORMAL_LOG_SF_PIECES

@@ -18,7 +18,7 @@ from weibtail.errors import (
     WeibtailError,
 )
 from weibtail.model import exact_level_for_gumbel_coordinate, k_jet
-from weibtail.penultimate import _maxima_curve, gev_cdf_array, gumbel_density_array
+from weibtail.arrays import _maxima_curve, gev_cdf_array, gumbel_density_array
 
 
 def _gev_cdf(g, x):
@@ -91,8 +91,8 @@ _LEVEL_TS = sorted({*np.linspace(-8.0, 2.0, 201).tolist(), -1e3, -709.8, -100.0,
 
 def test_exact_level_and_inverse_against_mpmath():
     # the level y = -log(1 - e^(-e^-t)) and the pure-Weibull root x = y^theta
-    # meet 40 digits, or the inverse refuses a level or root below the
-    # normal double range
+    # meet 40 digits, and the inverse refuses exactly where the level or the
+    # root is below the normal double range
     eps = math.ulp(1.0)
     for t in _LEVEL_TS:
         with mp.workdps(40):
@@ -108,7 +108,8 @@ def test_exact_level_and_inverse_against_mpmath():
                     assert exc.code == "tail_underflow", (t, theta)
                     assert min(level, root) < sys.float_info.min, (t, theta)
                 else:
-                    assert abs(x - root) <= (theta * tol + 2.0 * eps) * root + 1e-322, (t, theta)
+                    assert min(level, root) >= sys.float_info.min, (t, theta)
+                    assert abs(x - root) <= (theta * tol + 2.0 * eps) * root, (t, theta)
     # above a positive support endpoint the level is below H(support)
     with pytest.raises(BelowRangeError):
         wt.gumbel_coordinate_inverse(wt.extended_weibull(beta=2.0), -1e3)
@@ -122,6 +123,24 @@ def test_hazard_round_trip_wide_range(models, name):
         y = wt.cumulative_hazard(m, x)
         back = wt.cumulative_hazard_inverse(m, y)
         assert back == pytest.approx(x, rel=1e-10)
+
+
+@pytest.mark.parametrize("build", [wt.normal, wt.logistic], ids=["normal", "logistic"])
+@pytest.mark.parametrize("x", [-3.0, -10.0, -30.0])
+def test_left_walk_evaluates_no_point_twice(build, x):
+    # the end lo leaves as it walks left bounds the root from above, so
+    # bisection never lands on a point the walk already evaluated
+    base = build()
+    seen = []
+
+    def log_sf(t):
+        seen.append(t)
+        return base.classical_log_sf(t)
+
+    y = wt.cumulative_hazard(base, x)
+    root = wt.cumulative_hazard_inverse(dataclasses.replace(base, classical_log_sf=log_sf), y)
+    assert len(seen) == len(set(seen)), sorted(t for t in set(seen) if seen.count(t) > 1)
+    assert root == pytest.approx(x, rel=1e-13)
 
 
 _ONE_PASS_MODELS = {

@@ -2,12 +2,13 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 import weibtail as wt
 from weibtail.errors import InvalidBlockSizeError
-from weibtail.penultimate import _maxima_curve
+from weibtail.arrays import _maxima_curve
 
 
 def _block_level_residual(model, log_n):
@@ -101,6 +102,23 @@ def test_scale_times_k_is_one():
         m = factory()
         nc = wt.norming(m, 12.0)
         assert nc.a_scale * wt.k_function(m, nc.b_exact) == pytest.approx(1.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("build", [wt.normal, wt.logistic, wt.exponential,
+                                   lambda: wt.gamma_model(2.0)],
+                         ids=["normal", "logistic", "exponential", "gamma-2"])
+@pytest.mark.parametrize("log_n", [1e-12, 1e-6, 1e-3, 0.1])
+def test_b_asymptotic_below_log_n_one(build, log_n):
+    # H(b_asymptotic) = log n to the root tolerance, which is relative to
+    # log n also below 1 (an absolute 1e-14 band missed by 7e-3 at 1e-12)
+    model = build()
+    b = wt.norming(model, log_n).b_asymptotic
+    assert abs(wt.cumulative_hazard(model, b) / log_n - 1.0) <= 1e-13
+    if model.label == "normal":
+        # Q(b) = e^-log n, so b = sqrt 2 erfinv(1 - 2 e^-log n)
+        with mp.workdps(50):
+            ref = mp.sqrt(2) * mp.erfinv(1 - 2 * mp.exp(-mp.mpf(log_n)))
+        assert abs(mp.mpf(b) - ref) <= 4 * math.ulp(b)
 
 
 def test_invalid_block_size():

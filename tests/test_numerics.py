@@ -23,11 +23,10 @@ from weibtail.numerics import (
     derivative,
     log_neg_log_cdf_derivs,
     log_neg_log_cdf_from_H,
-    log_neg_log_cdf_from_H_array,
     log_neg_log_cdf_margin,
     solve_increasing,
 )
-from weibtail.penultimate import _maxima_curve, gumbel_cdf_array
+from weibtail.arrays import _maxima_curve, gumbel_cdf_array, log_neg_log_cdf_from_H_array
 
 
 # ---------------------------------------------------------------- derivative
@@ -189,6 +188,13 @@ def test_solve_left_walk_misses_past_minus_1e300():
     with pytest.raises(BelowRangeError) as info:
         solve_increasing(math.atan, -2.0)
     assert (info.value.code, info.value.message) == ("below_range", "target -2.0 below f(-1e300)")
+
+
+def test_solve_tolerance_relative_to_small_targets():
+    # the residual band is 1e-14 of |target| below 1 too; a band of 1e-14
+    # absolute accepted exp(-64) = 1.6e-28 for a target of 1e-20
+    root = solve_increasing(math.exp, 1e-20)
+    assert root == pytest.approx(math.log(1e-20), rel=1e-14)
 
 
 def test_solve_capped_hi_misses():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import weibtail as wt
-from weibtail import numerics, penultimate
+from weibtail import arrays, numerics, penultimate
 from weibtail.errors import (
     BelowSupportError,
     DegenerateProfileError,
@@ -21,7 +21,8 @@ from weibtail.errors import (
 )
 from weibtail.model import Family, k_function
 from weibtail.norming import locate
-from weibtail.penultimate import REMAINDER_DENOMINATOR_CUTOFF, Classification, _maxima_curve
+from weibtail.arrays import _maxima_curve
+from weibtail.penultimate import REMAINDER_DENOMINATOR_CUTOFF, Classification
 
 
 # -------------------------------------------------------------- gamma_of_t
@@ -323,7 +324,7 @@ def test_grid_is_linspace(grid):
     # array curve's is numpy's bit for bit, without np.linspace
     want = np.linspace(*grid[:2], int(grid[2]))
     assert penultimate._linspace(*grid) == want.tolist()
-    got = penultimate._validate_grid(grid)
+    got = arrays.grid(grid)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 

@@ -24,7 +24,7 @@ import time
 import timeit
 
 import weibtail as wt
-from weibtail import penultimate
+from weibtail import arrays, penultimate
 from weibtail.norming import locate
 
 MODELS = {
@@ -74,8 +74,8 @@ def main() -> None:
             grid = (*WINDOW, count)
             scalar = curve_seconds(lambda: penultimate._scalar_curve(
                 model, log_n, penultimate._linspace(*grid), b, a, gamma, rate))
-            array = curve_seconds(lambda: penultimate._array_curve(
-                model, log_n, penultimate._validate_grid(grid), b, a, gamma, rate))
+            array = curve_seconds(lambda: arrays.curve(
+                model, log_n, arrays.grid(grid), b, a, gamma, rate))
             rows.append((name, count, scalar, array))
     cold = import_numpy_seconds()
 

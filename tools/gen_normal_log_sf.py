@@ -1,6 +1,6 @@
 """Rebuild the coefficient table of the Normal's array log sf.
 
-``catalog._normal_log_sf_array`` writes log Q(x), x > 0, as
+``arrays._normal_log_sf_array`` writes log Q(x), x > 0, as
 
     log Q = P(t) - log(1 + z/2) - x^2/2,   P(t) = log(erfcx(z) / (2 t)),
 
@@ -16,7 +16,7 @@ Run with
     python tools/gen_normal_log_sf.py
 
 to print the table as the literal ``_NORMAL_LOG_SF_TABLE`` in
-``src/weibtail/catalog.py``; ``tests/test_catalog.py`` checks that the two
+``src/weibtail/arrays.py``; ``tests/test_catalog.py`` checks that the two
 agree bit for bit.
 """
 
@@ -50,7 +50,7 @@ def coefficient_table():
 
 
 def render(table) -> str:
-    """The table as the Python literal in catalog.py, four numbers a line."""
+    """The table as the Python literal in arrays.py, four numbers a line."""
     lines = ["_NORMAL_LOG_SF_TABLE = ("]
     for row in table:
         chunks = [", ".join(map(repr, row[i:i + 4])) for i in range(0, len(row), 4)]
