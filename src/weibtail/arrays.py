@@ -24,10 +24,24 @@ import numpy as np
 
 from .catalog import _EPS, _GAMMA_MAX_TERMS, _LENTZ_TINY, _LN2, _SPLITTER, _SQRT1_2
 from .model import Family, WeibullTypeModel, array_form_of
-from .numerics import _SERIES_SWITCH
+from .numerics import _SERIES_SWITCH, _T_EQUALS_H
 from .penultimate import _GEV_SERIES_GAMMA, _GEV_SERIES_T, REMAINDER_DENOMINATOR_CUTOFF, _Curve
 
 ArrayFormula = Callable[..., np.ndarray]
+# the positive finite doubles, 0 < a < inf, as bounds of within()
+_POSITIVE = (math.ulp(0.0), np.finfo(float).max)
+
+
+def within(a: np.ndarray, lo: float, hi: float = math.inf) -> np.ndarray:
+    """Where lo <= a <= hi: np.True_ when the min (and, for a finite hi, the
+    max) of ``a`` shows that it holds at every point, else the mask.  A NaN
+    fails every comparison, so it gets the mask."""
+    if not a.size or (lo <= a.min() and (hi == math.inf or a.max() <= hi)):
+        return np.True_
+    mask = a >= lo
+    if hi < math.inf:
+        mask &= a <= hi
+    return mask
 
 
 def piecewise(mask: np.ndarray, formula: ArrayFormula,
@@ -36,25 +50,28 @@ def piecewise(mask: np.ndarray, formula: ArrayFormula,
 
     Each formula maps float arrays of equal shape to a new array and never
     writes into its arguments; ``otherwise`` may be a constant fill
-    instead.  A formula sees only its own points, or the arrays themselves
-    when ``mask`` is uniform, so a grid that lies in one regime pays no
-    gather and no scatter.  Every point goes through the same operations
-    either way.
+    instead.  ``mask`` is a boolean array or, from :func:`within`, one
+    numpy bool for all the points.  A formula sees only its own points: the
+    arrays themselves when ``mask`` is uniform, slices when it is one run
+    of True at either end (a regime test on an ascending grid), so neither
+    pays a gather or a scatter.  Every point goes through the same
+    operations either way.
     """
-    n_true = np.count_nonzero(mask)
+    n_true = mask.size if mask is np.True_ else np.count_nonzero(mask)
     if n_true == mask.size:
         return formula(*arrays)
-    if not callable(otherwise):
-        out = np.full(mask.shape, otherwise)
-        if n_true:
-            out[mask] = formula(*(a[mask] for a in arrays))
-        return out
-    if not n_true:
+    if callable(otherwise) and not n_true:
         return otherwise(*arrays)
-    out = np.empty(mask.shape)
-    out[mask] = formula(*(a[mask] for a in arrays))
-    mask = ~mask
-    out[mask] = otherwise(*(a[mask] for a in arrays))
+    out = np.empty(mask.shape) if callable(otherwise) else np.full(mask.shape, otherwise)
+    if n_true:  # mixed: n_true leading or trailing True rows can only be one point each
+        where, elsewhere = mask, ~mask
+        if mask[:n_true].all():
+            where, elsewhere = slice(n_true), slice(n_true, None)
+        elif mask[-n_true:].all():
+            where, elsewhere = slice(-n_true, None), slice(-n_true)
+        out[where] = formula(*(a[where] for a in arrays))
+        if callable(otherwise):
+            out[elsewhere] = otherwise(*(a[elsewhere] for a in arrays))
     return out
 
 
@@ -87,7 +104,7 @@ def _log_neg_log_series(h: np.ndarray) -> np.ndarray:
 def log_neg_log_cdf_from_H_array(h: np.ndarray) -> np.ndarray:
     """:func:`numerics.log_neg_log_cdf_from_H` over an array of H in (0, inf),
     with the same closed form and series on either side of the switch."""
-    return piecewise(h < _SERIES_SWITCH, _log_neg_log_closed, _log_neg_log_series, h)
+    return piecewise(within(h, _SERIES_SWITCH), _log_neg_log_series, _log_neg_log_closed, h)
 
 
 # Value forms of the stock slowly varying functions
@@ -277,33 +294,44 @@ def _log1p_neg_exp(v: np.ndarray) -> np.ndarray:
 
 def _until_converged(steps: range, advance: Callable[[int, list], Optional[np.ndarray]],
                      state: list) -> np.ndarray:
-    """Run ``advance(i, state)`` for i in ``steps`` on the points not yet
-    converged and return ``state[0]`` as it stood at each point's
-    converging step (after the last step for the rest).
+    """Run ``advance(i, state)`` for i in ``steps`` and return ``state[0]``
+    as it stood at each point's first converging step (after the last step
+    for the points that never converge).
 
-    ``state`` holds arrays over the live points that ``advance`` updates in
-    place; it returns the mask of the points that converged at step i, or
-    None when none did.  The live set is compacted only on steps where some
-    point converged, and the loop stops once every point has.  The list is
-    emptied on return, which frees the arrays it alone holds.
+    ``state`` holds arrays that ``advance`` updates in place; it returns
+    the mask of the points that meet the stopping test at step i, or None.
+    A point that first meets it is written out and retired (its entry of
+    ``live``, the result index of each row, becomes -1) but keeps
+    iterating: the arrays are compacted only once the unretired points
+    have halved since the last compaction.  The loop stops once every
+    point has converged, and empties the list, freeing what it alone holds.
     """
-    out, live = None, None  # live None: every point, in order
+    out, live = None, None  # live None: every point, in order, none retired
     for i in steps:
         done = advance(i, state)
         if done is None:
             continue
-        if done.all():
+        if live is None:
+            if done.all():
+                break
+            out, live, n_live = np.empty_like(state[0]), np.arange(done.size), done.size
+        # by index, not by mask: a take is several times a masked gather's speed
+        hits = np.flatnonzero(done)
+        hits = hits[live.take(hits) >= 0]  # a retired point converged before
+        out[live.take(hits)] = state[0].take(hits)
+        live[hits] = -1
+        n_live -= hits.size
+        if not n_live:
             break
-        if out is None:
-            out, live = np.empty_like(state[0]), np.arange(done.size)
-        out[live[done]] = state[0][done]
-        keep = ~done
-        live = live[keep]
-        state[:] = [v[keep] for v in state]
+        if 2 * n_live <= live.size:
+            keep = np.flatnonzero(live >= 0)
+            live = live.take(keep)
+            state[:] = [v.take(keep) for v in state]
     if out is None:
         out = state[0]
     else:
-        out[live] = state[0]
+        keep = np.flatnonzero(live >= 0)
+        out[live.take(keep)] = state[0].take(keep)
     state.clear()
     return out
 
@@ -327,7 +355,7 @@ def _gamma_log_sf_array(x: np.ndarray, a: float) -> np.ndarray:
         return piecewise(x < a + 1.0, lambda x: _gamma_series(x, a),
                          lambda x: _gamma_continued_fraction(x, a), x)
 
-    return piecewise((x > 0.0) & (x < math.inf), inside, _gamma_outside, x)
+    return piecewise(within(x, *_POSITIVE), inside, _gamma_outside, x)
 
 
 def _gamma_scaled_log(x: np.ndarray, s: np.ndarray, a: float, log_norm: float) -> np.ndarray:
@@ -418,17 +446,23 @@ def gumbel_coordinate_array(model: WeibullTypeModel, xs: np.ndarray) -> np.ndarr
         # H = -inf where F = 0; support_lower >= l.domain_lower, so l is
         # only asked for points in its domain
         c = 1.0 / model.theta
-        h = piecewise(xs >= model.support_lower, lambda z: _tail_hazard(z, array_form(z), c),
-                      -math.inf, xs)
+        hazard = lambda z: _tail_hazard(z, array_form(z), c)
+        if model.l.is_constant:  # z^c times the one value of l, read as model.py does
+            l_value = model.l.value(max(model.support_lower, 2.0))
+            valid = 0.0 < l_value < math.inf
+            hazard = (lambda z: _power_times(z, l_value, c)) if valid else _saturate
+        h = piecewise(within(xs, model.support_lower), hazard, -math.inf, xs)
         if model.family is Family.LOG_CDF_EXP:
             return h
-    return piecewise((h > 0.0) & (h < math.inf), log_neg_log_cdf_from_H_array, _saturate, h)
+    if not h.size or h.min() >= _T_EQUALS_H:
+        return h  # T = H to the bit, and +inf where H = +inf
+    return piecewise(within(h, *_POSITIVE), log_neg_log_cdf_from_H_array, _saturate, h)
 
 
 def _tail_hazard(z: np.ndarray, l: np.ndarray, c: float) -> np.ndarray:
     """H(z) = z^c l for z in the support and l = l(z), -inf where l is not
     finite and positive, but +inf at z = +inf."""
-    return piecewise(np.isfinite(l) & (l > 0.0), lambda z, l: _power_times(z, l, c),
+    return piecewise(within(l, *_POSITIVE), lambda z, l: _power_times(z, l, c),
                      lambda z, l: _saturate(z), z, l)
 
 
@@ -530,7 +564,7 @@ def _penultimate_sup(xs: np.ndarray, fn: np.ndarray, gamma: float) -> Tuple[floa
 def _argmax_abs(diff: np.ndarray) -> Tuple[int, float]:
     """(first index of max |diff|, that |diff|), taking |diff| in place."""
     np.abs(diff, out=diff)
-    i = int(np.argmax(diff))
+    i = int(diff.argmax())
     return i, float(diff[i])
 
 
@@ -552,15 +586,14 @@ def _remainder_deviation(xs: np.ndarray, diff: np.ndarray, density: np.ndarray,
     scratch *= xs
     scratch *= rate
     den = np.multiply(density, scratch, out=density)
-    inside = np.abs(den, out=scratch) > REMAINDER_DENOMINATOR_CUTOFF
+    # |den| > the cutoff, as the bound within() takes
+    where = within(np.abs(den, out=scratch), math.nextafter(REMAINDER_DENOMINATOR_CUTOFF, 1.0))
     del scratch
-    n_inside = np.count_nonzero(inside)
-    if not n_inside:
+    if where is not np.True_ and not where.any():
         return None
-    where = True if n_inside == inside.size else inside
     ratio = np.divide(diff, den, out=den, where=where)
     ratio -= 1.0
-    return float(np.max(np.abs(ratio, out=ratio), where=where, initial=0.0))
+    return float(np.maximum.reduce(np.abs(ratio, out=ratio), where=where, initial=0.0))
 
 
 # Gumbel and generalized extreme value cdfs over arrays
@@ -586,9 +619,10 @@ def _gev_cdf(gamma: float, x: np.ndarray, t: np.ndarray) -> np.ndarray:
     if abs(gamma) < _GEV_SERIES_GAMMA:
         w = piecewise(np.abs(t) < _GEV_SERIES_T, _gev_series,
                       lambda x, t: _gev_log1p(t, gamma), x, t)
-    else:
-        w = _gev_log1p(t, gamma, out=t)
-    return _gumbel_cdf(w, out=w)
+        return _gumbel_cdf(w, out=w)
+    v = _gev_log1p(t, -gamma, out=t)  # -w, as a quotient rounds alike for either sign
+    np.exp(v, out=v)
+    return np.exp(np.negative(v, out=v), out=v)
 
 
 def _gev_series(x: np.ndarray, t: np.ndarray) -> np.ndarray:

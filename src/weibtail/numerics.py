@@ -39,6 +39,9 @@ _STENCILS = {
 # Cross-validated against 60-digit arithmetic: worst case ~1e-10 relative
 # right at the seam, <1e-12 elsewhere.
 _SERIES_SWITCH = 7.0
+# From here on the series margin, ~e^-H/2, is under a quarter ulp of H: T = H
+# to the bit on the scalar and the array path (they differ up to H ~ 32.6)
+_T_EQUALS_H = 40.0
 
 
 # Residual tolerance of every root solve, relative to |target|.
@@ -208,8 +211,8 @@ def log_neg_log_cdf_from_H(h_value: float) -> float:
     so the result approaches H from below.  Below the series switch the
     closed form is evaluated with expm1; above it the subtraction is
     applied to the series margin, which keeps the path free of
-    overflow/underflow for H up to (and far past) 700.  For H large enough
-    that the margin is below one ulp the returned double equals H; use
+    overflow/underflow for H up to (and far past) 700.  From H =
+    ``_T_EQUALS_H`` on the margin rounds away: H itself is returned; use
     :func:`log_neg_log_cdf_margin` when the gap itself is needed.
     """
     if not h_value > 0.0:
@@ -217,6 +220,8 @@ def log_neg_log_cdf_from_H(h_value: float) -> float:
     if h_value < _SERIES_SWITCH:
         one_minus_f = -math.expm1(-h_value)  # = F(x), in (0, 1)
         return -math.log(-math.log(one_minus_f))
+    if h_value >= _T_EQUALS_H:
+        return h_value
     return h_value - log_neg_log_cdf_margin(h_value)
 
 
@@ -224,7 +229,7 @@ def log_neg_log_cdf_margin(h_value: float) -> float:
     """The positive gap H - (-log(-log F)) for the tail family.
 
     Representable even when subtracting it from H rounds to H itself,
-    which happens near H ~ 37 in double precision.
+    as it does from ``_T_EQUALS_H`` on.
     """
     if not h_value > 0.0:
         raise OutsideTailRegionError(f"H must be positive, got {h_value!r}")

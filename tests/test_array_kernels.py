@@ -8,6 +8,7 @@ to equal, bit for bit, the concatenation of the results on the pieces,
 each of which lies in one regime.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -123,6 +124,115 @@ def test_gev_pieces_at_series_switch(gamma):
     xs = np.linspace(-2.0 * edge, 2.0 * edge, 4001)
     xs = xs[1.0 + gamma * xs > 0.0]
     _pieces_agree(lambda x: gev_cdf_array(gamma, x), xs, [-edge, edge])
+
+
+def _straddle_models():
+    # l = 1 - 1/log x is <= 0 up to x = e, below the domain log_shift keeps
+    l_neg = dataclasses.replace(wt.slowly_varying.log_shift(1.0, -1.0), domain_lower=1.5)
+    return {
+        **{name: _catalog_model(name) for name in sorted(wt.CATALOG)},
+        "logpow-inv": wt.weibull_type(2.0, wt.log_power(-1.0), support_lower=2.0),
+        "log-shift-neg": wt.weibull_type(2.0, l_neg, support_lower=1.5),
+    }
+
+
+def _regime_grids(model):
+    """Ascending grids that lie wholly in one regime of T, or straddle H = 7,
+    H = 40, the support endpoint (x = 0 on the whole line) or l <= 0, plus
+    NaN and +/-inf."""
+    if model.family is Family.CLASSICAL:
+        lo = wt.cumulative_hazard_inverse(model, 1e-3) - 1.0
+    else:
+        lo = model.support_lower - 1.0
+    hi = abs(lo) + 2.0
+    while gumbel_coordinate_array(model, np.array([hi]))[0] < 70.0:
+        hi *= 2.0
+    wide = np.linspace(lo, hi, 601)
+    t = gumbel_coordinate_array(model, wide)
+    t7, t40 = numerics.log_neg_log_cdf_from_H(7.0), 40.0
+    if model.family is Family.LOG_CDF_EXP:
+        t7 = 7.0
+    regimes = [np.isfinite(t) & (t < t7), (t >= t7) & (t < t40), t >= t40]
+
+    def across(level):  # 101 points from below to above the level of T
+        i = int(np.argmax(t >= level))
+        return np.linspace(wide[max(i - 2, 0)], wide[i + 1], 101)
+
+    edge = model.support_lower if math.isfinite(model.support_lower) else 0.0
+    mid = float(wide[300])
+    specials = [[math.nan], [math.nan, mid, math.inf], [-math.inf, math.inf],
+                [math.inf], [-math.inf, mid, math.nan, float(wide[-1])]]
+    return [wide, *(wide[p] for p in regimes), across(t7), across(t40),
+            np.linspace(edge - 1.0, edge + 1.0, 101), np.linspace(1.5, 5.0, 101),
+            *(np.array(s) for s in specials)]
+
+
+@pytest.mark.parametrize("name", sorted(_straddle_models()))
+def test_point_by_point_equals_batched(name):
+    # the regime a grid falls in, decided for the grid, never changes the
+    # arithmetic of one of its points
+    model = _straddle_models()[name]
+    for z in _regime_grids(model):
+        batched = gumbel_coordinate_array(model, z)
+        single = [gumbel_coordinate_array(model, z[i:i + 1]) for i in range(z.size)]
+        assert batched.shape == z.shape
+        assert batched.tobytes() == b"".join(s.tobytes() for s in single)
+    assert gumbel_coordinate_array(model, np.empty(0)).shape == (0,)
+
+
+def test_t_equals_h_from_forty():
+    # from H = 40 on, the series margin rounds away: T = H to the bit on the
+    # scalar and the array series, which makes skipping them exact
+    h = np.linspace(40.0, 745.0, 100_001)
+    twos = [2.0**k for k in range(6, 10)]
+    near = [math.nextafter(v, d) for v in twos for d in (0.0, math.inf)]
+    h = np.sort(np.concatenate([h, twos, near, [math.nextafter(745.0, 0.0)]]))
+    assert arrays._log_neg_log_series(h).tobytes() == h.tobytes()
+    for v in h.tolist():
+        assert v - numerics.log_neg_log_cdf_margin(v) == v
+        assert numerics.log_neg_log_cdf_from_H(v) == v
+    # below the threshold the margin still shows
+    assert numerics.log_neg_log_cdf_from_H(30.0) < 30.0
+    assert arrays._log_neg_log_series(np.array([30.0]))[0] < 30.0
+
+
+def _retirement_advance(converge_at, every=3):
+    """An advance over state [value, point id, converging step]: value =
+    1000 id + i after step i, and a point meets the stopping test at its
+    converging step and every ``every`` steps after it."""
+
+    def advance(i, state):
+        value, ident, at = state
+        np.multiply(ident, 1000.0, out=value)
+        value += i
+        since = i - at
+        done = (since >= 0) & (since % every == 0)
+        return done if done.any() else None
+
+    n = len(converge_at)
+    state = [np.zeros(n), np.arange(n, dtype=float), np.array(converge_at, dtype=float)]
+    return advance, state
+
+
+@pytest.mark.parametrize("converge_at", [
+    list(range(1, 41)),                     # in grid order
+    list(range(40, 0, -1)),                 # in reverse
+    [(7 * j) % 40 + 1 for j in range(40)],  # interleaved
+    [5, 10**6, 3, 10**6, 30, 8, 10**6],     # some never, before the step limit
+    [4] * 25,                               # all at once
+    [6],                                    # a single point
+    [10**6],                                # a single point that never does
+], ids=["order", "reverse", "interleaved", "never", "at-once", "single", "single-never"])
+@pytest.mark.parametrize("start", [0, 1])
+def test_until_converged_keeps_first_converging_state(converge_at, start):
+    steps = range(start, 45)
+    for every in (1, 3):
+        advance, state = _retirement_advance(converge_at, every)
+        got = arrays._until_converged(steps, advance, state)
+        want = [1000.0 * j + (at if at < steps.stop else steps[-1])
+                for j, at in enumerate(converge_at)]
+        assert got.tolist() == want
+        assert state == []
 
 
 # ------------------------------------------------------------- ownership
