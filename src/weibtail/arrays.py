@@ -300,21 +300,39 @@ def _until_converged(steps: range, advance: Callable[[int, list], Optional[np.nd
 
     ``state`` holds arrays that ``advance`` updates in place; it returns
     the mask of the points that meet the stopping test at step i, or None.
-    A point that first meets it is written out and retired (its entry of
-    ``live``, the result index of each row, becomes -1) but keeps
-    iterating: the arrays are compacted only once the unretired points
-    have halved since the last compaction.  The loop stops once every
-    point has converged, and empties the list, freeing what it alone holds.
+    The live points are a slice [lo, hi) of the arrays, and ``advance``
+    sees views of that slice.  While the points that first meet the test
+    at a step are a run at one end of the live slice (on an ascending
+    grid the series converges from small x, the continued fraction from
+    large x), the slice shrinks past them: a retired point is never
+    touched again, so it keeps its state of that step without a copy.
+    The first step whose converged points are scattered hands the live
+    slice to retirement by index for the rest of the loop: a converging
+    point is written out at once and retired (its entry of ``live``, the
+    result index of each row, becomes -1) but keeps iterating, and the
+    arrays are compacted only once the unretired points have halved since
+    the last compaction.  The loop stops once every point has converged,
+    and empties the list, freeing what it alone holds.
     """
-    out, live = None, None  # live None: every point, in order, none retired
+    result = state[0]
+    live = None  # None: the live points are the slice the views of state show
     for i in steps:
         done = advance(i, state)
         if done is None:
             continue
         if live is None:
-            if done.all():
+            n = np.count_nonzero(done)
+            if n == done.size:
                 break
-            out, live, n_live = np.empty_like(state[0]), np.arange(done.size), done.size
+            if done[:n].all():
+                state[:] = [v[n:] for v in state]
+                continue
+            if done[-n:].all():
+                state[:] = [v[:-n] for v in state]
+                continue
+            # out is the live slice of the result, state[0] a copy of it
+            out, live, n_live = state[0], np.arange(done.size), done.size
+            state[0] = out.copy()
         # by index, not by mask: a take is several times a masked gather's speed
         hits = np.flatnonzero(done)
         hits = hits[live.take(hits) >= 0]  # a retired point converged before
@@ -327,23 +345,11 @@ def _until_converged(steps: range, advance: Callable[[int, list], Optional[np.nd
             keep = np.flatnonzero(live >= 0)
             live = live.take(keep)
             state[:] = [v.take(keep) for v in state]
-    if out is None:
-        out = state[0]
-    else:
+    if live is not None and n_live:
         keep = np.flatnonzero(live >= 0)
         out[live.take(keep)] = state[0].take(keep)
     state.clear()
-    return out
-
-
-def _clamp_tiny(v: np.ndarray, scratch: np.ndarray) -> None:
-    """Lentz's guard: entries of v with |v| < _LENTZ_TINY become _LENTZ_TINY."""
-    # fmin skips NaN, as the comparison does; v >= _LENTZ_TINY everywhere,
-    # the usual case, needs no |v|
-    if np.fmin.reduce(v) >= _LENTZ_TINY:
-        return
-    np.abs(v, out=scratch)
-    v[scratch < _LENTZ_TINY] = _LENTZ_TINY
+    return result
 
 
 def _gamma_log_sf_array(x: np.ndarray, a: float) -> np.ndarray:
@@ -370,7 +376,9 @@ def _gamma_scaled_log(x: np.ndarray, s: np.ndarray, a: float, log_norm: float) -
 
 
 def _gamma_series(x: np.ndarray, a: float) -> np.ndarray:
-    """log Q = log(1 - P) below x = a + 1, P by its power series."""
+    """log Q = log(1 - P) below x = a + 1, P by its power series.  On an
+    ascending grid the points converge from small x, a run at the live
+    slice's low end that ``_until_converged`` drops without a copy."""
     ap = a
 
     def step(_, state):
@@ -391,7 +399,13 @@ def _gamma_series(x: np.ndarray, a: float) -> np.ndarray:
 
 def _gamma_continued_fraction(x: np.ndarray, a: float) -> np.ndarray:
     """log Q = log Gamma(a, x) - log Gamma(a) from x = a + 1 on, by the
-    modified Lentz algorithm as in ``catalog.gamma_model``'s ``tail``."""
+    modified Lentz algorithm as in ``catalog.gamma_model``'s ``tail``,
+    without Lentz's guard: for x >= a + 1 the denominators D_i and C_i
+    stay above (1 - 1e-12) max(2, i + 1) (the argument is at ``tail``),
+    far from the 1e-300 at which the guard would act.  On an ascending
+    grid the points converge from large x, a run at the live slice's high
+    end that ``_until_converged`` drops without a copy; the boundary band,
+    where they converge out of order, takes its retirement by index."""
 
     def step(i, state):
         cf, b, c, d, scratch = state
@@ -399,10 +413,8 @@ def _gamma_continued_fraction(x: np.ndarray, a: float) -> np.ndarray:
         b += 2.0
         d *= an
         d += b
-        _clamp_tiny(d, scratch)
         np.divide(an, c, out=c)
         c += b
-        _clamp_tiny(c, scratch)
         np.divide(1.0, d, out=d)
         delta = np.multiply(d, c, out=scratch)
         cf *= delta
@@ -439,6 +451,17 @@ def gumbel_coordinate_array(model: WeibullTypeModel, xs: np.ndarray) -> np.ndarr
     ``model._saturated_coordinate`` point by point.  ``xs`` is only read,
     and the result is always a new array.
     """
+    with np.errstate(over="ignore"):  # z^c past the doubles: H = inf
+        return _coordinate(model, xs)
+
+
+def _coordinate(model: WeibullTypeModel, xs: np.ndarray) -> np.ndarray:
+    """:func:`gumbel_coordinate_array` inside the caller's floating-point context.
+
+    One min and one max of H decide its regime: T = H from H = 40, and
+    on H positive and finite, the series or the closed form when every
+    point lies on one side of the switch.  A NaN or a mixed grid takes
+    the masks."""
     array_form = array_form_of(model)
     if model.family is Family.CLASSICAL:
         h = np.negative(array_form(xs))
@@ -454,8 +477,18 @@ def gumbel_coordinate_array(model: WeibullTypeModel, xs: np.ndarray) -> np.ndarr
         h = piecewise(within(xs, model.support_lower), hazard, -math.inf, xs)
         if model.family is Family.LOG_CDF_EXP:
             return h
-    if not h.size or h.min() >= _T_EQUALS_H:
+    if not h.size:
+        return h
+    lowest = h.min()  # NaN if any point is
+    if lowest >= _T_EQUALS_H:
         return h  # T = H to the bit, and +inf where H = +inf
+    highest = h.max()
+    if _POSITIVE[0] <= lowest and highest <= _POSITIVE[1]:
+        if lowest >= _SERIES_SWITCH:
+            return _log_neg_log_series(h)
+        if highest < _SERIES_SWITCH:
+            return _log_neg_log_closed(h)
+        return piecewise(h >= _SERIES_SWITCH, _log_neg_log_series, _log_neg_log_closed, h)
     return piecewise(within(h, *_POSITIVE), log_neg_log_cdf_from_H_array, _saturate, h)
 
 
@@ -467,9 +500,8 @@ def _tail_hazard(z: np.ndarray, l: np.ndarray, c: float) -> np.ndarray:
 
 
 def _power_times(z: np.ndarray, l: np.ndarray, c: float) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        h = np.power(z, c)
-        h *= l
+    h = np.power(z, c)
+    h *= l
     return h
 
 
@@ -507,18 +539,26 @@ def curve(model: WeibullTypeModel, log_n: float, xs: np.ndarray,
     expect (e^-x past the double range gives G_0 = g_0 = 0)."""
     with np.errstate(over="ignore"):
         fn = _maxima(model, log_n, xs, b, a)
-        sup_pen, arg_pen, n_clipped = _penultimate_sup(xs, fn, gamma)
+        if gamma != 0.0:
+            sup_pen, arg_pen, n_clipped = _penultimate_sup(xs, fn, gamma)
         # -e^-x, shared by G_0 = exp(-e^-x) and g_0 = exp(-e^-x - x)
         density = _neg_exp_neg(xs)
         # F^n - G_0, shared by the remainder ratio and the ultimate sup
         diff = np.exp(density)
         np.subtract(fn, diff, out=diff)
         del fn  # the rest needs only diff
-        density -= xs
-        np.exp(density, out=density)
-        dev = _remainder_deviation(xs, diff, density, rate)
+        dev = None
+        if rate != 0.0:  # at rate 0 every denominator is +-0, below the cutoff
+            density -= xs
+            np.exp(density, out=density)
+            dev = _remainder_deviation(xs, diff, density, rate)
         i_ult, sup_ult = _argmax_abs(diff)
-    return sup_ult, float(xs[i_ult]), sup_pen, arg_pen, n_clipped, dev
+    arg_ult = float(xs[i_ult])
+    if gamma == 0.0:
+        # G_gamma's series gives w = x (1 - 0 + 0) = x, so G_gamma is G_0
+        # to the bit and clips no point
+        sup_pen, arg_pen, n_clipped = sup_ult, arg_ult, 0
+    return sup_ult, arg_ult, sup_pen, arg_pen, n_clipped, dev
 
 
 def _maxima_curve(model: WeibullTypeModel, log_n: float, xs: np.ndarray,
@@ -536,7 +576,7 @@ def _maxima(model: WeibullTypeModel, log_n: float, xs: np.ndarray,
     z = np.multiply(xs, a)
     z += b
     # a new array of the coordinate's own: the chain runs in its storage
-    t = gumbel_coordinate_array(model, z)
+    t = _coordinate(model, z)
     np.subtract(log_n, t, out=t)
     np.exp(t, out=t)
     np.negative(t, out=t)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from . import numerics
@@ -27,6 +28,7 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _LN2 = math.log(2.0)
 _EPS = math.ulp(1.0)
+_LOG_DOUBLE_MAX = math.log(sys.float_info.max)
 _LENTZ_TINY = 1e-300
 _GAMMA_MAX_TERMS = 1000
 # Largest gamma shape taken.  log Q carries a log x - x - lgamma(a), whose
@@ -81,7 +83,13 @@ def pure_weibull(theta: Optional[float] = None, alpha: Optional[float] = None,
         theta = 1.0 / alpha
     if not theta > 0.0 or not scale > 0.0:
         raise ValueError("theta and scale must be positive")
-    c = scale ** (-1.0 / theta)
+    try:
+        c = scale ** (-1.0 / theta)
+    except OverflowError:
+        c = math.inf
+    if not 0.0 < c < math.inf:
+        raise ValueError(f"scale ** (-1/theta) = {scale:g} ** {-1.0 / theta:g} "
+                         "is past the double range")
     return weibull_type(
         theta=theta,
         l=sv.constant(c),
@@ -98,6 +106,8 @@ def extended_weibull(beta: float, delta: float = 1.0) -> WeibullTypeModel:
         raise ValueError("delta must be finite")
     # keep H strictly increasing: H' > 0 needs log x > -delta/beta
     lmin = max(1.0, 0.5 - delta / beta)
+    if not lmin <= _LOG_DOUBLE_MAX:
+        raise ValueError(f"support floor exp({lmin:g}) is past the double range")
     return weibull_type(
         theta=1.0 / beta,
         l=sv.log_power(delta),
@@ -341,6 +351,15 @@ def gamma_model(shape: float = 2.0) -> WeibullTypeModel:
             return 0.0, -math.inf, 1.0
         # Gamma(a, x) = e^-x x^a cf, cf by the modified Lentz algorithm;
         # the hazard x^(a-1) e^-x / Gamma(a, x) is then 1 / (x cf) exactly.
+        # Lentz's guard against a denominator near 0 cannot act here: with
+        # b_i = x + 1 - a + 2i and a_i = -i (i - a), the denominators
+        # D_i = b_i + a_i / D_(i-1) (D_0 = b_0) and C_i = b_i + a_i / C_(i-1)
+        # (C_0 = 1/_LENTZ_TINY) stay >= max(2, i + 1) for x >= a + 1.  D_0 =
+        # x + 1 - a >= 2, and given D_(i-1) >= i: a_i >= 0 (i <= a) leaves
+        # D_i >= b_i >= 2 + 2i, and a_i < 0 (i > a) takes at most
+        # i (i - a) / i from b_i, so D_i >= x + 1 + i; likewise C_i.  Each
+        # step rounds off a few ulp against a margin of at least 1, so the
+        # rounded ones stay above (1 - 1e-12) max(2, i + 1), far from 1e-300.
         b = x + 1.0 - a
         c = 1.0 / _LENTZ_TINY
         d = 1.0 / b
@@ -349,11 +368,7 @@ def gamma_model(shape: float = 2.0) -> WeibullTypeModel:
             an = -i * (i - a)
             b += 2.0
             d = an * d + b
-            if abs(d) < _LENTZ_TINY:
-                d = _LENTZ_TINY
             c = b + an / c
-            if abs(c) < _LENTZ_TINY:
-                c = _LENTZ_TINY
             d = 1.0 / d
             delta = d * c
             cf *= delta
@@ -424,6 +439,7 @@ class CatalogEntry(NamedTuple):
     family: str
     theta_reference: str
     theta_is_one: bool
+    required: Tuple[str, ...] = ()  # the params ``build`` has no default for
 
 
 CATALOG: Dict[str, CatalogEntry] = {
@@ -442,6 +458,7 @@ CATALOG: Dict[str, CatalogEntry] = {
         family=Family.TAIL_EXP.value,
         theta_reference="theta = 1/beta",
         theta_is_one=False,
+        required=("beta",),
     ),
     "normal": CatalogEntry(
         name="normal",
@@ -487,7 +504,8 @@ CATALOG: Dict[str, CatalogEntry] = {
 
 
 def build_model(name: str, **params: float) -> WeibullTypeModel:
-    """Resolve a catalog name and construct the model, validating params."""
+    """Resolve a catalog name and construct the model, validating params:
+    an unknown or a missing required parameter is a ValueError."""
     entry = CATALOG.get(name)
     if entry is None:
         raise KeyError(f"unknown model {name!r}; available: {', '.join(sorted(CATALOG))}")
@@ -496,4 +514,7 @@ def build_model(name: str, **params: float) -> WeibullTypeModel:
         raise ValueError(
             f"model {name!r} does not take parameter(s) {sorted(unknown)}; allowed: {list(entry.params)}"
         )
+    missing = [p for p in entry.required if p not in params]
+    if missing:
+        raise ValueError(f"model {name!r} needs parameter(s) {missing}")
     return entry.build(**params)

@@ -359,6 +359,16 @@ class KJet(NamedTuple):
         return -k1 / (k * k)
 
 
+# the k-functionals divide by k^2 (phi) and k^3 (the von Mises conditions);
+# below this |k|, k^3 leaves the normal doubles
+_K_MIN = 2.0**-340
+
+
+def _require_k_cubed(model: WeibullTypeModel, x: float, k: float) -> None:
+    if abs(k) < _K_MIN:
+        raise EvalFailureError(f"{model.label}: k = {k!r} at x={x!r}, too small to divide by k^3")
+
+
 @_refuses_overflow
 def k_jet(model: WeibullTypeModel, x: float, order: int = 3, method: str = "auto") -> KJet:
     """k and its first ``order`` derivatives at x.
@@ -369,7 +379,8 @@ def k_jet(model: WeibullTypeModel, x: float, order: int = 3, method: str = "auto
     estimate per order up to ``order``), or "auto" preferring analytic.
     Third-order numeric differentiation of classical models without hazard
     recurrences raises the extrapolation depth, since that path is the
-    only one available there.  A jet past the double range is refused as
+    only one available there.  A jet past the double range, or whose k is
+    too small to divide by k^3 (as the k-functionals do), is refused as
     ``eval_failure``.
     """
     if not 1 <= order <= 3:
@@ -394,9 +405,11 @@ def k_jet(model: WeibullTypeModel, x: float, order: int = 3, method: str = "auto
         )[: order + 1]
         if not all(map(math.isfinite, values)):
             raise EvalFailureError(f"{model.label}: k-jet {values!r} at x={x!r}")
+        _require_k_cubed(model, x, values[0])
         return KJet(values=values, method="analytic")
     k = k_function.__wrapped__  # the stencils type their own failures
     k0 = k(model, x)
+    _require_k_cubed(model, x, k0)
     ests = [
         numerics.derivative(
             lambda t: k(model, t),

@@ -124,16 +124,23 @@ def _log_power_derivs(beta: float):
 
 
 def log_power(beta: float = 1.0) -> SlowlyVaryingSpec:
-    """(log x)^beta."""
+    """(log x)^beta; a value past the double range is a ``DomainError``."""
     if beta == 0.0:
         return constant(1.0)
     d1, d2, d3, d4 = _log_power_derivs(beta)
+    label = f"logpow[{beta:g}]"
+
+    def value(x: float) -> float:
+        try:
+            return math.log(x) ** beta
+        except OverflowError:
+            raise DomainError(f"{label}: value at {x!r} is past the double range") from None
 
     return SlowlyVaryingSpec(
-        value=lambda x, b=beta: math.log(x) ** b,
+        value=value,
         d1=d1, d2=d2, d3=d3, d4=d4,
         domain_lower=1.5,
-        label=f"logpow[{beta:g}]",
+        label=label,
         value_array=array_form("_log_power_value_array", beta),
     )
 

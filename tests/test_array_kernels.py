@@ -9,7 +9,9 @@ each of which lies in one regime.
 """
 
 import dataclasses
+import inspect
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -19,6 +21,7 @@ import weibtail as wt
 from weibtail import arrays, catalog, numerics
 from weibtail.arrays import gev_cdf_array, gumbel_coordinate_array
 from weibtail.model import Family, _saturated_coordinate
+from weibtail.norming import locate
 
 
 def _pieces_agree(fn, xs, switches):
@@ -49,6 +52,79 @@ def test_gamma_log_sf_pieces(shape):
     fn = catalog.gamma_model(shape).classical_log_sf_array
     got = _pieces_agree(fn, xs, [1e-300, a + 1.0, math.inf])
     assert got[0] == got[2] == 0.0 and got[-1] == -math.inf
+
+
+def _lentz_sweep(a, count):
+    """x from a + 1, where the continued fraction starts, to 1e300: the
+    first doubles at and above a + 1, then a geometric sweep."""
+    start = a + 1.0
+    near = [start, math.nextafter(start, math.inf), start * (1.0 + 1e-12), start + 1e-6]
+    return np.unique(np.concatenate([near, start * np.geomspace(1.0, 1e300 / start, count)]))
+
+
+def _lentz_bound(i):
+    # the bound catalog.gamma_model's tail states for the rounded D_i and C_i
+    return (1.0 - 1e-12) * max(2.0, i + 1.0)
+
+
+def test_lentz_denominators_array(monkeypatch):
+    # the array continued fraction's D_i (held inverted) and C_i stay above
+    # the bound, so Lentz's guard against a denominator near 0 cannot act
+    seen = []
+    until_converged = arrays._until_converged
+
+    def checked(steps, advance, state):
+        def step(i, state):
+            _, _, c, d, _ = state
+            bound = _lentz_bound(i - 1)  # the denominators of the step before
+            assert c.min() >= bound and 0.0 < d.min() and d.max() <= 1.0 / bound, (a, i)
+            seen.append(i)
+            return advance(i, state)
+
+        return until_converged(steps, step, state)
+
+    monkeypatch.setattr(arrays, "_until_converged", checked)
+    for a in np.geomspace(1e-14, 1000.0, 60):
+        xs = _lentz_sweep(a, 4000)
+        assert np.isfinite(arrays._gamma_continued_fraction(xs, a)).all()
+    assert max(seen) > 50
+
+
+def _tail_function(model):
+    cell = next(c for c in model.classical_log_sf.__closure__
+                if getattr(c.cell_contents, "__name__", "") == "tail")
+    return cell.cell_contents
+
+
+def test_lentz_denominators_scalar():
+    # catalog.gamma_model's scalar tail, traced: at the line that inverts
+    # D_i it holds D_i, at the line that forms delta it holds C_i
+    lines, first = inspect.getsourcelines(_tail_function(catalog.gamma_model(2.0)))
+    line_of = {text.strip(): first + k for k, text in enumerate(lines)}
+    invert, product = line_of["d = 1.0 / d"], line_of["delta = d * c"]
+    seen = []
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno in (invert, product):
+            i = frame.f_locals["i"]
+            name = "d" if frame.f_lineno == invert else "c"
+            assert frame.f_locals[name] >= _lentz_bound(i), (name, i, frame.f_locals["x"])
+            seen.append(i)
+        return local
+
+    for a in np.geomspace(1e-14, 1000.0, 25).tolist():
+        tail = _tail_function(catalog.gamma_model(a))
+
+        def tracer(frame, event, arg, code=tail.__code__):
+            return local if frame.f_code is code else None
+
+        sys.settrace(tracer)
+        try:
+            for x in _lentz_sweep(a, 60).tolist():
+                assert math.isfinite(tail(x)[1])
+        finally:
+            sys.settrace(None)
+    assert max(seen) > 50
 
 
 @pytest.mark.parametrize("build", [catalog.logistic, catalog.normal, catalog.exponential],
@@ -222,7 +298,11 @@ def _retirement_advance(converge_at, every=3):
     [4] * 25,                               # all at once
     [6],                                    # a single point
     [10**6],                                # a single point that never does
-], ids=["order", "reverse", "interleaved", "never", "at-once", "single", "single-never"])
+    [2, 2, 2, 9, 5, 9, 5, 7, 6, 10**6],     # a run at the low end, then scattered
+    [1, 3, 5, 7, 9, 10, 8, 6, 4, 2],        # runs at alternating ends
+    [3, 3, 3, 8, 8, 8, 8],                  # a run, then all the rest at once
+], ids=["order", "reverse", "interleaved", "never", "at-once", "single", "single-never",
+        "run-then-scattered", "alternating-ends", "run-then-at-once"])
 @pytest.mark.parametrize("start", [0, 1])
 def test_until_converged_keeps_first_converging_state(converge_at, start):
     steps = range(start, 45)
@@ -233,6 +313,23 @@ def test_until_converged_keeps_first_converging_state(converge_at, start):
                 for j, at in enumerate(converge_at)]
         assert got.tolist() == want
         assert state == []
+
+
+@pytest.mark.parametrize("name", ["gumbel-fixture", "normal", "pure-weibull"])
+def test_zero_gamma_curve_is_the_ultimate_one(name):
+    # G_gamma's series at gamma = +-0 is w = x (1 - 0 + 0) = x, so G_gamma
+    # is G_0 to the bit and no point is clipped; at rate +-0 every remainder
+    # denominator is +-0, below the cutoff
+    model = _catalog_model(name)
+    log_n, b, jet = locate(model, 20.0)
+    xs = arrays.grid((-3.0, 6.0, 3000))
+    for gamma in (0.0, -0.0):
+        assert gev_cdf_array(gamma, xs).tobytes() == arrays.gumbel_cdf_array(xs).tobytes()
+        for rate in (0.0, -0.0, 0.25):
+            sup_ult, arg_ult, sup_pen, arg_pen, n_clipped, dev = arrays.curve(
+                model, log_n, xs, b, 1.0 / jet.values[0], gamma, rate)
+            assert (sup_pen.hex(), arg_pen.hex(), n_clipped) == (sup_ult.hex(), arg_ult.hex(), 0)
+            assert (dev is None) == (rate == 0.0)
 
 
 # ------------------------------------------------------------- ownership

@@ -10,11 +10,16 @@ import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
+import weibtail as wt
 from weibtail import cli, numerics
+from weibtail.catalog import CATALOG
 
 
 def run_cli(argv):
@@ -235,6 +240,27 @@ def test_exit_code_non_finite_input(argv):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["errors", "--model", "extended-weibull"],
+     "model 'extended-weibull' needs parameter(s) ['beta']"),
+    (["norming", "--model", "extended-weibull", "--delta", "2", "--log-n", "10"],
+     "model 'extended-weibull' needs parameter(s) ['beta']"),
+    # a Weibull with alpha ~ 206 and scale 0.004: its constant scale^-alpha
+    # overflowed while the model was built
+    (["norming", "--model", "pure-weibull", "--theta", "0.004852484833185702",
+      "--scale", "0.004062923054384831", "--log-n", "12.38"],
+     "scale ** (-1/theta) = 0.00406292 ** -206.08 is past the double range"),
+    # the support floor e^(1/2 - delta/beta) overflowed while the model was built
+    (["vonmises", "--model", "extended-weibull", "--beta", "2.882503215451707e-80",
+      "--delta", "-1"], "support floor exp(3.46921e+79) is past the double range"),
+], ids=["ext-no-beta", "ext-delta-only", "pure-constant-overflow", "ext-floor-overflow"])
+def test_exit_code_model_parameters(argv, message):
+    # once a TypeError or OverflowError traceback while the model was built
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert f"error: {message}" in err
+
+
 @pytest.mark.parametrize("shape", ["1000.5", "1e20", "1e300"])
 def test_exit_code_gamma_shape_above_bound(shape):
     # once a traceback from the incomplete gamma (1e20, 1e300), or numbers
@@ -386,13 +412,123 @@ PURE2 = ["--model", "pure-weibull", "--theta", "2"]
     (["norming", *GAMMA2, "--log-n", "1e200"], "eval_failure"),
     # above f at the capped right end of the bracket, not below the range
     (["norming", "--model", "exponential", "--log-n", "1e301"], "bracket_miss"),
+    # l = (log x)^delta past the double range just above the support floor;
+    # once an OverflowError traceback
+    (["penultimate", "--model", "extended-weibull", "--beta", "0.077", "--delta", "9.1e235",
+      "--log-n", "40.6"], "domain_error"),
 ], ids=["pen-1e-300", "pen-1e-160", "pen-1e-160-json", "report-1e-160", "errors-asym-1e-310",
         "pure-theta-1e-100", "normal-1e200", "ext-beta50-1e200", "gumbel-1e200", "gamma-1e200",
-        "exp-1e301"])
+        "exp-1e301", "ext-log-power-overflow"])
 def test_extreme_inputs_refused_with_a_code(argv, code):
     exit_code, out, err = run_cli(argv)
     assert (exit_code, out) == (3, "")
     assert json.loads(err)["error"]["code"] == code
+
+
+CSV_POINT_COLUMNS = cli.CSV_HEADERS["vonmises"][2:]
+
+
+def test_vonmises_underflowing_k_is_a_typed_point_failure():
+    # theta ~ 5.6e201: k ~ 1e-204 at every point, whose k^2 rounds to 0;
+    # once a ZeroDivisionError traceback from phi = -k'/k^2.  A sweep
+    # records a point's refusal as inf with its code, as for any point
+    argv = ["vonmises", "--model", "pure-weibull", "--alpha", "1.7912082442538627e-202"]
+    code, out, err = run_cli(argv)
+    assert (code, err) == (0, "")
+    rows = parse_csv(out)
+    assert all(r[c] == "inf" for r in rows[:-1] for c in CSV_POINT_COLUMNS)
+    assert all(rows[-1][c] == "not_confirmed:eval_failure" for c in CSV_POINT_COLUMNS)
+    report = wt.condition_sweep(wt.pure_weibull(alpha=1.7912082442538627e-202), cli.DEFAULT_T_GRID)
+    assert report.point_codes == ("eval_failure",) * len(cli.DEFAULT_T_GRID)
+
+
+# ------------------------------------------------------ exit codes under fuzz
+
+# argv drawn as a fuzzer draws it: every model command and catalog model,
+# parameters and log n from 1e-3 to 1e3, from 1e-300 to 1e300 or at edge
+# values, windows, t-grids, both formats and both gamma modes
+_EDGE_VALUES = ("0", "-1", "inf", "nan", "1", "5e-324", "1.7976931348623157e308", "1e-300",
+                "1e300")
+
+
+def _number():
+    return st.one_of(st.sampled_from(_EDGE_VALUES),
+                     st.floats(-3.0, 3.0).map(lambda e: repr(10.0**e)),
+                     st.floats(-300.0, 300.0).map(lambda e: repr(10.0**e)))
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(("norming", "penultimate", "errors", "vonmises", "report")))
+    name = draw(st.sampled_from(sorted(CATALOG)))
+    argv = [command, "--model", name]
+    for param in CATALOG[name].params:
+        if draw(st.booleans()):
+            argv += [f"--{param}", draw(_number())]
+    if command != "vonmises" and draw(st.booleans()):
+        argv += ["--log-n", ",".join(draw(st.lists(_number(), min_size=1, max_size=3)))]
+    if command in ("errors", "report") and draw(st.booleans()):
+        lo, width = draw(st.floats(-10.0, 2.0)), 10.0 ** draw(st.floats(-1.0, 2.0))
+        count = draw(st.sampled_from((10, 100, 1000, 1001, 3000)))
+        argv += ["--grid", f"{lo!r}:{lo + width!r}:{count}"]
+    if command in ("vonmises", "report") and draw(st.booleans()):
+        t0, points = 10.0 ** draw(st.floats(-3.0, 5.0)), draw(st.integers(4, 7))
+        argv += ["--t-grid", ",".join(repr(t0 * 10.0**k) for k in range(points))]
+    argv += ["--format", draw(st.sampled_from(("csv", "json"))),
+             "--gamma-mode", draw(st.sampled_from(("exact", "asymptotic")))]
+    return argv
+
+
+def _check_success(argv, out):
+    """Finite numbers, apart from a sweep's inf points; a report that
+    validates against the schema."""
+    if argv[0] == "report" or "json" in argv:
+        doc = json.loads(out)  # strict JSON: a NaN or inf would not parse
+        if argv[0] == "report":
+            jsonschema.validate(doc, _REPORT_SCHEMA)
+        return
+    for row in parse_csv(out):
+        for cell in row.values():
+            try:
+                value = float(cell)
+            except ValueError:
+                continue  # text: a classification or a verdict
+            inf_point = argv[0] == "vonmises" and row["row_type"] == "point" and value == math.inf
+            assert math.isfinite(value) or inf_point, (argv, row)
+
+
+_REPORT_SCHEMA = json.loads(resources.files("weibtail").joinpath("schemas/report.schema.json")
+                            .read_text())
+_README_TEXT = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def test_exit_codes_under_fuzz():
+    seen = {}
+
+    @seed(20261019)
+    @settings(max_examples=250, deadline=None, database=None)
+    @given(_argv())
+    def check(argv):
+        code, out, err = run_cli(argv)
+        assert code in (0, 2, 3), (argv, code)
+        assert "Traceback" not in err, argv
+        if code == 0:
+            _check_success(argv, out)
+        elif code == 2:
+            assert out == "" and "error:" in err, argv
+        else:
+            assert out == "", argv
+            assert f"`{json.loads(err)['error']['code']}`" in _README_TEXT, (argv, err)
+        seen.setdefault(code, (argv, code, out, err))
+
+    check()
+    assert set(seen) == {0, 2, 3}
+    # one draw per exit code through the console entry point: the same bytes
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    for argv, *result in seen.values():
+        proc = subprocess.run([sys.executable, "-m", "weibtail.cli", *argv], capture_output=True,
+                              text=True, timeout=120, env=env)
+        assert [proc.returncode, proc.stdout, proc.stderr] == result, argv
 
 
 def test_subprocess_entrypoint():

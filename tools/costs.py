@@ -1,0 +1,113 @@
+"""Work counts of the array error curves, without wall time.
+
+    PYTHONPATH=src python tools/costs.py
+
+For every catalog model (pure-weibull at theta = 2, extended-weibull at
+beta = 2, gamma at shape 2) and log n in {1, 2, 20, 300}, this runs one
+``error_comparison`` on the default window at 3000 points, which takes the
+array pass, and prints:
+
+- ``numpy``: the calls into numpy's namespace (functions, ufuncs and their
+  methods such as ``np.fmin.reduce``, ``np.errstate``), counted through a
+  proxy for ``weibtail.arrays.np``, the library's one numpy import;
+- ``steps``: the steps gamma's series and continued fraction take, over
+  both loops;
+- ``rows``: the sum over those steps of the rows each step updates.
+
+A refused op prints its code.  The counts do not depend on the machine or
+its load, so two trees that print the same table did the same work.
+"""
+
+from __future__ import annotations
+
+import collections
+
+import numpy
+
+import weibtail as wt
+from weibtail import arrays, penultimate
+from weibtail.errors import WeibtailError
+
+MODELS = {
+    "pure-weibull": {"theta": 2.0},
+    "extended-weibull": {"beta": 2.0},
+    "normal": {},
+    "exponential": {},
+    "logistic": {},
+    "gamma": {"shape": 2.0},
+    "gumbel-fixture": {},
+}
+LOG_N = (1.0, 2.0, 20.0, 300.0)
+GRID = (*penultimate.DEFAULT_GRID[:2], 3000)
+
+
+class _Counted:
+    """A numpy callable that counts its calls, and wraps its callable
+    attributes (a ufunc's ``reduce``) alike."""
+
+    def __init__(self, target, name: str, counts: collections.Counter):
+        self._target, self._name, self._counts = target, name, counts
+
+    def __call__(self, *args, **kwargs):
+        self._counts[self._name] += 1
+        return self._target(*args, **kwargs)
+
+    def __getattr__(self, attr: str):
+        value = getattr(self._target, attr)
+        return _Counted(value, f"{self._name}.{attr}", self._counts) if callable(value) else value
+
+
+class _NumpyProxy:
+    """numpy, with every callable but its scalar types (``np.intp``, which
+    ``astype`` must see as itself) and ``np.ndarray`` counted."""
+
+    def __init__(self, counts: collections.Counter):
+        self._counts = counts
+
+    def __getattr__(self, name: str):
+        value = getattr(numpy, name)
+        if not callable(value) or value is numpy.ndarray or (
+                isinstance(value, type) and issubclass(value, numpy.generic)):
+            return value
+        return _Counted(value, name, self._counts)
+
+
+def costs(model, log_n: float):
+    """(numpy calls, loop steps, live rows) of one curve, or the refusal code."""
+    calls = collections.Counter()
+    loop = collections.Counter()
+    until_converged = arrays._until_converged
+
+    def counted_until_converged(steps, advance, state):
+        def step(i, state):
+            loop["steps"] += 1
+            loop["rows"] += state[0].size
+            return advance(i, state)
+
+        return until_converged(steps, step, state)
+
+    arrays.np, arrays._until_converged = _NumpyProxy(calls), counted_until_converged
+    try:
+        wt.error_comparison(model, log_n, GRID)
+    except WeibtailError as exc:
+        return exc.code
+    finally:
+        arrays.np, arrays._until_converged = numpy, until_converged
+    return sum(calls.values()), loop["steps"], loop["rows"]
+
+
+def main() -> None:
+    print(f"error_comparison on {GRID[0]:g}:{GRID[1]:g}:{GRID[2]}, exact gamma mode")
+    print(f"{'model':18s} {'log n':>6s} {'numpy':>6s} {'steps':>6s} {'rows':>8s}")
+    for name, params in MODELS.items():
+        model = wt.build_model(name, **params)
+        for log_n in LOG_N:
+            counts = costs(model, log_n)
+            if isinstance(counts, str):
+                print(f"{name:18s} {log_n:6g} refused {counts}")
+            else:
+                print(f"{name:18s} {log_n:6g} {counts[0]:6d} {counts[1]:6d} {counts[2]:8d}")
+
+
+if __name__ == "__main__":
+    main()
