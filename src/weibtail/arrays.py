@@ -300,19 +300,21 @@ def _until_converged(steps: range, advance: Callable[[int, list], Optional[np.nd
 
     ``state`` holds arrays that ``advance`` updates in place; it returns
     the mask of the points that meet the stopping test at step i, or None.
-    The live points are a slice [lo, hi) of the arrays, and ``advance``
+    The live points are a slice [lo, end) of the arrays, and ``advance``
     sees views of that slice.  While the points that first meet the test
-    at a step are a run at one end of the live slice (on an ascending
-    grid the series converges from small x, the continued fraction from
-    large x), the slice shrinks past them: a retired point is never
-    touched again, so it keeps its state of that step without a copy.
-    The first step whose converged points are scattered hands the live
-    slice to retirement by index for the rest of the loop: a converging
-    point is written out at once and retired (its entry of ``live``, the
-    result index of each row, becomes -1) but keeps iterating, and the
-    arrays are compacted only once the unretired points have halved since
-    the last compaction.  The loop stops once every point has converged,
-    and empties the list, freeing what it alone holds.
+    at a step are a run at the live slice's low end (on an ascending grid
+    the series converges from small x), the slice shrinks past them: a
+    retired point is never touched again, so it keeps its state of that
+    step without a copy.  The first step whose converged points are
+    neither all of them nor such a run (as the continued fraction's are
+    whenever they are not all of them: rounding makes its test land out
+    of order) hands the live slice to retirement by index for the rest of
+    the loop: a converging point is written out at once and retired (its
+    entry of ``live``, the result index of each row, becomes -1) but
+    keeps iterating, and the arrays are compacted only once the unretired
+    points have halved since the last compaction.  The loop stops once
+    every point has converged, and empties the list, freeing what it
+    alone holds.
     """
     result = state[0]
     live = None  # None: the live points are the slice the views of state show
@@ -326,9 +328,6 @@ def _until_converged(steps: range, advance: Callable[[int, list], Optional[np.nd
                 break
             if done[:n].all():
                 state[:] = [v[n:] for v in state]
-                continue
-            if done[-n:].all():
-                state[:] = [v[:-n] for v in state]
                 continue
             # out is the live slice of the result, state[0] a copy of it
             out, live, n_live = state[0], np.arange(done.size), done.size
@@ -402,10 +401,10 @@ def _gamma_continued_fraction(x: np.ndarray, a: float) -> np.ndarray:
     modified Lentz algorithm as in ``catalog.gamma_model``'s ``tail``,
     without Lentz's guard: for x >= a + 1 the denominators D_i and C_i
     stay above (1 - 1e-12) max(2, i + 1) (the argument is at ``tail``),
-    far from the 1e-300 at which the guard would act.  On an ascending
-    grid the points converge from large x, a run at the live slice's high
-    end that ``_until_converged`` drops without a copy; the boundary band,
-    where they converge out of order, takes its retirement by index."""
+    far from the 1e-300 at which the guard would act.  Points converge
+    all at once or out of order (rounding scatters the step at which
+    |delta - 1| <= eps first holds), so ``_until_converged`` retires them
+    by index."""
 
     def step(i, state):
         cf, b, c, d, scratch = state

@@ -240,11 +240,7 @@ def normal() -> WeibullTypeModel:
         theta=0.5,
         label="normal",
         support_lower=-math.inf,
-        classical_cdf=lambda x: _normal_sf(-x),
-        classical_density=_normal_pdf,
-        classical_log_cdf=lambda x: _normal_log_sf(-x),
         classical_log_sf=_normal_log_sf,
-        classical_log_pdf=lambda x: -0.5 * x * x - _LOG_SQRT_2PI,
         hazard_derivs=hazard_block,
         classical_log_sf_array=sv.array_form("_normal_log_sf_array"),
     )
@@ -261,11 +257,7 @@ def exponential() -> WeibullTypeModel:
         theta=1.0,
         label="exponential",
         support_lower=0.0,
-        classical_cdf=lambda x: -math.expm1(-x) if x > 0.0 else 0.0,
-        classical_density=lambda x: math.exp(-x) if x > 0.0 else 0.0,
-        classical_log_cdf=lambda x: math.log(-math.expm1(-x)) if x > 0.0 else -math.inf,
         classical_log_sf=lambda x: -x if x > 0.0 else 0.0,
-        classical_log_pdf=lambda x: -x if x > 0.0 else -math.inf,
         hazard_derivs=hazard_block,
         classical_log_sf_array=sv.array_form("_exponential_log_sf_array"),
     )
@@ -294,11 +286,7 @@ def logistic() -> WeibullTypeModel:
         theta=1.0,
         label="logistic",
         support_lower=-math.inf,
-        classical_cdf=F,
-        classical_density=lambda x: F(x) * math.exp(log_sf(x)),
-        classical_log_cdf=lambda x: log_sf(-x),
         classical_log_sf=log_sf,
-        classical_log_pdf=lambda x: log_sf(x) + log_sf(-x),
         hazard_derivs=hazard_block,
         classical_log_sf_array=sv.array_form("_logistic_log_sf_array"),
     )
@@ -311,10 +299,10 @@ def gamma_model(shape: float = 2.0) -> WeibullTypeModel:
     have shape != 1 (their penultimate index decays like 1/log^2 n rather
     than 1/n, one reason the theta = 1 row is not treated uniformly).
 
-    The regularized incomplete gammas P and Q are evaluated in log space:
-    the power series for P below x = shape + 1 and the continued fraction
-    for Gamma(shape, x) above (DLMF 8.7.1, §8.9), so log Q stays finite
-    arbitrarily deep in the tail.
+    The regularized upper incomplete gamma Q is evaluated in log space:
+    log(1 - P) with the power series for P below x = shape + 1, and the
+    continued fraction for Gamma(shape, x) above (DLMF 8.7.1, §8.9), so
+    log Q stays finite arbitrarily deep in the tail.
     """
     if not _GAMMA_MIN_SHAPE <= shape <= _GAMMA_MAX_SHAPE:
         raise ValueError(f"shape must be in [{_GAMMA_MIN_SHAPE:g}, {_GAMMA_MAX_SHAPE:g}]")
@@ -330,10 +318,10 @@ def gamma_model(shape: float = 2.0) -> WeibullTypeModel:
             return 0.0 if a == 1.0 else math.inf
         return -math.inf
 
-    def tail(x: float) -> Tuple[float, float, float]:
-        """(log P(a, x), log Q(a, x), hazard f/Q)."""
+    def tail(x: float) -> Tuple[float, float]:
+        """(log Q(a, x), hazard f/Q)."""
         if x <= 0.0:
-            return -math.inf, 0.0, math.exp(log_pdf(x))
+            return 0.0, math.exp(log_pdf(x))
         if x < a + 1.0:
             # P = x^a e^-x / Gamma(a + 1) * sum_n x^n / ((a + 1) ... (a + n))
             term = total = 1.0
@@ -346,9 +334,9 @@ def gamma_model(shape: float = 2.0) -> WeibullTypeModel:
                     break
             log_p = a * math.log(x) - x - lga1 + math.log(total)
             log_q = numerics.log1mexp(log_p)
-            return log_p, log_q, math.exp(log_pdf(x) - log_q)
+            return log_q, math.exp(log_pdf(x) - log_q)
         if x == math.inf:
-            return 0.0, -math.inf, 1.0
+            return -math.inf, 1.0
         # Gamma(a, x) = e^-x x^a cf, cf by the modified Lentz algorithm;
         # the hazard x^(a-1) e^-x / Gamma(a, x) is then 1 / (x cf) exactly.
         # Lentz's guard against a denominator near 0 cannot act here: with
@@ -375,14 +363,14 @@ def gamma_model(shape: float = 2.0) -> WeibullTypeModel:
             if abs(delta - 1.0) <= _EPS:
                 break
         log_q = a * math.log(x) - x - lga + math.log(cf)
-        return numerics.log1mexp(log_q), log_q, 1.0 / (x * cf)
+        return log_q, 1.0 / (x * cf)
 
     def hazard_block(x: float) -> Tuple[float, float, float, float]:
         if x < x_large:
             x3 = x**3
             if x3 == 0.0:  # x^3 underflowed, so 1/x^3 is past the double range
                 raise OverflowError(f"1/x^3 past the double range at x={x!r}")
-            h = tail(x)[2]
+            h = tail(x)[1]
             psi = (a - 1.0) / x - 1.0  # f'/f
             psi1 = -(a - 1.0) / (x * x)
             psi2 = 2.0 * (a - 1.0) / x3
@@ -422,11 +410,7 @@ def gamma_model(shape: float = 2.0) -> WeibullTypeModel:
         theta=1.0,
         label=f"gamma(shape={shape:g})",
         support_lower=0.0,
-        classical_cdf=lambda x: math.exp(tail(x)[0]),
-        classical_density=lambda x: math.exp(log_pdf(x)),
-        classical_log_cdf=lambda x: tail(x)[0],
-        classical_log_sf=lambda x: tail(x)[1],
-        classical_log_pdf=log_pdf,
+        classical_log_sf=lambda x: tail(x)[0],
         hazard_derivs=hazard_block,
         classical_log_sf_array=sv.array_form("_gamma_log_sf_array", a),
     )

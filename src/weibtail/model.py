@@ -6,8 +6,8 @@ Gumbel-scale transform of the cdf:
 * ``TAIL_EXP``     1 - F = exp(-H), H = x^(1/theta) l(x):  T = g(H) with
   g(u) = -log(-log(1 - e^-u)), so T ~ H with an e^-H correction.
 * ``LOG_CDF_EXP``  -log F = exp(-H):  T = H exactly.
-* ``CLASSICAL``    cdf/density supplied directly:  T = g(-log sf), reusing
-  the same g because 1 - F = exp(log sf) tautologically.
+* ``CLASSICAL``    log sf supplied directly:  H = -log(1 - F), so again
+  T = g(H); the k route is a hazard block or the log pdf.
 
 k = T' is the hazard-like object of the Gumbel domain.  :func:`k_jet`
 returns k and its first derivatives at one point as a :class:`KJet`: by the
@@ -48,7 +48,7 @@ HazardDerivs = Callable[[float], Tuple[float, float, float, float]]
 
 
 class Family(enum.Enum):
-    """How a model gives its tail: 1 - F = e^-H, -log F = e^-H, or a cdf."""
+    """How a model gives its tail: 1 - F = e^-H, -log F = e^-H, or log(1 - F)."""
 
     TAIL_EXP = "tail_exp"
     LOG_CDF_EXP = "log_cdf_exp"
@@ -60,13 +60,20 @@ class WeibullTypeModel:
     """A distribution in one of the three supported families.
 
     ``theta`` is the Weibull-tail coefficient for the exponential-tail
-    families and the known reference value for classical models.  Classical
-    models must supply cdf/density plus log-space variants accurate deep in
-    the tail; ``hazard_derivs`` unlocks the analytic k-derivative path, and
+    families and the known reference value for classical models.  A
+    classical model is its tail alone: ``classical_log_sf`` = -H, accurate
+    deep in the tail, plus a k route, either ``hazard_derivs`` (the
+    analytic k-derivative path) or ``classical_log_pdf`` (the hazard
+    e^(log pdf - log sf), differentiated numerically), plus optionally
     ``classical_log_sf_array`` (``classical_log_sf`` over a float array)
-    the array evaluation of ``arrays.gumbel_coordinate_array``.  The library
-    never writes into the array it returns, so a read-only array or a view
-    will do.
+    for the array evaluation of ``arrays.gumbel_coordinate_array``.  The
+    library never writes into the array it returns, so a read-only array
+    or a view will do.
+
+    ``classical_cdf``, ``classical_density`` and ``classical_log_cdf`` are
+    retired: nothing reads them and a value other than None is refused.
+    They stay declared only because ``perfbench/worker.py`` passes them to
+    ``dataclasses.replace``.
     """
 
     family: Family
@@ -85,9 +92,16 @@ class WeibullTypeModel:
     def __post_init__(self):
         if not 0.0 < self.theta < math.inf:
             raise ValueError("theta must be positive and finite")
+        retired = [name for name in ("classical_cdf", "classical_density", "classical_log_cdf")
+                   if getattr(self, name) is not None]
+        if retired:
+            raise ValueError(f"{', '.join(retired)} retired: a classical model is "
+                             "classical_log_sf plus hazard_derivs or classical_log_pdf")
         if self.family is Family.CLASSICAL:
-            if self.classical_cdf is None or self.classical_density is None:
-                raise ValueError("classical models need cdf and density")
+            if self.classical_log_sf is None:
+                raise ValueError("classical models need classical_log_sf")
+            if self.hazard_derivs is None and self.classical_log_pdf is None:
+                raise ValueError("classical models need hazard_derivs or classical_log_pdf")
         else:
             if self.l is None:
                 raise ValueError("tail families need a slowly varying spec")
@@ -126,23 +140,10 @@ def _require_support(model: WeibullTypeModel, x: float) -> None:
         )
 
 
-def _classical_log_sf(model: WeibullTypeModel, x: float) -> float:
-    if model.classical_log_sf is not None:
-        return model.classical_log_sf(x)
-    p = model.classical_cdf(x)
-    return math.log1p(-p) if p < 1.0 else -math.inf  # sf rounded to 0
-
-
-def _classical_log_pdf(model: WeibullTypeModel, x: float) -> float:
-    if model.classical_log_pdf is not None:
-        return model.classical_log_pdf(x)
-    return math.log(model.classical_density(x))
-
-
 def cumulative_hazard(model: WeibullTypeModel, x: float) -> float:
     """H(x) = x^(1/theta) l(x) for the tail families; -log(1 - F) classical."""
     if model.family is Family.CLASSICAL:
-        return -_classical_log_sf(model, x)
+        return -model.classical_log_sf(x)
     _require_support(model, x)
     try:
         return _pow(x, 1.0 / model.theta) * model.l.value_checked(x)
@@ -264,8 +265,10 @@ def gumbel_coordinate_inverse(model: WeibullTypeModel, t: float) -> float:
     e^-H family a level or a root below the normal double range (a
     subnormal root keeps too few bits for T(x) to be t) is refused as
     ``tail_underflow``, or as ``below_range`` above a positive support
-    endpoint.  Classical models solve T itself, above a finite support
-    endpoint (a t below T there is ``below_range``) or over the whole line.
+    endpoint.  Classical models solve T itself, saturated as the error
+    curves saturate it (-inf where F = 0, +inf where F = 1), above a
+    finite support endpoint (a t below T there is ``below_range``) or
+    over the whole line.
     """
     if model.family is Family.LOG_CDF_EXP:
         return cumulative_hazard_inverse(model, t)
@@ -275,17 +278,8 @@ def gumbel_coordinate_inverse(model: WeibullTypeModel, t: float) -> float:
         if min(y, x) < sys.float_info.min:
             raise TailUnderflowError(f"t={t!r}: level y={y!r}, x={x!r} underflow the double range")
         return x
-
-    def coordinate(z: float) -> float:
-        try:
-            return gumbel_coordinate(model, z)
-        except OutsideTailRegionError:
-            # F(z) rounds to 0, as near the support endpoint of a
-            # large-shape gamma: below every level, a lower bracket end
-            return -math.inf
-
     lower = model.support_lower if math.isfinite(model.support_lower) else None
-    return numerics.solve_increasing(coordinate, t, lower)
+    return numerics.solve_increasing(functools.partial(_saturated_coordinate, model), t, lower)
 
 
 def _chain_weights(model: WeibullTypeModel, x: float) -> Tuple[float, float, float, float]:
@@ -306,7 +300,7 @@ def _hazard_value(model: WeibullTypeModel, x: float) -> float:
     if model.family is Family.CLASSICAL:
         if model.hazard_derivs is not None:
             return model.hazard_derivs(x)[0]
-        v = math.exp(_classical_log_pdf(model, x) - _classical_log_sf(model, x))
+        v = math.exp(model.classical_log_pdf(x) - model.classical_log_sf(x))
         if not math.isfinite(v):
             raise TailUnderflowError(f"hazard overflow at x={x!r}")
         return v

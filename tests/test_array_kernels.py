@@ -357,8 +357,6 @@ def _ownership_models():
         theta=1.0,
         label="read-only-exponential",
         support_lower=0.0,
-        classical_cdf=lambda x: -math.expm1(-x) if x > 0.0 else 0.0,
-        classical_density=lambda x: math.exp(-x) if x > 0.0 else 0.0,
         classical_log_sf=lambda x: -x if x > 0.0 else 0.0,
         hazard_derivs=lambda x: (1.0, 0.0, 0.0, 0.0),
         classical_log_sf_array=lambda x: _read_only(np.where(x > 0.0, -x, 0.0)),

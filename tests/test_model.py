@@ -271,19 +271,24 @@ def test_k_derivative_methods_reported():
     assert jet.method == "numeric" and jet.errors is not None
 
 
+def _exponential_log_sf(x):
+    return -x if x > 0.0 else 0.0
+
+
+def _exponential_log_pdf(x):
+    return -x if x > 0.0 else -math.inf
+
+
 def test_k_numeric_fallback_without_hazard_block():
-    # classical model carrying only cdf/density: numeric path is mandatory
+    # classical model carrying log sf and log pdf only: numeric path is mandatory
     base = wt.exponential()
     bare = wt.WeibullTypeModel(
         family=wt.Family.CLASSICAL,
         theta=1.0,
         label="bare-exponential",
         support_lower=0.0,
-        classical_cdf=base.classical_cdf,
-        classical_density=base.classical_density,
-        classical_log_cdf=base.classical_log_cdf,
         classical_log_sf=base.classical_log_sf,
-        classical_log_pdf=base.classical_log_pdf,
+        classical_log_pdf=_exponential_log_pdf,
     )
     assert not bare.analytic_k_path
     jet = k_jet(bare, 4.0, 1)
@@ -293,18 +298,21 @@ def test_k_numeric_fallback_without_hazard_block():
 
 
 def test_k_tail_underflow_classical():
-    # a cdf-only classical model: at x = 40 the cdf rounds to 1.0, so the
+    # a log sf taken from the cdf: at x = 40 the cdf rounds to 1.0, so the
     # survival it implies is exactly 0 and k is undefined
-    base = wt.exponential()
+    def log_sf(x):
+        p = -math.expm1(-x) if x > 0.0 else 0.0
+        return math.log1p(-p) if p < 1.0 else -math.inf
+
     bare = wt.WeibullTypeModel(
         family=wt.Family.CLASSICAL,
         theta=1.0,
-        label="cdf-only-exponential",
+        label="cdf-rounded-exponential",
         support_lower=0.0,
-        classical_cdf=base.classical_cdf,
-        classical_density=base.classical_density,
+        classical_log_sf=log_sf,
+        classical_log_pdf=_exponential_log_pdf,
     )
-    assert bare.classical_cdf(40.0) == 1.0
+    assert bare.classical_log_sf(40.0) == -math.inf
     with pytest.raises(TailUnderflowError):
         wt.k_function(bare, 40.0)
 
@@ -493,3 +501,42 @@ def test_model_validation():
         wt.pure_weibull(theta=1.0, alpha=1.0)
     with pytest.raises(ValueError):
         wt.WeibullTypeModel(family=wt.Family.TAIL_EXP, theta=1.0, label="no-l")
+
+
+_LOG_SF_AND_PDF = {"classical_log_sf": _exponential_log_sf, "classical_log_pdf": _exponential_log_pdf}
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"classical_log_pdf": _exponential_log_pdf}, "need classical_log_sf"),
+    ({"classical_log_sf": _exponential_log_sf}, "need hazard_derivs or classical_log_pdf"),
+    ({**_LOG_SF_AND_PDF, "classical_cdf": lambda x: -math.expm1(-x)},
+     "classical_cdf retired: .*classical_log_sf"),
+    ({**_LOG_SF_AND_PDF, "classical_density": lambda x: math.exp(-x)},
+     "classical_density retired: .*classical_log_sf"),
+    ({**_LOG_SF_AND_PDF, "classical_log_cdf": lambda x: math.log(-math.expm1(-x))},
+     "classical_log_cdf retired: .*classical_log_sf"),
+], ids=["no-log-sf", "no-k-route", "cdf", "density", "log-cdf"])
+def test_classical_contract_refused(fields, message):
+    # a classical model is its log sf plus a k route; a retired callable is
+    # refused rather than silently ignored, and the refusal names log sf
+    with pytest.raises(ValueError, match=message):
+        wt.WeibullTypeModel(family=wt.Family.CLASSICAL, theta=1.0, label="contract", **fields)
+
+
+@pytest.mark.parametrize("name", [n for n, e in wt.CATALOG.items()
+                                  if e.family == wt.Family.CLASSICAL.value])
+def test_catalog_classical_models_set_one_representation(name):
+    m = wt.build_model(name)
+    callables = [f.name for f in dataclasses.fields(m)
+                 if f.name.startswith(("classical_", "hazard_"))]
+    assert {f for f in callables if getattr(m, f) is not None} == {
+        "classical_log_sf", "hazard_derivs", "classical_log_sf_array"}
+
+
+def test_classical_inverse_saturates_at_f_one():
+    # T of the Normal at 1e308 lies where the bracket's upper end has F = 1
+    # at double precision; that end is +inf, above every level, not a refusal
+    m = wt.normal()
+    t = 1e308
+    b = wt.gumbel_coordinate_inverse(m, t)
+    assert abs(wt.gumbel_coordinate(m, b) - t) <= 1e-14 * t

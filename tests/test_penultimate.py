@@ -256,9 +256,8 @@ def _scalar_only_model(kind):
         family=Family.CLASSICAL,
         theta=1.0,
         label="user-exponential",
-        classical_cdf=lambda x: -math.expm1(-x) if x > 0.0 else 0.0,
-        classical_density=lambda x: math.exp(-x) if x > 0.0 else 0.0,
         classical_log_sf=lambda x: -x if x > 0.0 else 0.0,
+        classical_log_pdf=lambda x: -x if x > 0.0 else -math.inf,
     )
     return model, model.classical_log_sf
 

@@ -128,11 +128,8 @@ def test_numeric_path_flagged_for_bare_classical():
         theta=1.0,
         label="bare",
         support_lower=0.0,
-        classical_cdf=base.classical_cdf,
-        classical_density=base.classical_density,
-        classical_log_cdf=base.classical_log_cdf,
         classical_log_sf=base.classical_log_sf,
-        classical_log_pdf=base.classical_log_pdf,
+        classical_log_pdf=lambda x: -x if x > 0.0 else -math.inf,
     )
     report = condition_sweep(bare, [3.0, 3e1, 3e2, 3e3, 3e4])
     assert report.derivative_path == "numeric"
