@@ -299,54 +299,47 @@ def _until_converged(steps: range, advance: Callable[[int, list], Optional[np.nd
     for the points that never converge).
 
     ``state`` holds arrays that ``advance`` updates in place; it returns
-    the mask of the points that meet the stopping test at step i, or None.
-    The live points are a slice [lo, end) of the arrays, and ``advance``
-    sees views of that slice.  While the points that first meet the test
-    at a step are a run at the live slice's low end (on an ascending grid
-    the series converges from small x), the slice shrinks past them: a
-    retired point is never touched again, so it keeps its state of that
-    step without a copy.  The first step whose converged points are
-    neither all of them nor such a run (as the continued fraction's are
-    whenever they are not all of them: rounding makes its test land out
-    of order) hands the live slice to retirement by index for the rest of
-    the loop: a converging point is written out at once and retired (its
-    entry of ``live``, the result index of each row, becomes -1) but
-    keeps iterating, and the arrays are compacted only once the unretired
-    points have halved since the last compaction.  The loop stops once
-    every point has converged, and empties the list, freeing what it
-    alone holds.
+    a new mask of the points that meet the stopping test at step i (the
+    loop keeps the first one), or None.  One rule retires points: the live
+    points are one slice of the arrays, ``advance`` sees views of it, and
+    after each step the slice shrinks past the converged points at either
+    end (on an ascending grid the series converges from small x, the
+    continued fraction from large x).  A point left behind is never
+    touched again, so it keeps its state of that step without a copy.  A
+    converged point inside the slice keeps iterating, but nothing reads
+    it: once the first such point exists, ``state[0]`` becomes a copy of
+    the live slice of the result, and each point is written out at its
+    first converging step.  The loop stops once every point has
+    converged, and empties the list, freeing what it alone holds.
     """
-    result = state[0]
-    live = None  # None: the live points are the slice the views of state show
+    # out: the live slice of result, once state[0] is a copy; ever: the
+    # live points that have converged
+    result, out, ever = state[0], None, None
     for i in steps:
         done = advance(i, state)
         if done is None:
             continue
-        if live is None:
-            n = np.count_nonzero(done)
-            if n == done.size:
-                break
-            if done[:n].all():
-                state[:] = [v[n:] for v in state]
-                continue
-            # out is the live slice of the result, state[0] a copy of it
-            out, live, n_live = state[0], np.arange(done.size), done.size
-            state[0] = out.copy()
-        # by index, not by mask: a take is several times a masked gather's speed
-        hits = np.flatnonzero(done)
-        hits = hits[live.take(hits) >= 0]  # a retired point converged before
-        out[live.take(hits)] = state[0].take(hits)
-        live[hits] = -1
-        n_live -= hits.size
-        if not n_live:
+        if ever is None:
+            ever = done
+        else:
+            done = np.greater(done, ever)  # converging first at this step
+            ever |= done
+        if out is not None:
+            np.copyto(out, state[0], where=done)
+        first = int(ever.argmin())
+        if ever[first]:
             break
-        if 2 * n_live <= live.size:
-            keep = np.flatnonzero(live >= 0)
-            live = live.take(keep)
-            state[:] = [v.take(keep) for v in state]
-    if live is not None and n_live:
-        keep = np.flatnonzero(live >= 0)
-        out[live.take(keep)] = state[0].take(keep)
+        last = ever.size - int(ever[::-1].argmin())
+        if first or last < ever.size:
+            state[:] = [v[first:last] for v in state]
+            ever = ever[first:last]
+            if out is not None:
+                out = out[first:last]
+        if out is None and ever.any():
+            out, state[0] = state[0], state[0].copy()
+    else:
+        if out is not None:
+            np.copyto(out, state[0], where=~ever)
     state.clear()
     return result
 
@@ -376,8 +369,8 @@ def _gamma_scaled_log(x: np.ndarray, s: np.ndarray, a: float, log_norm: float) -
 
 def _gamma_series(x: np.ndarray, a: float) -> np.ndarray:
     """log Q = log(1 - P) below x = a + 1, P by its power series.  On an
-    ascending grid the points converge from small x, a run at the live
-    slice's low end that ``_until_converged`` drops without a copy."""
+    ascending grid the points converge from small x, so ``_until_converged``
+    trims the live slice at its low end and mostly needs no copy."""
     ap = a
 
     def step(_, state):
@@ -401,10 +394,11 @@ def _gamma_continued_fraction(x: np.ndarray, a: float) -> np.ndarray:
     modified Lentz algorithm as in ``catalog.gamma_model``'s ``tail``,
     without Lentz's guard: for x >= a + 1 the denominators D_i and C_i
     stay above (1 - 1e-12) max(2, i + 1) (the argument is at ``tail``),
-    far from the 1e-300 at which the guard would act.  Points converge
-    all at once or out of order (rounding scatters the step at which
-    |delta - 1| <= eps first holds), so ``_until_converged`` retires them
-    by index."""
+    far from the 1e-300 at which the guard would act.  On an ascending grid
+    the points converge from large x, so ``_until_converged`` trims the
+    live slice at its high end; rounding scatters the step at which
+    |delta - 1| <= eps first holds, and a point that converges inside the
+    slice is written out then and iterates on unread."""
 
     def step(i, state):
         cf, b, c, d, scratch = state

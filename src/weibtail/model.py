@@ -282,8 +282,9 @@ def gumbel_coordinate_inverse(model: WeibullTypeModel, t: float) -> float:
     return numerics.solve_increasing(functools.partial(_saturated_coordinate, model), t, lower)
 
 
-def _chain_weights(model: WeibullTypeModel, x: float) -> Tuple[float, float, float, float]:
-    h = cumulative_hazard(model, x)
+def _chain_weights(model: WeibullTypeModel, x: float,
+                   h: float) -> Tuple[float, float, float, float]:
+    """The weights g_j = d^j T/dH^j at H = h = H(x)."""
     if model.family is Family.LOG_CDF_EXP:
         if not math.isfinite(h):
             raise TailUnderflowError(f"H(x) = {h!r} at x={x!r}")
@@ -295,12 +296,14 @@ def _chain_weights(model: WeibullTypeModel, x: float) -> Tuple[float, float, flo
     return numerics.log_neg_log_cdf_derivs(h)
 
 
-def _hazard_value(model: WeibullTypeModel, x: float) -> float:
-    """H'(x) (tail families) or the hazard rate f/sf (classical)."""
+def _hazard_value(model: WeibullTypeModel, x: float, h: float) -> float:
+    """H'(x) (tail families) or the hazard rate f/sf (classical), given
+    h = H(x): f/sf = e^(log f + H), to the bit e^(log f - log sf), without
+    a second read of the log sf."""
     if model.family is Family.CLASSICAL:
         if model.hazard_derivs is not None:
             return model.hazard_derivs(x)[0]
-        v = math.exp(model.classical_log_pdf(x) - model.classical_log_sf(x))
+        v = math.exp(model.classical_log_pdf(x) + h)
         if not math.isfinite(v):
             raise TailUnderflowError(f"hazard overflow at x={x!r}")
         return v
@@ -329,8 +332,9 @@ def k_function(model: WeibullTypeModel, x: float) -> float:
     LOG_CDF_EXP family, and H' * (1 + O(e^-H)) in the tail otherwise.  A
     value past the double range is refused as ``eval_failure``.
     """
-    g1 = _chain_weights(model, x)[0]
-    return _hazard_value(model, x) * g1
+    h = cumulative_hazard(model, x)
+    g1 = _chain_weights(model, x, h)[0]
+    return _hazard_value(model, x, h) * g1
 
 
 class KJet(NamedTuple):
@@ -386,7 +390,7 @@ def k_jet(model: WeibullTypeModel, x: float, order: int = 3, method: str = "auto
     if method == "analytic":
         if not model.analytic_k_path:
             raise TailUnderflowError(f"{model.label}: analytic k path unavailable")
-        g1, g2, g3, g4 = _chain_weights(model, x)
+        g1, g2, g3, g4 = _chain_weights(model, x, cumulative_hazard(model, x))
         d1, d2, d3, d4 = hazard_derivative_block(model, x)
         values = (
             d1 * g1,

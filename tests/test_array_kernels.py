@@ -9,10 +9,12 @@ each of which lies in one regime.
 """
 
 import dataclasses
+import importlib.util
 import inspect
 import math
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -275,10 +277,13 @@ def test_t_equals_h_from_forty():
 def _retirement_advance(converge_at, every=3):
     """An advance over state [value, point id, converging step]: value =
     1000 id + i after step i, and a point meets the stopping test at its
-    converging step and every ``every`` steps after it."""
+    converging step and every ``every`` steps after it.  It also returns
+    the list it appends (i, ids of the rows step i advances) to."""
+    seen = []
 
     def advance(i, state):
         value, ident, at = state
+        seen.append((i, ident.astype(int).tolist()))
         np.multiply(ident, 1000.0, out=value)
         value += i
         since = i - at
@@ -287,7 +292,7 @@ def _retirement_advance(converge_at, every=3):
 
     n = len(converge_at)
     state = [np.zeros(n), np.arange(n, dtype=float), np.array(converge_at, dtype=float)]
-    return advance, state
+    return advance, state, seen
 
 
 @pytest.mark.parametrize("converge_at", [
@@ -307,12 +312,26 @@ def _retirement_advance(converge_at, every=3):
 def test_until_converged_keeps_first_converging_state(converge_at, start):
     steps = range(start, 45)
     for every in (1, 3):
-        advance, state = _retirement_advance(converge_at, every)
+        advance, state, _ = _retirement_advance(converge_at, every)
         got = arrays._until_converged(steps, advance, state)
         want = [1000.0 * j + (at if at < steps.stop else steps[-1])
                 for j, at in enumerate(converge_at)]
         assert got.tolist() == want
         assert state == []
+
+
+@pytest.mark.parametrize("converge_at", [list(range(1, 41)), list(range(40, 0, -1))],
+                         ids=["order", "reverse"])
+@pytest.mark.parametrize("start", [0, 1])
+def test_until_converged_trims_both_ends(converge_at, start):
+    # points that converge in grid order, from either end, leave the live
+    # slice at once: each step advances exactly the points not yet converged
+    for every in (1, 3):
+        advance, state, seen = _retirement_advance(converge_at, every)
+        arrays._until_converged(range(start, 45), advance, state)
+        assert [i for i, _ in seen] == list(range(start, 41))
+        for i, ids in seen:
+            assert ids == [j for j, at in enumerate(converge_at) if at >= i], i
 
 
 @pytest.mark.parametrize("name", ["gumbel-fixture", "normal", "pure-weibull"])
@@ -424,3 +443,34 @@ def test_error_comparison_peak_memory(name):
         tracemalloc.stop()
     arrays = peak / (8 * grid[2])
     assert arrays <= limit, f"{name}: peak {arrays:.2f} grid arrays > {limit}"
+
+
+# ------------------------------------------------------------- loop work
+
+# rows that gamma's series and continued-fraction loops update in one
+# error_comparison on tools/costs.py's 3000-point grid, per shape at log n
+# 1, 2, 4 and 6 (curve_bits.py's fixed curves); retiring points by index
+# with compaction on halving updated 73 690, 78 068, 85 279 and 78 612 rows
+# at shape 0.5
+GAMMA_LOOP_ROWS = {
+    0.5: (70_652, 73_207, 78_111, 70_333),
+    2.0: (19_234, 19_599, 9_317, 6_000),
+    5.0: (33_175, 29_565, 15_000, 15_000),
+}
+
+
+def _costs_tool():
+    path = Path(__file__).resolve().parents[1] / "tools" / "costs.py"
+    spec = importlib.util.spec_from_file_location("costs", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+@pytest.mark.parametrize("shape", sorted(GAMMA_LOOP_ROWS))
+def test_gamma_loop_rows(shape):
+    tool = _costs_tool()
+    model = catalog.gamma_model(shape)
+    rows = [tool.costs(model, log_n)[2] for log_n in (1.0, 2.0, 4.0, 6.0)]
+    pins = GAMMA_LOOP_ROWS[shape]
+    assert all(r <= pin for r, pin in zip(rows, pins)), (rows, pins)

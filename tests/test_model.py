@@ -297,6 +297,33 @@ def test_k_numeric_fallback_without_hazard_block():
     assert jet.values[1] == pytest.approx(ref, rel=1e-7)
 
 
+def test_k_log_pdf_route_reads_log_sf_once_per_point():
+    # H and the hazard e^(log f + H) share one log sf call; k_jet's
+    # Richardson stencils evaluate k at 32 points (23 distinct)
+    base = wt.exponential()
+    calls = []
+
+    def log_sf(x):
+        calls.append(x)
+        return base.classical_log_sf(x)
+
+    bare = wt.WeibullTypeModel(
+        family=wt.Family.CLASSICAL,
+        theta=1.0,
+        label="counted-exponential",
+        support_lower=0.0,
+        classical_log_sf=log_sf,
+        classical_log_pdf=_exponential_log_pdf,
+    )
+    k = wt.k_function(bare, 4.0)
+    assert calls == [4.0]
+    assert k == math.exp(_exponential_log_pdf(4.0) - base.classical_log_sf(4.0)) * (
+        numerics.log_neg_log_cdf_derivs(-base.classical_log_sf(4.0))[0])
+    calls.clear()
+    k_jet(bare, 4.0, 3)
+    assert len(calls) == 32
+
+
 def test_k_tail_underflow_classical():
     # a log sf taken from the cdf: at x = 40 the cdf rounds to 1.0, so the
     # survival it implies is exactly 0 and k is undefined

@@ -3,13 +3,15 @@
     PYTHONPATH=src python tools/costs.py
 
 For every catalog model (pure-weibull at theta = 2, extended-weibull at
-beta = 2, gamma at shape 2) and log n in {1, 2, 20, 300}, this runs one
-``error_comparison`` on the default window at 3000 points, which takes the
-array pass, and prints:
+beta = 2, gamma at shapes 0.5, 2 and 5) and log n in {1, 2, 4, 6, 20, 300},
+this runs one ``error_comparison`` on the default window at 3000 points,
+which takes the array pass, and prints:
 
 - ``numpy``: the calls into numpy's namespace (functions, ufuncs and their
   methods such as ``np.fmin.reduce``, ``np.errstate``), counted through a
-  proxy for ``weibtail.arrays.np``, the library's one numpy import;
+  proxy for ``weibtail.arrays.np``, the library's one numpy import.  Array
+  methods (``argmin``, ``take``, ``any``) and operators are not counted, so
+  this column cannot compare two codes that trade one for the other;
 - ``steps``: the steps gamma's series and continued fraction take, over
   both loops;
 - ``rows``: the sum over those steps of the rows each step updates.
@@ -28,16 +30,20 @@ import weibtail as wt
 from weibtail import arrays, penultimate
 from weibtail.errors import WeibtailError
 
-MODELS = {
-    "pure-weibull": {"theta": 2.0},
-    "extended-weibull": {"beta": 2.0},
-    "normal": {},
-    "exponential": {},
-    "logistic": {},
-    "gamma": {"shape": 2.0},
-    "gumbel-fixture": {},
-}
-LOG_N = (1.0, 2.0, 20.0, 300.0)
+# gamma's shapes and log n 1 to 6 are those of curve_bits.py's fixed
+# curves, where its series and continued-fraction loops run longest
+MODELS = (
+    ("pure-weibull", {"theta": 2.0}),
+    ("extended-weibull", {"beta": 2.0}),
+    ("normal", {}),
+    ("exponential", {}),
+    ("logistic", {}),
+    ("gamma", {"shape": 0.5}),
+    ("gamma", {"shape": 2.0}),
+    ("gamma", {"shape": 5.0}),
+    ("gumbel-fixture", {}),
+)
+LOG_N = (1.0, 2.0, 4.0, 6.0, 20.0, 300.0)
 GRID = (*penultimate.DEFAULT_GRID[:2], 3000)
 
 
@@ -98,15 +104,16 @@ def costs(model, log_n: float):
 
 def main() -> None:
     print(f"error_comparison on {GRID[0]:g}:{GRID[1]:g}:{GRID[2]}, exact gamma mode")
-    print(f"{'model':18s} {'log n':>6s} {'numpy':>6s} {'steps':>6s} {'rows':>8s}")
-    for name, params in MODELS.items():
+    print(f"{'model':24s} {'log n':>6s} {'numpy':>6s} {'steps':>6s} {'rows':>8s}")
+    for name, params in MODELS:
         model = wt.build_model(name, **params)
+        label = " ".join([name, *(f"{k}={v:g}" for k, v in params.items())])
         for log_n in LOG_N:
             counts = costs(model, log_n)
             if isinstance(counts, str):
-                print(f"{name:18s} {log_n:6g} refused {counts}")
+                print(f"{label:24s} {log_n:6g} refused {counts}")
             else:
-                print(f"{name:18s} {log_n:6g} {counts[0]:6d} {counts[1]:6d} {counts[2]:8d}")
+                print(f"{label:24s} {log_n:6g} {counts[0]:6d} {counts[1]:6d} {counts[2]:8d}")
 
 
 if __name__ == "__main__":
