@@ -346,8 +346,9 @@ def _until_converged(steps: range, advance: Callable[[int, list], Optional[np.nd
 
 def _gamma_log_sf_array(x: np.ndarray, a: float) -> np.ndarray:
     """log Q(a, x) over an array: the series and continued fraction of
-    ``catalog.gamma_model``'s ``tail``, each point stopped at the step
-    where ``tail`` stops; 0 at and below x = 0 and -inf at x = inf."""
+    ``catalog.gamma_model``'s scalar ``log_sf``, each point stopped at the
+    step where the scalar loop stops; 0 at and below x = 0 and -inf at
+    x = inf."""
 
     def inside(x: np.ndarray) -> np.ndarray:
         return piecewise(x < a + 1.0, lambda x: _gamma_series(x, a),
@@ -391,10 +392,11 @@ def _gamma_series(x: np.ndarray, a: float) -> np.ndarray:
 
 def _gamma_continued_fraction(x: np.ndarray, a: float) -> np.ndarray:
     """log Q = log Gamma(a, x) - log Gamma(a) from x = a + 1 on, by the
-    modified Lentz algorithm as in ``catalog.gamma_model``'s ``tail``,
-    without Lentz's guard: for x >= a + 1 the denominators D_i and C_i
-    stay above (1 - 1e-12) max(2, i + 1) (the argument is at ``tail``),
-    far from the 1e-300 at which the guard would act.  On an ascending grid
+    modified Lentz algorithm as in ``catalog.gamma_model``'s
+    ``continued_fraction``, without Lentz's guard: for x >= a + 1 the
+    denominators D_i and C_i stay above (1 - 1e-12) max(2, i + 1) (the
+    argument is at the scalar loop), far from the 1e-300 at which the
+    guard would act.  On an ascending grid
     the points converge from large x, so ``_until_converged`` trims the
     live slice at its high end; rounding scatters the step at which
     |delta - 1| <= eps first holds, and a point that converges inside the

@@ -318,52 +318,81 @@ def gamma_model(shape: float = 2.0) -> WeibullTypeModel:
             return 0.0 if a == 1.0 else math.inf
         return -math.inf
 
-    def tail(x: float) -> Tuple[float, float]:
-        """(log Q(a, x), hazard f/Q)."""
-        if x <= 0.0:
-            return 0.0, math.exp(log_pdf(x))
-        if x < a + 1.0:
-            # P = x^a e^-x / Gamma(a + 1) * sum_n x^n / ((a + 1) ... (a + n))
-            term = total = 1.0
-            ap = a
-            for _ in range(_GAMMA_MAX_TERMS):
-                ap += 1.0
-                term *= x / ap
-                total += term
-                if term <= _EPS * total:
-                    break
-            log_p = a * math.log(x) - x - lga1 + math.log(total)
-            log_q = numerics.log1mexp(log_p)
-            return log_q, math.exp(log_pdf(x) - log_q)
-        if x == math.inf:
-            return -math.inf, 1.0
-        # Gamma(a, x) = e^-x x^a cf, cf by the modified Lentz algorithm;
-        # the hazard x^(a-1) e^-x / Gamma(a, x) is then 1 / (x cf) exactly.
-        # Lentz's guard against a denominator near 0 cannot act here: with
-        # b_i = x + 1 - a + 2i and a_i = -i (i - a), the denominators
-        # D_i = b_i + a_i / D_(i-1) (D_0 = b_0) and C_i = b_i + a_i / C_(i-1)
-        # (C_0 = 1/_LENTZ_TINY) stay >= max(2, i + 1) for x >= a + 1.  D_0 =
-        # x + 1 - a >= 2, and given D_(i-1) >= i: a_i >= 0 (i <= a) leaves
-        # D_i >= b_i >= 2 + 2i, and a_i < 0 (i > a) takes at most
-        # i (i - a) / i from b_i, so D_i >= x + 1 + i; likewise C_i.  Each
-        # step rounds off a few ulp against a margin of at least 1, so the
-        # rounded ones stay above (1 - 1e-12) max(2, i + 1), far from 1e-300.
+    # Every residual of a gamma root solve runs one of these two loops to
+    # full precision, so each step is kept to the float operations it
+    # needs, on locals.
+    def series_log_p(x: float) -> float:
+        """log P(a, x) for 0 < x < a + 1: P = x^a e^-x / Gamma(a + 1) *
+        sum_n x^n / ((a + 1) ... (a + n))."""
+        eps = _EPS
+        term = total = 1.0
+        ap = a
+        for _ in range(_GAMMA_MAX_TERMS):
+            ap += 1.0
+            term *= x / ap
+            total += term
+            if term <= eps * total:
+                break
+        return a * math.log(x) - x - lga1 + math.log(total)
+
+    def continued_fraction(x: float) -> float:
+        """cf = Gamma(a, x) e^x x^-a for a + 1 <= x < inf, by the modified
+        Lentz algorithm.
+
+        Lentz's guard against a denominator near 0 cannot act here: with
+        b_i = x + 1 - a + 2i and a_i = i (a - i), the denominators
+        D_i = b_i + a_i / D_(i-1) (D_0 = b_0) and C_i = b_i + a_i / C_(i-1)
+        (C_0 = 1/_LENTZ_TINY) stay >= max(2, i + 1) for x >= a + 1.  D_0 =
+        x + 1 - a >= 2, and given D_(i-1) >= i: a_i >= 0 (i <= a) leaves
+        D_i >= b_i >= 2 + 2i, and a_i < 0 (i > a) takes at most
+        i (i - a) / i from b_i, so D_i >= x + 1 + i; likewise C_i.  Each
+        step rounds off a few ulp against a margin of at least 1, so the
+        rounded ones stay above (1 - 1e-12) max(2, i + 1), far from 1e-300.
+
+        The step counter i is a float, and a_i = i (a - i) equals -i (i - a)
+        to the bit, since u - v = -(v - u) exactly (a zero a_i may differ in
+        sign, which b_i + a_i d and b_i + a_i / c absorb).  The stop
+        -eps <= delta - 1 <= eps has the truth value of |delta - 1| <= eps
+        for every double and for NaN, without a call per step.
+        """
+        eps, neg_eps = _EPS, -_EPS
         b = x + 1.0 - a
         c = 1.0 / _LENTZ_TINY
         d = 1.0 / b
         cf = d
-        for i in range(1, _GAMMA_MAX_TERMS):
-            an = -i * (i - a)
+        i = 0.0
+        for _ in range(1, _GAMMA_MAX_TERMS):
+            i += 1.0
+            an = i * (a - i)
             b += 2.0
             d = an * d + b
             c = b + an / c
             d = 1.0 / d
             delta = d * c
             cf *= delta
-            if abs(delta - 1.0) <= _EPS:
+            if neg_eps <= delta - 1.0 <= eps:
                 break
-        log_q = a * math.log(x) - x - lga + math.log(cf)
-        return log_q, 1.0 / (x * cf)
+        return cf
+
+    def log_sf(x: float) -> float:
+        """log Q(a, x): log(1 - P) below x = a + 1, log Gamma(a, x) -
+        log Gamma(a) from there on."""
+        if x <= 0.0:
+            return 0.0
+        if x < a + 1.0:
+            return numerics.log1mexp(series_log_p(x))
+        if x == math.inf:
+            return -math.inf
+        return a * math.log(x) - x - lga + math.log(continued_fraction(x))
+
+    def tail(x: float) -> Tuple[float, float]:
+        """(log Q(a, x), hazard f/Q)."""
+        if a + 1.0 <= x < math.inf:
+            # the hazard x^(a-1) e^-x / Gamma(a, x) is 1 / (x cf) exactly
+            cf = continued_fraction(x)
+            return a * math.log(x) - x - lga + math.log(cf), 1.0 / (x * cf)
+        log_q = log_sf(x)
+        return log_q, 1.0 if x == math.inf else math.exp(log_pdf(x) - log_q)
 
     def hazard_block(x: float) -> Tuple[float, float, float, float]:
         if x < x_large:
@@ -410,7 +439,7 @@ def gamma_model(shape: float = 2.0) -> WeibullTypeModel:
         theta=1.0,
         label=f"gamma(shape={shape:g})",
         support_lower=0.0,
-        classical_log_sf=lambda x: tail(x)[0],
+        classical_log_sf=log_sf,
         hazard_derivs=hazard_block,
         classical_log_sf_array=sv.array_form("_gamma_log_sf_array", a),
     )

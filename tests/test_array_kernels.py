@@ -92,16 +92,17 @@ def test_lentz_denominators_array(monkeypatch):
     assert max(seen) > 50
 
 
-def _tail_function(model):
+def _lentz_function(model):
+    # the scalar continued fraction, a closure of the model's log sf
     cell = next(c for c in model.classical_log_sf.__closure__
-                if getattr(c.cell_contents, "__name__", "") == "tail")
+                if getattr(c.cell_contents, "__name__", "") == "continued_fraction")
     return cell.cell_contents
 
 
 def test_lentz_denominators_scalar():
-    # catalog.gamma_model's scalar tail, traced: at the line that inverts
-    # D_i it holds D_i, at the line that forms delta it holds C_i
-    lines, first = inspect.getsourcelines(_tail_function(catalog.gamma_model(2.0)))
+    # catalog.gamma_model's scalar continued fraction, traced: at the line
+    # that inverts D_i it holds D_i, at the line that forms delta it holds C_i
+    lines, first = inspect.getsourcelines(_lentz_function(catalog.gamma_model(2.0)))
     line_of = {text.strip(): first + k for k, text in enumerate(lines)}
     invert, product = line_of["d = 1.0 / d"], line_of["delta = d * c"]
     seen = []
@@ -115,19 +116,118 @@ def test_lentz_denominators_scalar():
         return local
 
     for a in np.geomspace(1e-14, 1000.0, 25).tolist():
-        tail = _tail_function(catalog.gamma_model(a))
+        cf = _lentz_function(catalog.gamma_model(a))
 
-        def tracer(frame, event, arg, code=tail.__code__):
+        def tracer(frame, event, arg, code=cf.__code__):
             return local if frame.f_code is code else None
 
         sys.settrace(tracer)
         try:
             for x in _lentz_sweep(a, 60).tolist():
-                assert math.isfinite(tail(x)[1])
+                assert math.isfinite(cf(x))
         finally:
             sys.settrace(None)
     assert max(seen) > 50
 
+
+
+def _reference_gamma_tail(a):
+    """catalog.gamma_model's (log Q, hazard) with the loops written as they
+    were before each step was trimmed to float operations on locals: the
+    reference the scalar gamma code must match bit for bit."""
+    _EPS, _LENTZ_TINY, _GAMMA_MAX_TERMS = catalog._EPS, catalog._LENTZ_TINY, catalog._GAMMA_MAX_TERMS
+    lga = math.lgamma(a)
+    lga1 = math.lgamma(a + 1.0)
+
+    def log_pdf(x):
+        if x > 0.0:
+            return (a - 1.0) * math.log(x) - x - lga
+        if x == 0.0 and a <= 1.0:
+            return 0.0 if a == 1.0 else math.inf
+        return -math.inf
+
+    def tail(x):
+        if x <= 0.0:
+            return 0.0, math.exp(log_pdf(x))
+        if x < a + 1.0:
+            term = total = 1.0
+            ap = a
+            for _ in range(_GAMMA_MAX_TERMS):
+                ap += 1.0
+                term *= x / ap
+                total += term
+                if term <= _EPS * total:
+                    break
+            log_p = a * math.log(x) - x - lga1 + math.log(total)
+            log_q = numerics.log1mexp(log_p)
+            return log_q, math.exp(log_pdf(x) - log_q)
+        if x == math.inf:
+            return -math.inf, 1.0
+        b = x + 1.0 - a
+        c = 1.0 / _LENTZ_TINY
+        d = 1.0 / b
+        cf = d
+        for i in range(1, _GAMMA_MAX_TERMS):
+            an = -i * (i - a)
+            b += 2.0
+            d = an * d + b
+            c = b + an / c
+            d = 1.0 / d
+            delta = d * c
+            cf *= delta
+            if abs(delta - 1.0) <= _EPS:
+                break
+        log_q = a * math.log(x) - x - lga + math.log(cf)
+        return log_q, 1.0 / (x * cf)
+
+    def hazard_block(x):
+        # the recurrence branch of catalog.gamma_model's hazard_block, below
+        # max(50, 2a), the one that reads the tail
+        x3 = x**3
+        if x3 == 0.0:
+            raise OverflowError
+        h = tail(x)[1]
+        psi = (a - 1.0) / x - 1.0
+        psi1 = -(a - 1.0) / (x * x)
+        psi2 = 2.0 * (a - 1.0) / x3
+        h1 = h * (psi + h)
+        h2 = h1 * (psi + h) + h * (psi1 + h1)
+        h3 = h2 * (psi + h) + 2.0 * h1 * (psi1 + h1) + h * (psi2 + h2)
+        return h, h1, h2, h3
+
+    return tail, hazard_block
+
+
+def _bits(fn, x):
+    """float.hex of fn(x), entry by entry, or the exception it raises."""
+    try:
+        value = fn(x)
+    except ArithmeticError as exc:
+        return type(exc).__name__
+    return [v.hex() for v in value] if isinstance(value, tuple) else value.hex()
+
+
+@pytest.mark.parametrize("a", np.geomspace(1e-14, 1000.0, 25).tolist())
+def test_gamma_scalar_tail_matches_reference(a):
+    # log Q and the hazard block of every x below, in float.hex: the series
+    # range, both sides of the switch at a + 1, the continued fraction's
+    # sweep, x <= 0, inf and NaN
+    start = a + 1.0
+    switch, below = [start], [math.nextafter(start, 0.0)]
+    for _ in range(4):
+        switch.append(math.nextafter(switch[-1], math.inf))
+        below.append(math.nextafter(below[-1], 0.0))
+    series = [x for x in np.geomspace(1e-300, start, 60).tolist() if x < start]
+    series += np.linspace(0.0, start, 41)[1:-1].tolist()
+    xs = ([-math.inf, -5.0, -1e-300, -0.0, 0.0, math.inf, math.nan] + series + below + switch
+          + _lentz_sweep(a, 60).tolist())
+    model = catalog.gamma_model(a)
+    tail, hazard_block = _reference_gamma_tail(a)
+    x_large = max(catalog._GAMMA_LARGE_X, 2.0 * a)
+    for x in xs:
+        assert _bits(model.classical_log_sf, x) == _bits(lambda x: tail(x)[0], x), x
+        if x < x_large:
+            assert _bits(model.hazard_derivs, x) == _bits(hazard_block, x), x
 
 @pytest.mark.parametrize("build", [catalog.logistic, catalog.normal, catalog.exponential],
                          ids=["logistic", "normal", "exponential"])
