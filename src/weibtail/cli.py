@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import enum
+import gc
 import io
 import json
 import math
@@ -183,10 +184,13 @@ def _resolve(args, parser: argparse.ArgumentParser) -> WeibullTypeModel:
         parser.error(str(exc))
 
 
-def _emit(path: Optional[str], text: str) -> None:
+def _emit(path: Optional[str], text: str, parser: argparse.ArgumentParser) -> None:
     if path:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            parser.error(f"--out: cannot write {path!r} ({exc.strerror})")
     else:
         sys.stdout.write(text)
 
@@ -230,7 +234,7 @@ def _model_meta(args, model: WeibullTypeModel) -> Dict:
     }
 
 
-def cmd_models(args, parser=None) -> int:
+def cmd_models(args, parser) -> int:
     rows = [
         {
             "name": entry.name,
@@ -242,9 +246,9 @@ def cmd_models(args, parser=None) -> int:
         for _, entry in sorted(CATALOG.items())
     ]
     if args.format == "json":
-        _emit(args.out, _render_json("models", None, rows))
+        _emit(args.out, _render_json("models", None, rows), parser)
     else:
-        _emit(args.out, _render_csv("models", rows))
+        _emit(args.out, _render_csv("models", rows), parser)
     return 0
 
 
@@ -329,17 +333,17 @@ _TABLE_ROWS = {
 }
 
 
-def cmd_table(args, parser=None) -> int:
+def cmd_table(args, parser) -> int:
     model = _resolve(args, parser)
     csv_rows, json_payload = _TABLE_ROWS[args.command](model, args)
     if args.format == "json":
-        _emit(args.out, _render_json(args.command, _model_meta(args, model), json_payload))
+        _emit(args.out, _render_json(args.command, _model_meta(args, model), json_payload), parser)
     else:
-        _emit(args.out, _render_csv(args.command, csv_rows))
+        _emit(args.out, _render_csv(args.command, csv_rows), parser)
     return 0
 
 
-def cmd_report(args, parser=None) -> int:
+def cmd_report(args, parser) -> int:
     model = _resolve(args, parser)
     # one Location per log n, made in the norming pass: b_exact is solved once
     located = [norming_located(model, ln) for ln in args.log_n]
@@ -367,7 +371,7 @@ def cmd_report(args, parser=None) -> int:
         "errors": error_rows,
         "vonmises": vm_payload,
     }
-    _emit(args.out, json.dumps(doc, indent=2, allow_nan=False) + "\n")
+    _emit(args.out, json.dumps(doc, indent=2, allow_nan=False) + "\n", parser)
     return 0
 
 
@@ -402,7 +406,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    """The ``weibtail`` console script and ``python -m weibtail.cli``.
+
+    The process ends right after ``main``, however it ends (0, argparse's
+    ``SystemExit(2)`` or 3): ``gc.freeze`` moves every tracked object to
+    the permanent generation, so the collections that interpreter shutdown
+    runs do not walk the heap again.  In-process callers of ``main`` keep
+    their collector as it was."""
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

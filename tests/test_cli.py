@@ -1,6 +1,7 @@
 """CLI contract: formats, determinism, exit codes, report schema."""
 
 import csv
+import gc
 import io
 import json
 import math
@@ -280,6 +281,22 @@ def test_exit_code_gamma_shape_below_bound(shape):
         assert "error: shape must be in [1e-14, 1000]" in err
 
 
+@pytest.mark.parametrize("command", [["models"], ["norming", "--model", "normal"],
+                                     ["report", "--model", "normal"]])
+@pytest.mark.parametrize("where", ["missing/x.csv", ".", "/dev/full"],
+                         ids=["missing-dir", "a-dir", "full-device"])
+def test_exit_code_out_not_writable(tmp_path, command, where):
+    # once an OSError traceback (no such directory, a directory, no space
+    # left on the device) and exit 1
+    if where == "/dev/full" and not os.path.exists(where):
+        pytest.skip("no /dev/full on this system")
+    path = str(tmp_path / where)
+    code, out, err = run_cli([*command, "--out", path])
+    assert (code, out) == (2, "")
+    assert f"error: --out: cannot write {path!r} (" in err
+    assert "Traceback" not in err
+
+
 def test_exit_code_numeric_failure():
     code, _, err = run_cli(["norming", "--model", "pure-weibull", "--theta", "2",
                             "--log-n", "-5"])
@@ -531,12 +548,42 @@ def test_exit_codes_under_fuzz():
         assert [proc.returncode, proc.stdout, proc.stderr] == result, argv
 
 
-def test_subprocess_entrypoint():
-    proc = subprocess.run(
-        [sys.executable, "-m", "weibtail.cli", "models", "--format", "json"],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
-    )
-    assert proc.returncode == 0
-    doc = json.loads(proc.stdout)
-    assert any(r["name"] == "normal" for r in doc["rows"])
+# one success, one usage error and one typed failure
+ENTRYPOINT_CASES = [
+    ["models", "--format", "json"],
+    ["penultimate", "--model", "no-such-model", "--log-n", "10"],
+    ["norming", "--model", "pure-weibull", "--theta", "2", "--log-n", "-5"],
+]
+
+
+@pytest.mark.parametrize("argv, code", zip(ENTRYPOINT_CASES, (0, 2, 3)),
+                         ids=["ok", "usage", "typed"])
+def test_main_keeps_the_callers_collector(argv, code):
+    # only the process entry point freezes the heap
+    before = gc.isenabled(), gc.get_freeze_count()
+    assert run_cli(argv)[0] == code
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+# runs the module as `python -m weibtail.cli` does, with an atexit probe
+# that writes the frozen object count to the file named by argv[1]
+_ENTRYPOINT_PROBE = """
+import atexit, gc, runpy, sys
+probe = sys.argv.pop(1)
+atexit.register(lambda: open(probe, "w").write(str(gc.get_freeze_count())))
+runpy.run_module("weibtail.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_subprocess_entrypoint(tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    results = []
+    for argv in ENTRYPOINT_CASES:
+        probe = tmp_path / "frozen"
+        proc = subprocess.run([sys.executable, "-c", _ENTRYPOINT_PROBE, str(probe), *argv],
+                              capture_output=True, text=True, timeout=120, env=env)
+        results.append([proc.returncode, proc.stdout, proc.stderr])
+        assert results[-1] == list(run_cli(argv)), argv
+        assert int(probe.read_text()) > 0, argv
+    assert [code for code, _, _ in results] == [0, 2, 3]
+    assert any(r["name"] == "normal" for r in json.loads(results[0][1])["rows"])

@@ -28,14 +28,31 @@ for each solve:
   ``weibtail/catalog.py`` that run once per step (``ap += 1.0`` and
   ``b += 2.0``); ``-`` for the other models.
 
+A third table runs each CLI command cold on the normal model (``models``
+on none), in a subprocess with ``PYTHONHASHSEED=0`` that runs the module
+as ``python -m weibtail.cli`` does, with the package's bytecode cached as
+an installed package has it (the tool compiles it first; a run that
+compiles from source allocates more and counts more), and prints from an
+``atexit`` probe:
+
+- ``modules``: the modules in ``sys.modules`` beyond those of the same
+  probe run without the CLI, listed by name under the table;
+- ``collections``: ``gc.get_stats()``'s collections of generations 0, 1
+  and 2 made before the probe runs, so without those of shutdown;
+- ``frozen``: ``gc.get_freeze_count()``, the objects no collection visits.
+
 A refused op prints its code.  The counts do not depend on the machine or
 its load, so two trees that print the same table did the same work.
 """
 
 from __future__ import annotations
 
+import ast
 import collections
+import compileall
 import inspect
+import os
+import subprocess
 import sys
 
 import numpy
@@ -164,6 +181,39 @@ def solve_costs(model, log_n: float):
     return solves
 
 
+COLD_COMMANDS = (
+    ("models",),
+    *((command, "--model", "normal")
+      for command in ("norming", "penultimate", "errors", "vonmises", "report")),
+)
+
+# a child that runs the CLI module as `python -m weibtail.cli` does (no run
+# when argv is empty) and prints its counts when the interpreter exits
+_COLD_PROBE = """
+import atexit, gc, runpy, sys
+
+def counts():
+    stats = [generation["collections"] for generation in gc.get_stats()]
+    sys.__stdout__.write(repr([sorted(sys.modules), stats, gc.get_freeze_count()]))
+
+atexit.register(counts)
+if sys.argv[1:]:
+    runpy.run_module("weibtail.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def cold_costs(argv):
+    """(modules loaded, collections per generation, frozen objects) of one
+    cold CLI run, measured at its exit; the CLI's own output is discarded."""
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(wt.__file__)))
+    env = {**os.environ, "PYTHONHASHSEED": "0", "PYTHONPATH": package_root}
+    out = subprocess.run(
+        [sys.executable, "-c", _COLD_PROBE, *argv], env=env, capture_output=True, text=True,
+        timeout=120).stdout
+    # the CLI's own output comes first on stdout; the probe writes last
+    return ast.literal_eval(out[out.rindex("[["):])
+
+
 def main() -> None:
     print(f"error_comparison on {GRID[0]:g}:{GRID[1]:g}:{GRID[2]}, exact gamma mode")
     print(f"{'model':24s} {'log n':>6s} {'numpy':>6s} {'steps':>6s} {'rows':>8s}")
@@ -189,6 +239,19 @@ def main() -> None:
             cells = [f"{evals:6d} {steps if gamma else '-':>6}"
                      for evals, steps in solves or [(0, 0), (0, 0)]]
             print(f"{label:24s} {log_n:6g} " + " ".join(cells))
+    print()
+    print("cold CLI runs, counted at exit (before shutdown's collections)")
+    print(f"{'command':24s} {'modules':>7s} {'collections':>13s} {'frozen':>7s}")
+    compileall.compile_dir(os.path.dirname(wt.__file__), quiet=1)
+    base = set(cold_costs(())[0])
+    loaded = collections.defaultdict(list)  # module names -> the commands that load them
+    for argv in COLD_COMMANDS:
+        modules, stats, frozen = cold_costs(argv)
+        names = " ".join(sorted(set(modules) - base))
+        loaded[names].append(argv[0])
+        print(f"{argv[0]:24s} {len(names.split()):7d} {str(stats):>13s} {frozen:7d}")
+    for names, commands in loaded.items():
+        print(f"{', '.join(commands)}: {names}")
 
 
 if __name__ == "__main__":
