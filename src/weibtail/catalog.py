@@ -14,7 +14,6 @@ lives in :mod:`weibtail.arrays`, so building a model loads no numpy.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
@@ -44,7 +43,7 @@ _GAMMA_MAX_SHAPE = 1000.0
 _GAMMA_MIN_SHAPE = 1e-14
 # The gamma hazard recurrence h' = h(psi + h) cancels, losing ~eps x^(j+1) at
 # order j; from here on (and from 2 * shape, where the asymptotic series
-# starts out decreasing) the hazard block comes from the large-x series.
+# starts out decreasing) the hazard derivatives come from the large-x series.
 _GAMMA_LARGE_X = 50.0
 # Normal tail switches in x: the Mills-ratio continued fraction from
 # x = 2 (z = x/sqrt 2 = 1.41), and the asymptotic form of log Q from just
@@ -212,19 +211,20 @@ def normal() -> WeibullTypeModel:
 
     The scalar tail comes from libm's erfc (``_normal_sf``) and the hazard
     from a Mills-ratio continued fraction (``_normal_hazard``), both
-    accurate to a few ulp arbitrarily deep in the tail; the hazard
-    derivatives use the Mills-ratio recurrence h' = h(h - x).  The array
-    log sf of the error curves is a numpy piecewise polynomial
-    (``arrays._normal_log_sf_array``); no code path loads scipy.
+    accurate to a few ulp arbitrarily deep in the tail; ``hazard_derivs``
+    gives H = -log Q, the hazard, and its derivatives from the Mills-ratio
+    recurrence h' = h(h - x).  The array log sf of the error curves is a
+    numpy piecewise polynomial (``arrays._normal_log_sf_array``); no code
+    path loads scipy.
     """
 
-    def hazard_block(x: float) -> Tuple[float, float, float, float]:
+    def hazard_derivs(x: float, m: int) -> Tuple[float, ...]:
         if x < 50.0:
             h, u = _normal_hazard(x)
             h1 = h * u
             h2 = h1 * u + h * (h1 - 1.0)
             h3 = h2 * u + 2.0 * h1 * (h1 - 1.0) + h * h2
-            return h, h1, h2, h3
+            return (-_normal_log_sf(x), h, h1, h2, h3)[: m + 1]
         # The recurrence cancels in h' - 1 for large x; all four orders come
         # from the inverse-Mills asymptotic series instead (relative
         # truncation ~3e-9 at x = 50, O(x^-8) beyond).
@@ -233,7 +233,7 @@ def normal() -> WeibullTypeModel:
         h1 = 1.0 - v * (1.0 - v * (6.0 - v * (50.0 - 518.0 * v)))
         h2 = (2.0 - v * (24.0 - v * (300.0 - 4144.0 * v))) * v / x
         h3 = -(6.0 - v * (120.0 - v * (2100.0 - 37296.0 * v))) * v * v
-        return h, h1, h2, h3
+        return (-_normal_log_sf(x), h, h1, h2, h3)[: m + 1]
 
     return WeibullTypeModel(
         family=Family.CLASSICAL,
@@ -241,7 +241,7 @@ def normal() -> WeibullTypeModel:
         label="normal",
         support_lower=-math.inf,
         classical_log_sf=_normal_log_sf,
-        hazard_derivs=hazard_block,
+        hazard_derivs=hazard_derivs,
         classical_log_sf_array=sv.array_form("_normal_log_sf_array"),
     )
 
@@ -249,16 +249,15 @@ def normal() -> WeibullTypeModel:
 def exponential() -> WeibullTypeModel:
     """Standard Exponential (theta = 1; excluded from asymptotics)."""
 
-    def hazard_block(x: float) -> Tuple[float, float, float, float]:
-        return 1.0, 0.0, 0.0, 0.0
+    log_sf = lambda x: -x if x > 0.0 else 0.0
 
     return WeibullTypeModel(
         family=Family.CLASSICAL,
         theta=1.0,
         label="exponential",
         support_lower=0.0,
-        classical_log_sf=lambda x: -x if x > 0.0 else 0.0,
-        hazard_derivs=hazard_block,
+        classical_log_sf=log_sf,
+        hazard_derivs=lambda x, m: (-log_sf(x), 1.0, 0.0, 0.0, 0.0)[: m + 1],
         classical_log_sf_array=sv.array_form("_exponential_log_sf_array"),
     )
 
@@ -266,20 +265,18 @@ def exponential() -> WeibullTypeModel:
 def logistic() -> WeibullTypeModel:
     """Standard Logistic (theta = 1; excluded from asymptotics)."""
 
-    def F(x: float) -> float:
-        return 1.0 / (1.0 + math.exp(-x)) if x > -500.0 else math.exp(x)
-
     def log_sf(x: float) -> float:
         if x >= 0.0:
             return -x - math.log1p(math.exp(-x))
         return -math.log1p(math.exp(x))
 
-    def hazard_block(x: float) -> Tuple[float, float, float, float]:
-        h = F(x)
-        h1 = h * math.exp(log_sf(x))  # F * (1 - F), stable for large x
+    def hazard_derivs(x: float, m: int) -> Tuple[float, ...]:
+        log_q = log_sf(x)
+        h = 1.0 / (1.0 + math.exp(-x)) if x > -500.0 else math.exp(x)  # F
+        h1 = h * math.exp(log_q)  # F * (1 - F), stable for large x
         h2 = h1 * (1.0 - 2.0 * h)
         h3 = h2 * (1.0 - 2.0 * h) - 2.0 * h1 * h1
-        return h, h1, h2, h3
+        return (-log_q, h, h1, h2, h3)[: m + 1]
 
     return WeibullTypeModel(
         family=Family.CLASSICAL,
@@ -287,7 +284,7 @@ def logistic() -> WeibullTypeModel:
         label="logistic",
         support_lower=-math.inf,
         classical_log_sf=log_sf,
-        hazard_derivs=hazard_block,
+        hazard_derivs=hazard_derivs,
         classical_log_sf_array=sv.array_form("_logistic_log_sf_array"),
     )
 
@@ -302,7 +299,8 @@ def gamma_model(shape: float = 2.0) -> WeibullTypeModel:
     The regularized upper incomplete gamma Q is evaluated in log space:
     log(1 - P) with the power series for P below x = shape + 1, and the
     continued fraction for Gamma(shape, x) above (DLMF 8.7.1, §8.9), so
-    log Q stays finite arbitrarily deep in the tail.
+    log Q stays finite arbitrarily deep in the tail.  ``hazard_derivs``
+    takes H = -log Q and the hazard f/Q from one run of either loop.
     """
     if not _GAMMA_MIN_SHAPE <= shape <= _GAMMA_MAX_SHAPE:
         raise ValueError(f"shape must be in [{_GAMMA_MIN_SHAPE:g}, {_GAMMA_MAX_SHAPE:g}]")
@@ -310,13 +308,6 @@ def gamma_model(shape: float = 2.0) -> WeibullTypeModel:
     lga = math.lgamma(a)
     lga1 = math.lgamma(a + 1.0)
     x_large = max(_GAMMA_LARGE_X, 2.0 * a)
-
-    def log_pdf(x: float) -> float:
-        if x > 0.0:
-            return (a - 1.0) * math.log(x) - x - lga
-        if x == 0.0 and a <= 1.0:
-            return 0.0 if a == 1.0 else math.inf
-        return -math.inf
 
     # Every residual of a gamma root solve runs one of these two loops to
     # full precision, so each step is kept to the float operations it
@@ -385,28 +376,27 @@ def gamma_model(shape: float = 2.0) -> WeibullTypeModel:
             return -math.inf
         return a * math.log(x) - x - lga + math.log(continued_fraction(x))
 
-    def tail(x: float) -> Tuple[float, float]:
-        """(log Q(a, x), hazard f/Q)."""
-        if a + 1.0 <= x < math.inf:
-            # the hazard x^(a-1) e^-x / Gamma(a, x) is 1 / (x cf) exactly
-            cf = continued_fraction(x)
-            return a * math.log(x) - x - lga + math.log(cf), 1.0 / (x * cf)
-        log_q = log_sf(x)
-        return log_q, 1.0 if x == math.inf else math.exp(log_pdf(x) - log_q)
-
-    def hazard_block(x: float) -> Tuple[float, float, float, float]:
+    def hazard_derivs(x: float, m: int) -> Tuple[float, ...]:
         if x < x_large:
+            if x < a + 1.0:
+                log_q = log_sf(x)
+                if log_q == 0.0:  # F(x) = 0 (all x <= 0), which every k route refuses
+                    return (-log_q,) + (math.nan,) * m
+                h = math.exp((a - 1.0) * math.log(x) - x - lga - log_q)  # f/Q
+            else:
+                # the hazard x^(a-1) e^-x / Gamma(a, x) is 1 / (x cf) exactly
+                cf = continued_fraction(x)
+                log_q, h = a * math.log(x) - x - lga + math.log(cf), 1.0 / (x * cf)
             x3 = x**3
             if x3 == 0.0:  # x^3 underflowed, so 1/x^3 is past the double range
                 raise OverflowError(f"1/x^3 past the double range at x={x!r}")
-            h = tail(x)[1]
             psi = (a - 1.0) / x - 1.0  # f'/f
             psi1 = -(a - 1.0) / (x * x)
             psi2 = 2.0 * (a - 1.0) / x3
             h1 = h * (psi + h)
             h2 = h1 * (psi + h) + h * (psi1 + h1)
             h3 = h2 * (psi + h) + 2.0 * h1 * (psi1 + h1) + h * (psi2 + h2)
-            return h, h1, h2, h3
+            return (-log_q, h, h1, h2, h3)[: m + 1]
         # The recurrence cancels in psi + h and its derivatives for large x.
         # Instead r = 1/h = e^x x^(1-a) Gamma(a, x) ~ sum_k (a-1)...(a-k) x^-k
         # (DLMF 8.11.2), summed with its first three derivatives and cut at
@@ -432,7 +422,7 @@ def gamma_model(shape: float = 2.0) -> WeibullTypeModel:
         h1 = -r1 * h * h
         h2 = (2.0 * r1 * r1 - r * r2) * h**3
         h3 = (6.0 * r * r1 * r2 - 6.0 * r1**3 - r * r * r3) * h**4
-        return h, h1, h2, h3
+        return (-log_sf(x), h, h1, h2, h3)[: m + 1]
 
     return WeibullTypeModel(
         family=Family.CLASSICAL,
@@ -440,7 +430,7 @@ def gamma_model(shape: float = 2.0) -> WeibullTypeModel:
         label=f"gamma(shape={shape:g})",
         support_lower=0.0,
         classical_log_sf=log_sf,
-        hazard_derivs=hazard_block,
+        hazard_derivs=hazard_derivs,
         classical_log_sf_array=sv.array_form("_gamma_log_sf_array", a),
     )
 

@@ -16,6 +16,7 @@ import gc
 import io
 import json
 import math
+import os
 import sys
 from typing import Dict, List, Optional, Sequence
 
@@ -185,14 +186,16 @@ def _resolve(args, parser: argparse.ArgumentParser) -> WeibullTypeModel:
 
 
 def _emit(path: Optional[str], text: str, parser: argparse.ArgumentParser) -> None:
-    if path:
-        try:
+    try:
+        if path:
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
-        except OSError as exc:
-            parser.error(f"--out: cannot write {path!r} ({exc.strerror})")
-    else:
-        sys.stdout.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        where = f"--out: cannot write {path!r}" if path else "stdout: cannot write"
+        parser.error(f"{where} ({exc.strerror})")
 
 
 def _render_csv(command: str, rows: List[Dict]) -> str:
@@ -417,6 +420,10 @@ def entrypoint() -> None:
         code = main()
     finally:
         gc.freeze()
+        try:
+            sys.stdout.flush()
+        except OSError:  # what a failed write left buffered then goes to the null device
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(code)
 
 

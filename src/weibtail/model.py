@@ -7,14 +7,14 @@ Gumbel-scale transform of the cdf:
   g(u) = -log(-log(1 - e^-u)), so T ~ H with an e^-H correction.
 * ``LOG_CDF_EXP``  -log F = exp(-H):  T = H exactly.
 * ``CLASSICAL``    log sf supplied directly:  H = -log(1 - F), so again
-  T = g(H); the k route is a hazard block or the log pdf.
+  T = g(H); the k route is a hazard jet or the log pdf.
 
 k = T' is the hazard-like object of the Gumbel domain.  :func:`k_jet`
 returns k and its first derivatives at one point as a :class:`KJet`: by the
 composition rule from the chain weights in :mod:`weibtail.numerics` and one
-block of family-specific H-derivatives (the slowly varying spec for tail
-families, hazard recurrences for classical models), or by Richardson
-differentiation of k for classical models without hazard recurrences.
+:func:`hazard_jet` (H and only the derivatives the jet's order reads), or
+by Richardson differentiation of k for classical models without hazard
+derivatives.
 ``KJet.phi`` = (1/k)' = -k'/k^2 is the one place that shape is formed.
 Everything here is scalar; T over an array is
 ``weibtail.arrays.gumbel_coordinate_array``, which saturates as
@@ -36,15 +36,16 @@ from .errors import (
     BelowSupportError,
     DomainError,
     EvalFailureError,
+    NoConvergenceError,
     OutsideTailRegionError,
     TailUnderflowError,
 )
 from .slowly_varying import ArrayFn, SlowlyVaryingSpec
 
 ScalarFn = Callable[[float], float]
-# (H', H'', H''', H'''') of the classical hazard H = -log(1 - F); the first
-# entry is the ordinary hazard rate f / (1 - F).
-HazardDerivs = Callable[[float], Tuple[float, float, float, float]]
+# (x, m) -> (H, H', ..., H^(m)) of the classical hazard H = -log(1 - F), m in
+# [1, 4], H to the bit -classical_log_sf; H' is the hazard rate f / (1 - F).
+HazardDerivs = Callable[[float, int], Tuple[float, ...]]
 
 
 class Family(enum.Enum):
@@ -62,9 +63,9 @@ class WeibullTypeModel:
     ``theta`` is the Weibull-tail coefficient for the exponential-tail
     families and the known reference value for classical models.  A
     classical model is its tail alone: ``classical_log_sf`` = -H, accurate
-    deep in the tail, plus a k route, either ``hazard_derivs`` (the
-    analytic k-derivative path) or ``classical_log_pdf`` (the hazard
-    e^(log pdf - log sf), differentiated numerically), plus optionally
+    deep in the tail, plus a k route, either ``hazard_derivs`` (the analytic
+    k-derivative path, see ``HazardDerivs``) or ``classical_log_pdf`` (the
+    hazard e^(log pdf - log sf), differentiated numerically), plus optionally
     ``classical_log_sf_array`` (``classical_log_sf`` over a float array)
     for the array evaluation of ``arrays.gumbel_coordinate_array``.  The
     library never writes into the array it returns, so a read-only array
@@ -133,18 +134,14 @@ def _pow(x: float, p: float) -> float:
         return math.inf
 
 
-def _require_support(model: WeibullTypeModel, x: float) -> None:
-    if x < model.support_lower:
-        raise BelowSupportError(
-            f"x={x!r} below support lower endpoint {model.support_lower!r} of {model.label}"
-        )
-
-
 def cumulative_hazard(model: WeibullTypeModel, x: float) -> float:
     """H(x) = x^(1/theta) l(x) for the tail families; -log(1 - F) classical."""
     if model.family is Family.CLASSICAL:
         return -model.classical_log_sf(x)
-    _require_support(model, x)
+    if x < model.support_lower:
+        raise BelowSupportError(
+            f"x={x!r} below support lower endpoint {model.support_lower!r} of {model.label}"
+        )
     try:
         return _pow(x, 1.0 / model.theta) * model.l.value_checked(x)
     except DomainError:
@@ -161,43 +158,49 @@ def _power_term(x: float, p: float, l0: float, bracket: float) -> float:
     return _pow(x, p) * l0 * bracket
 
 
-def hazard_derivative_block(model: WeibullTypeModel, x: float) -> Tuple[float, float, float, float]:
-    """(H', H'', H''', H'''') at x.
-
-    Tail families expand derivatives of x^c l(x) in the decay ratios
-    u_j = x^j l^(j)/l; classical models delegate to their hazard
-    recurrences.  Raises TailUnderflowError for classical models without
-    an analytic hazard path.
-    """
+def hazard_jet(model: WeibullTypeModel, x: float, m: int) -> Tuple[float, ...]:
+    """(H, H', ..., H^(m)) at x, m in [1, 4], H as :func:`cumulative_hazard`
+    gives it.  Tail families expand the derivatives of x^c l(x) in the decay
+    ratios u_j = x^j l^(j)/l, reading ``l.deriv(j)`` for j <= m only (NaN
+    where H = inf, which every k route refuses); classical models return
+    ``hazard_derivs(x, m)``, or are refused as ``tail_underflow``."""
     if model.family is Family.CLASSICAL:
         if model.hazard_derivs is None:
             raise TailUnderflowError(f"{model.label}: no analytic hazard derivatives")
-        return model.hazard_derivs(x)
-    _require_support(model, x)
-    c = 1.0 / model.theta
-    spec = model.l
+        return model.hazard_derivs(x, m)
+    h = cumulative_hazard(model, x)
+    if h == math.inf:
+        return (h,) + (math.nan,) * m
+    spec, c = model.l, 1.0 / model.theta
     l0 = spec.value_checked(x)
     u1 = x * spec.deriv(1, x) / l0
-    u2 = x * x * spec.deriv(2, x) / l0
-    u3 = x**3 * spec.deriv(3, x) / l0
-    u4 = x**4 * spec.deriv(4, x) / l0
     d1 = _power_term(x, c - 1.0, l0, c + u1)
+    if m == 1:
+        return h, d1
+    u2 = x * x * spec.deriv(2, x) / l0
     d2 = _power_term(x, c - 2.0, l0, c * (c - 1.0) + 2.0 * c * u1 + u2)
+    if m == 2:
+        return h, d1, d2
+    u3 = x**3 * spec.deriv(3, x) / l0
     d3 = _power_term(x, c - 3.0, l0,
                      c * (c - 1.0) * (c - 2.0) + 3.0 * c * (c - 1.0) * u1 + 3.0 * c * u2 + u3)
+    if m == 3:
+        return h, d1, d2, d3
+    u4 = x**4 * spec.deriv(4, x) / l0
     d4 = _power_term(x, c - 4.0, l0,
                      c * (c - 1.0) * (c - 2.0) * (c - 3.0)
                      + 4.0 * c * (c - 1.0) * (c - 2.0) * u1
                      + 6.0 * c * (c - 1.0) * u2
                      + 4.0 * c * u3
                      + u4)
-    return d1, d2, d3, d4
+    return h, d1, d2, d3, d4
 
 
 def cumulative_hazard_inverse(model: WeibullTypeModel, y: float) -> float:
     """x with H(x) = y.
 
-    Constant l uses the closed form (y/c)^theta; otherwise
+    Constant l uses the closed form (y/c)^theta (a normal double with
+    |H(x) - y| > 2^-26 y is ``no_convergence``); otherwise
     :func:`numerics.solve_increasing` solves above the support endpoint,
     and a y below H(support) is refused as ``below_range``.  Classical
     models invert -log sf over the whole line.
@@ -208,10 +211,14 @@ def cumulative_hazard_inverse(model: WeibullTypeModel, y: float) -> float:
     h_lo = cumulative_hazard(model, lo) if lo > 0.0 else 0.0
     if y < h_lo:
         raise BelowRangeError(f"y={y!r} below H(support) = {h_lo!r}")
-    if model.l.is_constant:
-        cval = model.l.value(max(lo, 2.0))
-        return _pow(y / cval, model.theta)
-    return numerics.solve_increasing(lambda t: cumulative_hazard(model, t), y, lo)
+    if not model.l.is_constant:
+        return numerics.solve_increasing(lambda t: cumulative_hazard(model, t), y, lo)
+    x = _pow(y / model.l.value(max(lo, 2.0)), model.theta)
+    if sys.float_info.min <= x < math.inf:
+        h = cumulative_hazard(model, x)
+        if not abs(h - y) <= 2.0**-26 * y:
+            raise NoConvergenceError(f"closed-form root x={x!r} of H(x) = y={y!r} has H(x)={h!r}")
+    return x
 
 
 def gumbel_coordinate(model: WeibullTypeModel, x: float) -> float:
@@ -296,23 +303,9 @@ def _chain_weights(model: WeibullTypeModel, x: float,
     return numerics.log_neg_log_cdf_derivs(h)
 
 
-def _hazard_value(model: WeibullTypeModel, x: float, h: float) -> float:
-    """H'(x) (tail families) or the hazard rate f/sf (classical), given
-    h = H(x): f/sf = e^(log f + H), to the bit e^(log f - log sf), without
-    a second read of the log sf."""
-    if model.family is Family.CLASSICAL:
-        if model.hazard_derivs is not None:
-            return model.hazard_derivs(x)[0]
-        v = math.exp(model.classical_log_pdf(x) + h)
-        if not math.isfinite(v):
-            raise TailUnderflowError(f"hazard overflow at x={x!r}")
-        return v
-    return hazard_derivative_block(model, x)[0]
-
-
 def _refuses_overflow(k_fn):
     """``k_fn(model, x, ...)``, refusing an OverflowError (a value past the
-    double range in the chain weights, the jet or a hazard block) as ``eval_failure``."""
+    double range in the chain weights, the jet or a hazard jet) as ``eval_failure``."""
 
     @functools.wraps(k_fn)
     def guarded(model: WeibullTypeModel, x: float, *args, **kwargs):
@@ -329,12 +322,19 @@ def k_function(model: WeibullTypeModel, x: float) -> float:
     """k(x) = d/dx [-log(-log F(x))].
 
     Equals f / (F * (-log F)) for densities, H' exactly for the
-    LOG_CDF_EXP family, and H' * (1 + O(e^-H)) in the tail otherwise.  A
-    value past the double range is refused as ``eval_failure``.
+    LOG_CDF_EXP family, and H' * (1 + O(e^-H)) in the tail otherwise, H'
+    from an order-1 hazard jet or as e^(log pdf + H).  A value past the
+    double range is refused as ``eval_failure``.
     """
+    if model.analytic_k_path:
+        h, d1 = hazard_jet(model, x, 1)
+        return d1 * _chain_weights(model, x, h)[0]
     h = cumulative_hazard(model, x)
     g1 = _chain_weights(model, x, h)[0]
-    return _hazard_value(model, x, h) * g1
+    v = math.exp(model.classical_log_pdf(x) + h)
+    if not math.isfinite(v):
+        raise TailUnderflowError(f"hazard overflow at x={x!r}")
+    return v * g1
 
 
 class KJet(NamedTuple):
@@ -372,11 +372,11 @@ def k_jet(model: WeibullTypeModel, x: float, order: int = 3, method: str = "auto
     """k and its first ``order`` derivatives at x.
 
     ``method``: "analytic" (the composition rule T = g(H) on one hazard
-    block; tail families always, classical models only with hazard
-    recurrences), "numeric" (Richardson differentiation of k itself, one
+    jet of order ``order`` + 1; tail families always, classical models only
+    with hazard derivatives), "numeric" (Richardson differentiation of k itself, one
     estimate per order up to ``order``), or "auto" preferring analytic.
     Third-order numeric differentiation of classical models without hazard
-    recurrences raises the extrapolation depth, since that path is the
+    derivatives raises the extrapolation depth, since that path is the
     only one available there.  A jet past the double range, or whose k is
     too small to divide by k^3 (as the k-functionals do), is refused as
     ``eval_failure``.
@@ -388,19 +388,20 @@ def k_jet(model: WeibullTypeModel, x: float, order: int = 3, method: str = "auto
     if method == "auto":
         method = "analytic" if model.analytic_k_path else "numeric"
     if method == "analytic":
-        if not model.analytic_k_path:
-            raise TailUnderflowError(f"{model.label}: analytic k path unavailable")
-        g1, g2, g3, g4 = _chain_weights(model, x, cumulative_hazard(model, x))
-        d1, d2, d3, d4 = hazard_derivative_block(model, x)
-        values = (
-            d1 * g1,
-            d2 * g1 + d1 * d1 * g2,
-            d3 * g1 + 3.0 * d1 * d2 * g2 + d1**3 * g3,
-            d4 * g1
-            + (4.0 * d1 * d3 + 3.0 * d2 * d2) * g2
-            + 6.0 * d1 * d1 * d2 * g3
-            + d1**4 * g4,
-        )[: order + 1]
+        jet = hazard_jet(model, x, order + 1)
+        g1, g2, g3, g4 = _chain_weights(model, x, jet[0])
+        d1, d2 = jet[1], jet[2]
+        k, k1 = d1 * g1, d2 * g1 + d1 * d1 * g2
+        if order == 1:
+            values = k, k1
+        else:
+            d3 = jet[3]
+            k2 = d3 * g1 + 3.0 * d1 * d2 * g2 + d1**3 * g3
+            values = (k, k1, k2) if order == 2 else (
+                k, k1, k2, jet[4] * g1
+                + (4.0 * d1 * d3 + 3.0 * d2 * d2) * g2
+                + 6.0 * d1 * d1 * d2 * g3
+                + d1**4 * g4)
         if not all(map(math.isfinite, values)):
             raise EvalFailureError(f"{model.label}: k-jet {values!r} at x={x!r}")
         _require_k_cubed(model, x, values[0])

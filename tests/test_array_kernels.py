@@ -180,22 +180,25 @@ def _reference_gamma_tail(a):
         log_q = a * math.log(x) - x - lga + math.log(cf)
         return log_q, 1.0 / (x * cf)
 
-    def hazard_block(x):
-        # the recurrence branch of catalog.gamma_model's hazard_block, below
-        # max(50, 2a), the one that reads the tail
+    def hazard_jet(x, m):
+        # the recurrence branch of catalog.gamma_model's hazard_derivs, below
+        # max(50, 2a): H and the hazard from one tail, and NaN derivatives
+        # where F = 0
+        log_q, h = tail(x)
+        if log_q == 0.0:
+            return (-log_q,) + (math.nan,) * m
         x3 = x**3
         if x3 == 0.0:
             raise OverflowError
-        h = tail(x)[1]
         psi = (a - 1.0) / x - 1.0
         psi1 = -(a - 1.0) / (x * x)
         psi2 = 2.0 * (a - 1.0) / x3
         h1 = h * (psi + h)
         h2 = h1 * (psi + h) + h * (psi1 + h1)
         h3 = h2 * (psi + h) + 2.0 * h1 * (psi1 + h1) + h * (psi2 + h2)
-        return h, h1, h2, h3
+        return (-log_q, h, h1, h2, h3)[: m + 1]
 
-    return tail, hazard_block
+    return tail, hazard_jet
 
 
 def _bits(fn, x):
@@ -209,9 +212,9 @@ def _bits(fn, x):
 
 @pytest.mark.parametrize("a", np.geomspace(1e-14, 1000.0, 25).tolist())
 def test_gamma_scalar_tail_matches_reference(a):
-    # log Q and the hazard block of every x below, in float.hex: the series
-    # range, both sides of the switch at a + 1, the continued fraction's
-    # sweep, x <= 0, inf and NaN
+    # log Q and the hazard jet of every order at every x below, in float.hex:
+    # the series range, both sides of the switch at a + 1, the continued
+    # fraction's sweep, x <= 0, inf and NaN
     start = a + 1.0
     switch, below = [start], [math.nextafter(start, 0.0)]
     for _ in range(4):
@@ -222,12 +225,13 @@ def test_gamma_scalar_tail_matches_reference(a):
     xs = ([-math.inf, -5.0, -1e-300, -0.0, 0.0, math.inf, math.nan] + series + below + switch
           + _lentz_sweep(a, 60).tolist())
     model = catalog.gamma_model(a)
-    tail, hazard_block = _reference_gamma_tail(a)
+    tail, hazard_jet = _reference_gamma_tail(a)
     x_large = max(catalog._GAMMA_LARGE_X, 2.0 * a)
     for x in xs:
         assert _bits(model.classical_log_sf, x) == _bits(lambda x: tail(x)[0], x), x
-        if x < x_large:
-            assert _bits(model.hazard_derivs, x) == _bits(hazard_block, x), x
+        for m in range(1, 5) if x < x_large else ():
+            assert (_bits(lambda x: model.hazard_derivs(x, m), x)
+                    == _bits(lambda x: hazard_jet(x, m), x)), (x, m)
 
 @pytest.mark.parametrize("build", [catalog.logistic, catalog.normal, catalog.exponential],
                          ids=["logistic", "normal", "exponential"])
@@ -477,7 +481,7 @@ def _ownership_models():
         label="read-only-exponential",
         support_lower=0.0,
         classical_log_sf=lambda x: -x if x > 0.0 else 0.0,
-        hazard_derivs=lambda x: (1.0, 0.0, 0.0, 0.0),
+        hazard_derivs=lambda x, m: (x if x > 0.0 else -0.0, 1.0, 0.0, 0.0, 0.0)[: m + 1],
         classical_log_sf_array=lambda x: _read_only(np.where(x > 0.0, -x, 0.0)),
     )
     return {"tail": tail, "classical": classical}

@@ -55,19 +55,21 @@ def test_gamma_cdf_density_consistent():
     for x in (0.1, 2.0, 30.0):
         # Gamma(2): Q = (1 + x) e^-x, hazard f/Q = x / (1 + x)
         assert m.classical_log_sf(x) == pytest.approx(math.log1p(x) - x, rel=1e-13)
-        assert m.hazard_derivs(x)[0] == pytest.approx(x / (1.0 + x), rel=1e-14)
+        assert m.hazard_derivs(x, 1)[1] == pytest.approx(x / (1.0 + x), rel=1e-14)
     assert m.classical_log_sf(0.0) == 0.0
     assert m.classical_log_sf(math.inf) == -math.inf
 
 
 @pytest.mark.parametrize("shape", SHAPES)
 def test_gamma_hazard_block_against_mpmath(shape):
-    # the recurrence below max(50, 2 shape) loses ~eps x^(order+1); the
-    # large-x series beyond it is accurate to a few ulp at every order
+    # the jet's H is the log sf's, to the bit; the recurrence below
+    # max(50, 2 shape) loses ~eps x^(order+1); the large-x series beyond it
+    # is accurate to a few ulp at every order
     m = wt.gamma_model(shape)
     for x in np.logspace(-2, 10, 49):
         x = float(x)
-        got = m.hazard_derivs(x)
+        H, *got = m.hazard_derivs(x, 4)
+        assert H == -m.classical_log_sf(x), (shape, x)
         ref = _mp_hazard_block(shape, x)
         tols = (1e-14, 1e-11, 1e-9) if x < 50.0 else (1e-14, 1e-14, 1e-14)
         for order, (g, r, tol) in enumerate(zip(got, ref, tols)):
@@ -191,7 +193,8 @@ def test_normal_hazard_against_mpmath():
                 continue
             X = mp.mpf(x)
             h = mp.exp(-X * X / 2) / mp.sqrt(2 * mp.pi) / _mp_normal_q(x)
-            got_h, got_h1 = m.hazard_derivs(x)[:2]
+            got_H, got_h, got_h1 = m.hazard_derivs(x, 2)
+            assert got_H == -m.classical_log_sf(x), x
             assert _close(got_h, h, 1e-14), x
             assert _close(got_h1, h * (h - X), 1e-14), x
 

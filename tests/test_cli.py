@@ -1,6 +1,7 @@
 """CLI contract: formats, determinism, exit codes, report schema."""
 
 import csv
+import errno
 import gc
 import io
 import json
@@ -297,6 +298,26 @@ def test_exit_code_out_not_writable(tmp_path, command, where):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", [["models"], ["norming", "--model", "normal"],
+                                     ["report", "--model", "normal"]])
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+def test_exit_code_stdout_not_writable(command, buffered):
+    # once an OSError traceback and exit 1 (unbuffered stdout), or an
+    # exception ignored at the flush on exit and exit 120 (buffered)
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "weibtail.cli", *command], stdout=full,
+                              stderr=subprocess.PIPE, text=True, timeout=120, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr.endswith(f"error: stdout: cannot write ({os.strerror(errno.ENOSPC)})\n")
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
 def test_exit_code_numeric_failure():
     code, _, err = run_cli(["norming", "--model", "pure-weibull", "--theta", "2",
                             "--log-n", "-5"])
@@ -419,10 +440,11 @@ PURE2 = ["--model", "pure-weibull", "--theta", "2"]
     (["report", *PURE2, "--log-n", "1e-160"], "eval_failure"),
     # (theta - 1)/log n overflows
     (["errors", *PURE2, "--gamma-mode", "asymptotic", "--log-n", "1e-310"], "eval_failure"),
-    # a float ** in the analytic k-jet overflows
+    # no double x has H(x) = 10: the closed-form root (10/c)^theta rounds
+    # to 1.0, where H = 1
     (["norming", "--model", "pure-weibull", "--theta", "1e-100", "--log-n", "10"],
-     "eval_failure"),
-    (["norming", "--model", "normal", "--log-n", "1e200"], "eval_failure"),
+     "no_convergence"),
+    # a float ** or a product in the analytic k-jet overflows
     (["norming", "--model", "extended-weibull", "--beta", "50", "--log-n", "1e200"],
      "eval_failure"),
     (["norming", "--model", "gumbel-fixture", "--log-n", "1e200"], "eval_failure"),
@@ -434,12 +456,25 @@ PURE2 = ["--model", "pure-weibull", "--theta", "2"]
     (["penultimate", "--model", "extended-weibull", "--beta", "0.077", "--delta", "9.1e235",
       "--log-n", "40.6"], "domain_error"),
 ], ids=["pen-1e-300", "pen-1e-160", "pen-1e-160-json", "report-1e-160", "errors-asym-1e-310",
-        "pure-theta-1e-100", "normal-1e200", "ext-beta50-1e200", "gumbel-1e200", "gamma-1e200",
+        "pure-theta-1e-100", "ext-beta50-1e200", "gumbel-1e200", "gamma-1e200",
         "exp-1e301", "ext-log-power-overflow"])
 def test_extreme_inputs_refused_with_a_code(argv, code):
     exit_code, out, err = run_cli(argv)
     assert (exit_code, out) == (3, "")
     assert json.loads(err)["error"]["code"] == code
+
+
+def test_normal_norming_at_log_n_1e200():
+    # once refused as eval_failure: norming reads k alone, from an order-1
+    # jet, so the d1^4 term of k''' that overflows at b = 1.4e100 is never
+    # formed.  Deep in the Normal tail b = sqrt(2 log n) and a = 1/k = 1/b,
+    # to the bit here
+    code, out, err = run_cli(["norming", "--model", "normal", "--log-n", "1e200"])
+    assert (code, err) == (0, "")
+    (row,) = parse_csv(out)
+    b_exact, b_asymptotic, a_scale = (float(row[c]) for c in ("b_exact", "b_asymptotic", "a_scale"))
+    assert b_exact == b_asymptotic == math.sqrt(2.0 * 1e200)
+    assert a_scale * b_exact == 1.0
 
 
 CSV_POINT_COLUMNS = cli.CSV_HEADERS["vonmises"][2:]

@@ -10,6 +10,7 @@ import pytest
 
 import weibtail as wt
 from weibtail import numerics
+from weibtail.cli import DEFAULT_T_GRID
 from weibtail.errors import (
     BelowRangeError,
     BelowSupportError,
@@ -17,7 +18,7 @@ from weibtail.errors import (
     TailUnderflowError,
     WeibtailError,
 )
-from weibtail.model import exact_level_for_gumbel_coordinate, k_jet
+from weibtail.model import exact_level_for_gumbel_coordinate, hazard_jet, k_jet
 from weibtail.arrays import _maxima_curve, gev_cdf_array, gumbel_density_array
 
 
@@ -59,6 +60,29 @@ def test_hazard_below_support():
 def test_hazard_inverse_closed_forms():
     assert wt.cumulative_hazard_inverse(wt.pure_weibull(theta=2.0), 5.0) == pytest.approx(25.0)
     assert wt.cumulative_hazard_inverse(wt.pure_weibull(theta=0.5), 9.0) == pytest.approx(3.0)
+
+
+def test_hazard_inverse_closed_form_checked():
+    # at theta = 1e-100 no double has H(x) = 10: (10/c)^theta rounds to 1.0,
+    # where H = 1, and the root is refused rather than returned
+    with pytest.raises(WeibtailError, match=r"y=10\.0 has H\(x\)=1\.0") as info:
+        wt.cumulative_hazard_inverse(wt.pure_weibull(theta=1e-100), 10.0)
+    assert info.value.code == "no_convergence"
+    # a root below the normal doubles is left to its callers' refusal
+    assert wt.cumulative_hazard_inverse(wt.pure_weibull(theta=2.0), 1e-300) == 0.0
+    # the check refuses no root of theta in [1e-9, 10], scale in [0.01, 100]
+    # and log n in [0.05, 700], log-uniform, whose model has a finite c; an
+    # infinite root (y/c past the double range) is returned unchecked
+    rng = np.random.default_rng(11)
+    lows = (math.log(1e-9), math.log(0.01), math.log(0.05))
+    highs = (math.log(10.0), math.log(100.0), math.log(700.0))
+    for theta, scale, y in np.exp(rng.uniform(lows, highs, (2000, 3))).tolist():
+        try:
+            m = wt.pure_weibull(theta=theta, scale=scale)
+        except ValueError:  # scale^(-1/theta) past the double range
+            continue
+        x = wt.cumulative_hazard_inverse(m, y)
+        assert x == math.inf or abs(wt.cumulative_hazard(m, x) - y) <= 2.0**-26 * y
 
 
 def test_hazard_inverse_round_trip_log_l():
@@ -206,17 +230,49 @@ def test_k_approaches_hazard_slope():
 @pytest.mark.parametrize("name", ["pw-0.25", "pw-0.5", "pw-2", "pw-4", "ext"])
 def test_k_over_hazard_slope_bound(models, name):
     # |k/H' - 1| < 10 e^-H once H >= 5
-    from weibtail.model import hazard_derivative_block
-
     m = models[name]
     h_floor = wt.cumulative_hazard(m, m.support_lower) if m.support_lower > 0.0 else 0.0
     for target_h in (5.0, 8.0, 12.0):
         if target_h <= h_floor:
             continue
         x = wt.cumulative_hazard_inverse(m, target_h)
-        d1 = hazard_derivative_block(m, x)[0]
+        h, d1 = hazard_jet(m, x, 1)
+        assert h == wt.cumulative_hazard(m, x)
         ratio = wt.k_function(m, x) / d1
         assert abs(ratio - 1.0) < 10.0 * math.exp(-target_h)
+
+
+# every catalog model, on both sides of theta = 1 where theta is a parameter
+ONE_JET_MODELS = (
+    ("pure-weibull", {"theta": 2.0}), ("pure-weibull", {"theta": 0.5}),
+    ("extended-weibull", {"beta": 2.0}), ("extended-weibull", {"beta": 0.5}),
+    ("normal", {}), ("exponential", {}), ("logistic", {}),
+    ("gamma", {"shape": 0.5}), ("gamma", {"shape": 2.0}), ("gamma", {"shape": 5.0}),
+    ("gumbel-fixture", {}),
+)
+
+
+@pytest.mark.parametrize("name, params", ONE_JET_MODELS,
+                         ids=[f"{n}-{'-'.join(f'{v:g}' for v in p.values())}".rstrip("-")
+                              for n, p in ONE_JET_MODELS])
+def test_one_hazard_jet_per_point(name, params):
+    # at b_n and on the default t-grid, a jet of one order is the prefix of
+    # the order-3 jet, k is the order-1 jet's k, and every hazard jet's H is
+    # cumulative_hazard's, all to the bit
+    m = wt.build_model(name, **params)
+    xs = list(DEFAULT_T_GRID)
+    for log_n in (1.0, 10.0, 100.0, 700.0):
+        try:
+            xs.append(wt.gumbel_coordinate_inverse(m, log_n))
+        except BelowRangeError:  # below an extended-Weibull support floor
+            assert name == "extended-weibull" and log_n == 1.0
+    for x in xs:
+        h = wt.cumulative_hazard(m, x).hex()
+        assert [hazard_jet(m, x, r)[0].hex() for r in range(1, 5)] == [h] * 4, x
+        assert wt.k_function(m, x).hex() == k_jet(m, x, 1).values[0].hex(), x
+        full = [v.hex() for v in k_jet(m, x, 3).values]
+        for r in (1, 2):
+            assert [v.hex() for v in k_jet(m, x, r).values] == full[: r + 1], (x, r)
 
 
 def test_k_derivative_asymptote_order1():
@@ -346,8 +402,8 @@ def test_k_tail_underflow_classical():
 
 @pytest.mark.parametrize("shape, x", [
     (0.5, 1e-300),  # the chain weights' a**3 overflows at H ~ 1e-150
-    (2.0, 1e-160),  # x^3 underflows in the hazard block
-    (1e-3, 1e-300),  # x^2 and x^3 underflow in the hazard block
+    (2.0, 1e-160),  # x^3 underflows in the hazard jet
+    (1e-3, 1e-300),  # x^2 and x^3 underflow in the hazard jet
     (200.0, 2.0),  # 1/H overflows at a subnormal H, where a**3 does not raise
 ])
 def test_k_layer_overflow_refused(shape, x):
@@ -369,7 +425,7 @@ def test_k_layer_overflow_refused(shape, x):
 
 
 @pytest.mark.parametrize("x, finite_orders, code", [
-    # a zero bracket in the hazard block is 0 where x^(c - j) overflows
+    # a zero bracket in the hazard jet is 0 where x^(c - j) overflows
     (0.0, 3, None),
     (1e-160, 3, None),
     (1e-300, 3, None),

@@ -395,28 +395,29 @@ def test_remainder_bounded_positive_window():
 
 @pytest.mark.parametrize("build", [wt.normal, lambda: wt.gamma_model(2.0)])
 def test_one_solve_one_hazard_block(monkeypatch, build):
-    # every quantity starts from one root solve for b_n and one k-jet there
-    counts = {"solve": 0, "hazard": 0}
+    # every quantity starts from one root solve for b_n and one k-jet there;
+    # a jet of order r asks its one hazard jet for H and r + 1 derivatives
+    counts = {"solve": 0, "hazard": []}
     solve = numerics.solve_increasing
 
     def counted_solve(*args, **kwargs):
         counts["solve"] += 1
         return solve(*args, **kwargs)
 
-    def counted_hazard(x):
-        counts["hazard"] += 1
-        return base.hazard_derivs(x)
+    def counted_hazard(x, m):
+        counts["hazard"].append(m)
+        return base.hazard_derivs(x, m)
 
     monkeypatch.setattr(numerics, "solve_increasing", counted_solve)
     base = build()
     m = dataclasses.replace(base, hazard_derivs=counted_hazard)
     grid = (1e2, 1e4, 1e6, 1e8, 1e10)
     for call, expected in (
-        (lambda: wt.norming(m, 20.0), {"solve": 2, "hazard": 1}),  # b_asymptotic too
-        (lambda: wt.penultimate_index(m, 20.0), {"solve": 1, "hazard": 1}),
-        (lambda: wt.error_comparison(m, 20.0, (-3.0, 6.0, 200)), {"solve": 1, "hazard": 1}),
-        (lambda: wt.condition_sweep(m, grid), {"solve": 0, "hazard": len(grid)}),
+        (lambda: wt.norming(m, 20.0), {"solve": 2, "hazard": [2]}),  # b_asymptotic too
+        (lambda: wt.penultimate_index(m, 20.0), {"solve": 1, "hazard": [2]}),
+        (lambda: wt.error_comparison(m, 20.0, (-3.0, 6.0, 200)), {"solve": 1, "hazard": [2]}),
+        (lambda: wt.condition_sweep(m, grid), {"solve": 0, "hazard": [4] * len(grid)}),
     ):
-        counts.update(solve=0, hazard=0)
+        counts.update(solve=0, hazard=[])
         call()
         assert counts == expected

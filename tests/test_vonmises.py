@@ -145,18 +145,18 @@ def test_report_sequences_lengths():
 def test_sweep_records_typed_failures_and_propagates_bugs():
     base = wt.exponential()
 
-    def hazard_block(x):
+    def hazard_derivs(x, m):
         if x > 1e3:
             raise TailUnderflowError(f"refused at {x!r}")
-        return base.hazard_derivs(x)
+        return base.hazard_derivs(x, m)
 
-    report = condition_sweep(dataclasses.replace(base, hazard_derivs=hazard_block), GRID)
+    report = condition_sweep(dataclasses.replace(base, hazard_derivs=hazard_derivs), GRID)
     assert all(math.isinf(v) for v in report.first_order[1:])
     assert report.point_codes == (None, *["tail_underflow"] * 4)
     assert report.verdicts["first_order"].reason == "eval_failure"
 
-    def broken(x):
-        raise TypeError("bug in a user hazard block")
+    def broken(x, m):
+        raise TypeError("bug in a user hazard jet")
 
     with pytest.raises(TypeError):
         condition_sweep(dataclasses.replace(base, hazard_derivs=broken), GRID)

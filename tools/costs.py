@@ -1,5 +1,5 @@
-"""Work counts of the array error curves and of the b_n root solves,
-without wall time.
+"""Work counts of the array error curves, of the b_n root solves and of
+the hazard jets, without wall time.
 
     PYTHONPATH=src python tools/costs.py
 
@@ -28,7 +28,22 @@ for each solve:
   ``weibtail/catalog.py`` that run once per step (``ap += 1.0`` and
   ``b += 2.0``); ``-`` for the other models.
 
-A third table runs each CLI command cold on the normal model (``models``
+A third table runs each quantity once per model at log n = 20
+(``norming``, ``penultimate_index``, ``error_comparison`` on the default
+window, ``condition_sweep`` on the CLI's default t-grid) and prints for
+each:
+
+- ``jets``: the calls of ``model.hazard_jet``, the one place the k routes
+  read H and its derivatives;
+- ``entries``: the entries those calls return, H and the m derivatives
+  each asks for (the classical catalog models form all four of theirs in a
+  few flops and return the first m + 1);
+- ``steps``: for gamma, the steps its series and continued fraction take
+  inside those calls, per jet (``-`` for the other models); from
+  x = max(50, 2 shape) a jet also sums the large-x series, whose steps are
+  not counted.
+
+A fourth table runs each CLI command cold on the normal model (``models``
 on none), in a subprocess with ``PYTHONHASHSEED=0`` that runs the module
 as ``python -m weibtail.cli`` does, with the package's bytecode cached as
 an installed package has it (the tool compiles it first; a run that
@@ -58,7 +73,7 @@ import sys
 import numpy
 
 import weibtail as wt
-from weibtail import arrays, catalog, numerics, penultimate
+from weibtail import arrays, catalog, cli, model as model_module, numerics, penultimate
 from weibtail.errors import WeibtailError
 
 # gamma's shapes and log n 1 to 6 are those of curve_bits.py's fixed
@@ -181,6 +196,51 @@ def solve_costs(model, log_n: float):
     return solves
 
 
+QUANTITIES = (
+    ("norming", lambda m: wt.norming(m, 20.0)),
+    ("penultimate", lambda m: wt.penultimate_index(m, 20.0)),
+    ("errors", lambda m: wt.error_comparison(m, 20.0, penultimate.DEFAULT_GRID)),
+    ("vonmises", lambda m: wt.condition_sweep(m, cli.DEFAULT_T_GRID)),
+)
+
+
+def jet_costs(model, quantity):
+    """[jets, entries, gamma loop steps inside them] of one quantity, or
+    the refusal code."""
+    counts = [0, 0, 0]
+    inside = []  # set while a hazard jet runs
+    hazard_jet = model_module.hazard_jet
+
+    def counted_jet(model, x, m):
+        inside.append(True)
+        try:
+            jet = hazard_jet(model, x, m)
+        finally:
+            inside.clear()
+        counts[0] += 1
+        counts[1] += len(jet)
+        return jet
+
+    def line(frame, event, arg):
+        if event == "line" and frame.f_lineno in _STEP_LINES and inside:
+            counts[2] += 1
+        return line
+
+    def call(frame, event, arg):
+        return line if frame.f_code.co_filename == catalog.__file__ else None
+
+    model_module.hazard_jet = counted_jet
+    sys.settrace(call)
+    try:
+        quantity(model)
+    except WeibtailError as exc:
+        return exc.code
+    finally:
+        sys.settrace(None)
+        model_module.hazard_jet = hazard_jet
+    return counts
+
+
 COLD_COMMANDS = (
     ("models",),
     *((command, "--model", "normal")
@@ -239,6 +299,21 @@ def main() -> None:
             cells = [f"{evals:6d} {steps if gamma else '-':>6}"
                      for evals, steps in solves or [(0, 0), (0, 0)]]
             print(f"{label:24s} {log_n:6g} " + " ".join(cells))
+    print()
+    print("hazard jets per quantity at log n = 20: jets, entries, gamma loop steps per jet")
+    print(f"{'model':24s} " + " ".join(f"{name:>16s}" for name, _ in QUANTITIES))
+    for label, model in labelled:
+        gamma = label.startswith("gamma")
+        cells = []
+        for _, quantity in QUANTITIES:
+            counts = jet_costs(model, quantity)
+            if isinstance(counts, str):
+                cells.append(f"{counts:>16s}")
+                continue
+            jets, entries, steps = counts
+            per_jet = f"{steps / jets:.1f}" if gamma and jets else "-"
+            cells.append(f"{jets:4d} {entries:5d} {per_jet:>6s}")
+        print(f"{label:24s} " + " ".join(cells))
     print()
     print("cold CLI runs, counted at exit (before shutdown's collections)")
     print(f"{'command':24s} {'modules':>7s} {'collections':>13s} {'frozen':>7s}")
