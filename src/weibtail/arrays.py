@@ -2,12 +2,13 @@
 error curves and the array forms of the built-in models.
 
 This is the one module that imports numpy, and no other module imports it
-at load time.  Two lazy entry points lead here: the array branch of
-``penultimate._curve`` (grids of more than 1000 points), and the forms
-that :func:`weibtail.slowly_varying.array_form` builds, which the stock
-slowly varying functions and the catalog models hand out as
-``value_array`` and ``classical_log_sf_array``.  A process that never
-takes the array pass never loads numpy.
+at load time.  It holds only what the library calls, reached lazily from
+two places: the array branch of ``penultimate._curve`` (:func:`grid` and
+:func:`curve`, for grids of more than 1000 points), and the forms that
+:func:`weibtail.slowly_varying.array_form` builds, which the stock slowly
+varying functions and the catalog models hand out as ``value_array`` and
+``classical_log_sf_array``.  A process that never takes the array pass
+never loads numpy.
 
 Each kernel is its scalar twin's formula over a float array.  A constant
 the two share is defined once, in the scalar module, and imported here.
@@ -23,7 +24,7 @@ from typing import Callable, Optional, Tuple, Union
 import numpy as np
 
 from .catalog import _EPS, _GAMMA_MAX_TERMS, _LENTZ_TINY, _LN2, _SPLITTER, _SQRT1_2
-from .model import Family, WeibullTypeModel, array_form_of
+from .model import Family, WeibullTypeModel, array_form_of, constant_l_value
 from .numerics import _SERIES_SWITCH, _T_EQUALS_H
 from .penultimate import _GEV_SERIES_GAMMA, _GEV_SERIES_T, REMAINDER_DENOMINATOR_CUTOFF, _Curve
 
@@ -99,12 +100,6 @@ def _log_neg_log_series(h: np.ndarray) -> np.ndarray:
         out *= s
     np.log1p(out, out=out)
     return np.subtract(h, out, out=out)
-
-
-def log_neg_log_cdf_from_H_array(h: np.ndarray) -> np.ndarray:
-    """:func:`numerics.log_neg_log_cdf_from_H` over an array of H in (0, inf),
-    with the same closed form and series on either side of the switch."""
-    return piecewise(within(h, _SERIES_SWITCH), _log_neg_log_series, _log_neg_log_closed, h)
 
 
 # Value forms of the stock slowly varying functions
@@ -455,8 +450,8 @@ def _coordinate(model: WeibullTypeModel, xs: np.ndarray) -> np.ndarray:
 
     One min and one max of H decide its regime: T = H from H = 40, and
     on H positive and finite, the series or the closed form when every
-    point lies on one side of the switch.  A NaN or a mixed grid takes
-    the masks."""
+    point lies on one side of the switch.  A NaN or an H outside (0, inf)
+    takes masks: that one, then the switch's on the points inside."""
     array_form = array_form_of(model)
     if model.family is Family.CLASSICAL:
         h = np.negative(array_form(xs))
@@ -465,8 +460,8 @@ def _coordinate(model: WeibullTypeModel, xs: np.ndarray) -> np.ndarray:
         # only asked for points in its domain
         c = 1.0 / model.theta
         hazard = lambda z: _tail_hazard(z, array_form(z), c)
-        if model.l.is_constant:  # z^c times the one value of l, read as model.py does
-            l_value = model.l.value(max(model.support_lower, 2.0))
+        if model.l.is_constant:  # z^c times the one value of l
+            l_value = constant_l_value(model)
             valid = 0.0 < l_value < math.inf
             hazard = (lambda z: _power_times(z, l_value, c)) if valid else _saturate
         h = piecewise(within(xs, model.support_lower), hazard, -math.inf, xs)
@@ -478,13 +473,14 @@ def _coordinate(model: WeibullTypeModel, xs: np.ndarray) -> np.ndarray:
     if lowest >= _T_EQUALS_H:
         return h  # T = H to the bit, and +inf where H = +inf
     highest = h.max()
-    if _POSITIVE[0] <= lowest and highest <= _POSITIVE[1]:
-        if lowest >= _SERIES_SWITCH:
-            return _log_neg_log_series(h)
-        if highest < _SERIES_SWITCH:
-            return _log_neg_log_closed(h)
-        return piecewise(h >= _SERIES_SWITCH, _log_neg_log_series, _log_neg_log_closed, h)
-    return piecewise(within(h, *_POSITIVE), log_neg_log_cdf_from_H_array, _saturate, h)
+    if not (_POSITIVE[0] <= lowest and highest <= _POSITIVE[1]):
+        inside = lambda h: piecewise(within(h, _SERIES_SWITCH), _log_neg_log_series, _log_neg_log_closed, h)
+        return piecewise(within(h, *_POSITIVE), inside, _saturate, h)
+    if lowest >= _SERIES_SWITCH:
+        return _log_neg_log_series(h)
+    if highest < _SERIES_SWITCH:
+        return _log_neg_log_closed(h)
+    return piecewise(h >= _SERIES_SWITCH, _log_neg_log_series, _log_neg_log_closed, h)
 
 
 def _tail_hazard(z: np.ndarray, l: np.ndarray, c: float) -> np.ndarray:
@@ -556,18 +552,11 @@ def curve(model: WeibullTypeModel, log_n: float, xs: np.ndarray,
     return sup_ult, arg_ult, sup_pen, arg_pen, n_clipped, dev
 
 
-def _maxima_curve(model: WeibullTypeModel, log_n: float, xs: np.ndarray,
-                  b: float, a: float) -> np.ndarray:
-    """F^n(a x + b) on the grid, via exp(-e^(log n - T(z))); T = -inf where
-    F = 0 gives F^n = 0, T = +inf where F = 1 gives F^n = 1, and a z that
-    overflows to +/-inf in a huge window saturates the same way."""
-    with np.errstate(over="ignore"):
-        return _maxima(model, log_n, xs, b, a)
-
-
 def _maxima(model: WeibullTypeModel, log_n: float, xs: np.ndarray,
             b: float, a: float) -> np.ndarray:
-    """:func:`_maxima_curve` inside the caller's floating-point context."""
+    """F^n(a x + b) = exp(-e^(log n - T(z))) on the grid, in the caller's
+    floating-point context: T = -inf (F = 0) gives 0 and T = +inf (F = 1)
+    gives 1, also where z overflows to +/-inf in a huge window."""
     z = np.multiply(xs, a)
     z += b
     # a new array of the coordinate's own: the chain runs in its storage
@@ -631,30 +620,22 @@ def _remainder_deviation(xs: np.ndarray, diff: np.ndarray, density: np.ndarray,
     return float(np.maximum.reduce(np.abs(ratio, out=ratio), where=where, initial=0.0))
 
 
-# Gumbel and generalized extreme value cdfs over arrays
-
-
-def gev_cdf_array(gamma: float, xs: np.ndarray) -> np.ndarray:
-    """G_gamma(x) = exp(-(1 + gamma x)^(-1/gamma)) over points already
-    inside the support; Gumbel at gamma = 0.
-
-    With w = log1p(gamma x)/gamma, G_gamma = exp(-e^-w).  Tiny |gamma| goes
-    through the series x(1 - t/2 + t^2/3), t = gamma x, so the map is
-    continuous through gamma = 0; points where |t| is not small keep the
-    log1p form, so a window near 1e307 neither overflows t^2 nor leaves
-    the series' range.
-    """
-    x = np.asarray(xs, dtype=float)
-    with np.errstate(over="ignore"):
-        return _gev_cdf(gamma, x, np.multiply(x, gamma))
+# The generalized extreme value cdf over arrays
 
 
 def _gev_cdf(gamma: float, x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """:func:`gev_cdf_array` given t = gamma x, whose storage it may reuse."""
+    """G_gamma(x) = exp(-(1 + gamma x)^(-1/gamma)) over points already
+    inside the support, given t = gamma x, whose storage it may reuse.
+
+    With w = log1p(t)/gamma, G_gamma = exp(-e^-w).  Tiny |gamma| takes the
+    series w = x(1 - t/2 + t^2/3), continuous through gamma = 0, where |t|
+    is small, and the log1p form elsewhere: a window near 1e307 neither
+    overflows t^2 nor leaves the series' range."""
     if abs(gamma) < _GEV_SERIES_GAMMA:
         w = piecewise(np.abs(t) < _GEV_SERIES_T, _gev_series,
                       lambda x, t: _gev_log1p(t, gamma), x, t)
-        return _gumbel_cdf(w, out=w)
+        _neg_exp_neg(w, out=w)
+        return np.exp(w, out=w)
     v = _gev_log1p(t, -gamma, out=t)  # -w, as a quotient rounds alike for either sign
     np.exp(v, out=v)
     return np.exp(np.negative(v, out=v), out=v)
@@ -684,24 +665,3 @@ def _neg_exp_neg(w: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     out = np.negative(w, out=out)
     np.exp(out, out=out)
     return np.negative(out, out=out)
-
-
-def _gumbel_cdf(w: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """exp(-e^-w) into ``out`` (which may be ``w`` itself) or a new array,
-    inside the caller's floating-point context."""
-    out = _neg_exp_neg(w, out=out)
-    return np.exp(out, out=out)
-
-
-def gumbel_cdf_array(xs: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        return _gumbel_cdf(np.asarray(xs, dtype=float))
-
-
-def gumbel_density_array(xs: np.ndarray) -> np.ndarray:
-    """g_0(x) = exp(-e^-x - x)."""
-    xs = np.asarray(xs, dtype=float)
-    with np.errstate(over="ignore"):
-        out = _neg_exp_neg(xs)
-        out -= xs
-        return np.exp(out, out=out)

@@ -173,20 +173,23 @@ def hazard_jet(model: WeibullTypeModel, x: float, m: int) -> Tuple[float, ...]:
         return (h,) + (math.nan,) * m
     spec, c = model.l, 1.0 / model.theta
     l0 = spec.value_checked(x)
-    u1 = x * spec.deriv(1, x) / l0
+    # a constant l has u_j = x^j l^(j)/l = 0, also where x^j overflows (inf * 0):
+    # x^j reads 0 there; its l^(j) are still read, as perfbench's trace counts them
+    xu = 0.0 if spec.is_constant else x
+    u1 = xu * spec.deriv(1, x) / l0
     d1 = _power_term(x, c - 1.0, l0, c + u1)
     if m == 1:
         return h, d1
-    u2 = x * x * spec.deriv(2, x) / l0
+    u2 = xu * xu * spec.deriv(2, x) / l0
     d2 = _power_term(x, c - 2.0, l0, c * (c - 1.0) + 2.0 * c * u1 + u2)
     if m == 2:
         return h, d1, d2
-    u3 = x**3 * spec.deriv(3, x) / l0
+    u3 = xu**3 * spec.deriv(3, x) / l0
     d3 = _power_term(x, c - 3.0, l0,
                      c * (c - 1.0) * (c - 2.0) + 3.0 * c * (c - 1.0) * u1 + 3.0 * c * u2 + u3)
     if m == 3:
         return h, d1, d2, d3
-    u4 = x**4 * spec.deriv(4, x) / l0
+    u4 = xu**4 * spec.deriv(4, x) / l0
     d4 = _power_term(x, c - 4.0, l0,
                      c * (c - 1.0) * (c - 2.0) * (c - 3.0)
                      + 4.0 * c * (c - 1.0) * (c - 2.0) * u1
@@ -194,6 +197,11 @@ def hazard_jet(model: WeibullTypeModel, x: float, m: int) -> Tuple[float, ...]:
                      + 4.0 * c * u3
                      + u4)
     return h, d1, d2, d3, d4
+
+
+def constant_l_value(model: WeibullTypeModel) -> float:
+    """The one value of a constant l, read at max(support_lower, 2)."""
+    return model.l.value(max(model.support_lower, 2.0))
 
 
 def cumulative_hazard_inverse(model: WeibullTypeModel, y: float) -> float:
@@ -213,7 +221,7 @@ def cumulative_hazard_inverse(model: WeibullTypeModel, y: float) -> float:
         raise BelowRangeError(f"y={y!r} below H(support) = {h_lo!r}")
     if not model.l.is_constant:
         return numerics.solve_increasing(lambda t: cumulative_hazard(model, t), y, lo)
-    x = _pow(y / model.l.value(max(lo, 2.0)), model.theta)
+    x = _pow(y / constant_l_value(model), model.theta)
     if sys.float_info.min <= x < math.inf:
         h = cumulative_hazard(model, x)
         if not abs(h - y) <= 2.0**-26 * y:
@@ -328,7 +336,10 @@ def k_function(model: WeibullTypeModel, x: float) -> float:
     """
     if model.analytic_k_path:
         h, d1 = hazard_jet(model, x, 1)
-        return d1 * _chain_weights(model, x, h)[0]
+        k = d1 * _chain_weights(model, x, h)[0]
+        if not math.isfinite(k):
+            raise EvalFailureError(f"{model.label}: k = {k!r} at x={x!r}")
+        return k
     h = cumulative_hazard(model, x)
     g1 = _chain_weights(model, x, h)[0]
     v = math.exp(model.classical_log_pdf(x) + h)
@@ -357,14 +368,12 @@ class KJet(NamedTuple):
         return -k1 / (k * k)
 
 
-# the k-functionals divide by k^2 (phi) and k^3 (the von Mises conditions);
-# below this |k|, k^3 leaves the normal doubles
-_K_MIN = 2.0**-340
-
-
-def _require_k_cubed(model: WeibullTypeModel, x: float, k: float) -> None:
-    if abs(k) < _K_MIN:
-        raise EvalFailureError(f"{model.label}: k = {k!r} at x={x!r}, too small to divide by k^3")
+def _require_k_power(model: WeibullTypeModel, x: float, k: float, order: int) -> None:
+    """Refuse a k whose power its readers divide by leaves the normal doubles:
+    k^2 at order 1 (phi), k^3 at orders 2-3 (the von Mises conditions)."""
+    power = min(order + 1, 3)
+    if abs(k) < 2.0 ** -(1022 // power):
+        raise EvalFailureError(f"{model.label}: k = {k!r} at x={x!r}, too small to divide by k^{power}")
 
 
 @_refuses_overflow
@@ -378,8 +387,8 @@ def k_jet(model: WeibullTypeModel, x: float, order: int = 3, method: str = "auto
     Third-order numeric differentiation of classical models without hazard
     derivatives raises the extrapolation depth, since that path is the
     only one available there.  A jet past the double range, or whose k is
-    too small to divide by k^3 (as the k-functionals do), is refused as
-    ``eval_failure``.
+    too small to divide by the power its readers take (k^2 at order 1, k^3
+    above), is refused as ``eval_failure``.
     """
     if not 1 <= order <= 3:
         raise ValueError("k_jet order must be in [1, 3]")
@@ -404,11 +413,11 @@ def k_jet(model: WeibullTypeModel, x: float, order: int = 3, method: str = "auto
                 + d1**4 * g4)
         if not all(map(math.isfinite, values)):
             raise EvalFailureError(f"{model.label}: k-jet {values!r} at x={x!r}")
-        _require_k_cubed(model, x, values[0])
+        _require_k_power(model, x, values[0], order)
         return KJet(values=values, method="analytic")
     k = k_function.__wrapped__  # the stencils type their own failures
     k0 = k(model, x)
-    _require_k_cubed(model, x, k0)
+    _require_k_power(model, x, k0, order)
     ests = [
         numerics.derivative(
             lambda t: k(model, t),

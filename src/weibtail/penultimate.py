@@ -182,7 +182,7 @@ def _takes_scalar_path(model: WeibullTypeModel, count: int) -> bool:
 
 
 def _maxima_point(model: WeibullTypeModel, log_n: float, z: float) -> float:
-    """F^n(z) = exp(-e^(log n - T(z))), saturated as ``arrays._maxima_curve``."""
+    """F^n(z) = exp(-e^(log n - T(z))), saturated as ``arrays.curve`` saturates it."""
     try:
         return math.exp(-math.exp(log_n - _saturated_coordinate(model, z)))
     except OverflowError:  # e^(log n - T) past the double range: F^n = 0

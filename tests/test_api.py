@@ -1,6 +1,7 @@
 """The package's public names: ``weibtail.__all__`` against the module, and
 the error codes against README's list."""
 
+import ast
 import dataclasses
 import enum
 import importlib
@@ -126,3 +127,36 @@ def test_error_codes_unique_and_in_readme():
     codes = [cls.code for cls in _subclasses(WeibtailError)]
     assert len(codes) == len(set(codes)), sorted(codes)
     assert [code for code in codes if f"`{code}`" not in readme] == []
+
+
+# top-level functions that no library code references, each with its reason
+NO_LIBRARY_CALLER = {
+    "gumbel_coordinate_array": "T over an array, in its own floating-point context, for "
+                               "callers outside the error curves; the tests check the array T "
+                               "through it",
+}
+
+
+def _unreferenced_functions(src: Path):
+    """The top-level functions of the modules in ``src`` that library code
+    does not reference outside their own body, by name, attribute or the
+    name string an array form is looked up by."""
+    defined, referenced = set(), set()
+    for path in sorted(src.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            own = stmt.name if isinstance(stmt, ast.FunctionDef) else None
+            if own:
+                defined.add(own)
+            for node in ast.walk(stmt):
+                name = (node.id if isinstance(node, ast.Name) else
+                        node.attr if isinstance(node, ast.Attribute) else
+                        node.value if isinstance(node, ast.Constant) else None)
+                if isinstance(name, str) and name != own:
+                    referenced.add(name)
+    return defined - referenced - set(wt.__all__)
+
+
+def test_every_function_has_a_library_caller():
+    # code that only tests call is code to delete: every top-level function
+    # is referenced from library code or public in weibtail.__all__
+    assert _unreferenced_functions(Path(wt.__file__).parent) == set(NO_LIBRARY_CALLER)

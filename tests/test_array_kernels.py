@@ -21,9 +21,21 @@ import pytest
 
 import weibtail as wt
 from weibtail import arrays, catalog, numerics
-from weibtail.arrays import gev_cdf_array, gumbel_coordinate_array
+from weibtail.arrays import gumbel_coordinate_array
 from weibtail.model import Family, _saturated_coordinate
 from weibtail.norming import locate
+
+
+def _in_curve_context(fn, *args):
+    """``fn(*args)`` in the floating-point context of ``arrays.curve``, where
+    overflow to inf is the saturation the formulas expect."""
+    with np.errstate(over="ignore"):
+        return fn(*args)
+
+
+def _gev_cdf(gamma, xs):
+    """G_gamma over points inside its support, as ``arrays.curve`` forms it."""
+    return _in_curve_context(arrays._gev_cdf, gamma, xs, np.multiply(xs, gamma))
 
 
 def _pieces_agree(fn, xs, switches):
@@ -41,7 +53,14 @@ def test_log_neg_log_cdf_pieces_at_series_switch():
     h = np.concatenate([np.geomspace(1e-300, 6.9, 300), np.linspace(6.9, 7.1, 201),
                         np.geomspace(7.2, 1e300, 300)])
     h.sort()
-    _pieces_agree(arrays.log_neg_log_cdf_from_H_array, h, [numerics._SERIES_SWITCH])
+    # the exponential's H is x itself, so its T over the grid is T from H = h
+    exponential = wt.exponential()
+    t_of_h = lambda h: gumbel_coordinate_array(exponential, h)
+    whole = _pieces_agree(t_of_h, h, [numerics._SERIES_SWITCH])
+    # H = 0 at x <= 0 takes the masks, and the points inside the switch's
+    with_outside = t_of_h(np.concatenate([[-1.0, 0.0], h]))
+    assert with_outside[2:].tobytes() == whole.tobytes()
+    assert with_outside[:2].tolist() == [-math.inf, -math.inf]
 
 
 @pytest.mark.parametrize("shape", [0.01, 0.5, 1.0, 2.0, 5.0, 100.5])
@@ -305,7 +324,7 @@ def test_gev_pieces_at_series_switch(gamma):
     edge = 1e-5 / abs(gamma)
     xs = np.linspace(-2.0 * edge, 2.0 * edge, 4001)
     xs = xs[1.0 + gamma * xs > 0.0]
-    _pieces_agree(lambda x: gev_cdf_array(gamma, x), xs, [-edge, edge])
+    _pieces_agree(lambda x: _gev_cdf(gamma, x), xs, [-edge, edge])
 
 
 def _straddle_models():
@@ -447,7 +466,8 @@ def test_zero_gamma_curve_is_the_ultimate_one(name):
     log_n, b, jet = locate(model, 20.0)
     xs = arrays.grid((-3.0, 6.0, 3000))
     for gamma in (0.0, -0.0):
-        assert gev_cdf_array(gamma, xs).tobytes() == arrays.gumbel_cdf_array(xs).tobytes()
+        gumbel = _in_curve_context(lambda x: np.exp(arrays._neg_exp_neg(x)), xs)
+        assert _gev_cdf(gamma, xs).tobytes() == gumbel.tobytes()
         for rate in (0.0, -0.0, 0.25):
             sup_ult, arg_ult, sup_pen, arg_pen, n_clipped, dev = arrays.curve(
                 model, log_n, xs, b, 1.0 / jet.values[0], gamma, rate)

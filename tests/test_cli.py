@@ -447,7 +447,6 @@ PURE2 = ["--model", "pure-weibull", "--theta", "2"]
     # a float ** or a product in the analytic k-jet overflows
     (["norming", "--model", "extended-weibull", "--beta", "50", "--log-n", "1e200"],
      "eval_failure"),
-    (["norming", "--model", "gumbel-fixture", "--log-n", "1e200"], "eval_failure"),
     (["norming", *GAMMA2, "--log-n", "1e200"], "eval_failure"),
     # above f at the capped right end of the bracket, not below the range
     (["norming", "--model", "exponential", "--log-n", "1e301"], "bracket_miss"),
@@ -456,7 +455,7 @@ PURE2 = ["--model", "pure-weibull", "--theta", "2"]
     (["penultimate", "--model", "extended-weibull", "--beta", "0.077", "--delta", "9.1e235",
       "--log-n", "40.6"], "domain_error"),
 ], ids=["pen-1e-300", "pen-1e-160", "pen-1e-160-json", "report-1e-160", "errors-asym-1e-310",
-        "pure-theta-1e-100", "ext-beta50-1e200", "gumbel-1e200", "gamma-1e200",
+        "pure-theta-1e-100", "ext-beta50-1e200", "gamma-1e200",
         "exp-1e301", "ext-log-power-overflow"])
 def test_extreme_inputs_refused_with_a_code(argv, code):
     exit_code, out, err = run_cli(argv)
@@ -475,6 +474,61 @@ def test_normal_norming_at_log_n_1e200():
     b_exact, b_asymptotic, a_scale = (float(row[c]) for c in ("b_exact", "b_asymptotic", "a_scale"))
     assert b_exact == b_asymptotic == math.sqrt(2.0 * 1e200)
     assert a_scale * b_exact == 1.0
+
+
+def test_gumbel_fixture_norming_at_log_n_1e200():
+    # once refused as eval_failure: a constant l has decay ratios u_j = 0,
+    # where x^2 l'' at b = 1e200 was inf * 0.  T = H = x, so b = log n and
+    # k = 1 exactly
+    code, out, err = run_cli(["norming", "--model", "gumbel-fixture", "--log-n", "1e200"])
+    assert (code, err) == (0, "")
+    (row,) = parse_csv(out)
+    assert float(row["b_exact"]) == float(row["b_asymptotic"]) == 1e200
+    assert float(row["a_scale"]) == 1.0
+
+
+@pytest.mark.parametrize("theta, log_n", [(40.0, 700.0), (60.0, 100.0)])
+def test_pure_weibull_k_below_the_k_cubed_floor(theta, log_n):
+    # k(b) = 2.7e-113 (theta 40) and 1.7e-120 (theta 60) lie below 2^-340,
+    # where k^3 leaves the normal doubles, but above 2^-511: norming and
+    # penultimate read k and k'/k^2 only.  Against the closed forms
+    # b = (log n)^theta, a = theta b / log n, gamma_n ~ (theta - 1)/log n
+    argv = ["--model", "pure-weibull", "--theta", repr(theta), "--log-n", repr(log_n)]
+    code, out, err = run_cli(["norming", *argv])
+    assert (code, err) == (0, "")
+    (row,) = parse_csv(out)
+    b = log_n**theta
+    assert float(row["b_exact"]) == float(row["b_asymptotic"]) == b
+    assert float(row["a_scale"]) == pytest.approx(theta * b / log_n, rel=1e-13)
+    code, out, err = run_cli(["penultimate", *argv])
+    assert (code, err) == (0, "")
+    (row,) = parse_csv(out)
+    assert float(row["gamma_exact"]) == pytest.approx((theta - 1.0) / log_n, rel=1e-12)
+    # theta 100 at log n 700: k = 2.2e-284, whose square is subnormal
+    code, out, err = run_cli(["norming", "--model", "pure-weibull", "--theta", "100",
+                              "--log-n", "700"])
+    assert (code, out) == (3, "")
+    refusal = json.loads(err)["error"]
+    assert refusal["code"] == "eval_failure" and "divide by k^2" in refusal["message"]
+
+
+@pytest.mark.parametrize("argv, exit_code, message", [
+    (["norming", "--model", "normal", "--log-n", ","], 2, "--log-n: empty list"),
+    (["errors", "--model", "normal", "--grid", "1:2"], 2, "expects lo:hi:count, got '1:2'"),
+    (["errors", "--model", "normal", "--grid", "a:b:c"], 2, "expects lo:hi:count, got 'a:b:c'"),
+    (["norming", "--model", "normal", "--n", "2.5"], 2, "--n expects integers >= 2, got [2.5]"),
+    (["errors", "--model", "normal", "--grid"], 2, "--grid: expected one argument"),
+    (["errors", "--model", "normal", "--log-n", "5", "--grid", "3:3:100"], 3, "insufficient_grid"),
+], ids=["log-n-empty", "grid-two-parts", "grid-text", "n-fraction", "grid-trailing",
+        "grid-empty-window"])
+def test_refusal_branches(argv, exit_code, message):
+    # usage errors name the flag on stderr; a numeric refusal gives its code
+    code, out, err = run_cli(argv)
+    assert (code, out) == (exit_code, "")
+    if exit_code == 2:
+        assert message in err
+    else:
+        assert json.loads(err)["error"]["code"] == message
 
 
 CSV_POINT_COLUMNS = cli.CSV_HEADERS["vonmises"][2:]

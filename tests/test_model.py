@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import weibtail as wt
-from weibtail import numerics
+from weibtail import arrays, numerics
 from weibtail.cli import DEFAULT_T_GRID
 from weibtail.errors import (
     BelowRangeError,
@@ -19,11 +19,28 @@ from weibtail.errors import (
     WeibtailError,
 )
 from weibtail.model import exact_level_for_gumbel_coordinate, hazard_jet, k_jet
-from weibtail.arrays import _maxima_curve, gev_cdf_array, gumbel_density_array
+
+
+def _in_curve_context(fn, *args):
+    """``fn(*args)`` in the floating-point context of ``arrays.curve``, where
+    overflow to inf is the saturation the formulas expect."""
+    with np.errstate(over="ignore"):
+        return fn(*args)
+
+
+def _gev_cdf_array(g, xs):
+    """G_g over points inside its support, as ``arrays.curve`` forms it."""
+    return _in_curve_context(arrays._gev_cdf, g, xs, np.multiply(xs, g))
 
 
 def _gev_cdf(g, x):
-    return float(gev_cdf_array(g, np.array([x]))[0])
+    return float(_gev_cdf_array(g, np.array([x]))[0])
+
+
+def _gumbel_density(x):
+    """g_0(x) = exp(-e^-x - x), as ``arrays.curve`` forms it."""
+    xs = np.array([x])
+    return float(_in_curve_context(lambda xs: np.exp(arrays._neg_exp_neg(xs) - xs), xs)[0])
 
 
 @pytest.fixture(scope="module")
@@ -424,11 +441,34 @@ def test_k_layer_overflow_refused(shape, x):
     assert float(abs((mp.mpf(k) - exact) / exact)) < 1e-14
 
 
+def test_constant_l_jet_past_x_squared():
+    # pure-Weibull theta = 2 at x = 1e200, where x^2 and x^3 leave the
+    # doubles: k = x^-1/2 / 2 and k' = -x^-3/2 / 4, since g_1 = 1 and g_2 = 0
+    # at H = 1e100; the next two entries underflow to 0
+    x = 1e200
+    k, k1, k2, k3 = k_jet(wt.pure_weibull(theta=2.0), x, 3).values
+    assert k == pytest.approx(0.5 * x**-0.5, rel=1e-15)
+    assert k1 == pytest.approx(-0.25 * x**-1.5, rel=1e-15)
+    assert abs(k2) < 1e-300 and abs(k3) < 1e-300
+
+
+def test_k_function_refuses_a_non_finite_k():
+    # H = 3.4e-7 is finite at x = 5e-324, but H' = 0.02 x^-0.98 is past the
+    # double range: k_function refuses, as the order-1 jet does
+    m = wt.pure_weibull(theta=50.0)
+    assert math.isfinite(wt.cumulative_hazard(m, 5e-324))
+    for call in (lambda: wt.k_function(m, 5e-324), lambda: k_jet(m, 5e-324, 1)):
+        with pytest.raises(EvalFailureError):
+            call()
+
+
 @pytest.mark.parametrize("x, finite_orders, code", [
     # a zero bracket in the hazard jet is 0 where x^(c - j) overflows
     (0.0, 3, None),
     (1e-160, 3, None),
     (1e-300, 3, None),
+    # a constant l's decay ratios are 0, also where x^2 l'' would be inf * 0
+    (1e200, 3, None),
     (math.inf, -1, "tail_underflow"),  # H = inf: F = 1 at double precision
     (math.nan, -1, "tail_underflow"),
 ])
@@ -502,7 +542,7 @@ def test_normal_theta_diagnostic():
 
 def test_gev_gumbel_point():
     assert _gev_cdf(0.0, 0.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
-    assert gumbel_density_array(np.array([0.0]))[0] == pytest.approx(math.exp(-1.0), rel=1e-15)
+    assert _gumbel_density(0.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
 
 
 def test_gev_frechet_point():
@@ -524,7 +564,7 @@ def test_gev_tiny_shape_against_mpmath():
     g = 1e-9
     half = np.geomspace(1e-3, 1e6, 100)
     xs = np.concatenate([-half[::-1], [0.0], half])
-    got = gev_cdf_array(g, xs)
+    got = _gev_cdf_array(g, xs)
     with mp.workdps(40):
         for x, value in zip(xs, got):
             w = mp.log1p(mp.mpf(g) * mp.mpf(x)) / mp.mpf(g)
@@ -539,7 +579,7 @@ def test_gev_monotone_in_x_continuous_in_gamma():
     prev_row = None
     for g in gammas:
         valid = 1.0 + g * xs > 0.0
-        row = gev_cdf_array(float(g), xs[valid])
+        row = _gev_cdf_array(float(g), xs[valid])
         assert np.all(np.diff(row) >= 0.0)
         if prev_row is not None and prev_row.shape == row.shape:
             assert np.max(np.abs(row - prev_row)) < 0.02  # small gamma step, small move
@@ -555,7 +595,7 @@ def test_gev_density_is_cdf_slope():
                 continue
             slope = derivative(lambda t: _gev_cdf(g, t), x, 1).value
             if g == 0.0:
-                dens = gumbel_density_array(np.array([x]))[0]
+                dens = _gumbel_density(x)
             else:  # g_gamma = G_gamma (1 + gamma x)^(-1/gamma - 1)
                 dens = _gev_cdf(g, x) * (1.0 + g * x) ** (-1.0 / g - 1.0)
             assert dens == pytest.approx(slope, rel=1e-8)
@@ -566,13 +606,13 @@ def test_gev_density_is_cdf_slope():
 def test_log_cdf_of_maxima_block_level():
     m = wt.pure_weibull(theta=2.0)
     nc = wt.norming(m, 25.0)
-    fn = _maxima_curve(m, 25.0, np.array([0.0]), nc.b_exact, nc.a_scale)
+    fn = _in_curve_context(arrays._maxima, m, 25.0, np.array([0.0]), nc.b_exact, nc.a_scale)
     assert fn[0] == pytest.approx(math.exp(-1.0), rel=1e-12)
 
 
 def test_log_cdf_of_maxima_below_support():
     m = wt.pure_weibull(theta=4.0)
-    assert _maxima_curve(m, 10.0, np.array([-5.0]), 0.0, 1.0)[0] == 0.0
+    assert _in_curve_context(arrays._maxima, m, 10.0, np.array([-5.0]), 0.0, 1.0)[0] == 0.0
 
 
 def test_model_validation():
@@ -587,6 +627,25 @@ def test_model_validation():
 
 
 _LOG_SF_AND_PDF = {"classical_log_sf": _exponential_log_sf, "classical_log_pdf": _exponential_log_pdf}
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: k_jet(wt.normal(), 2.0, 0), ValueError, r"order must be in \[1, 3\]"),
+    (lambda: k_jet(wt.normal(), 2.0, 4), ValueError, r"order must be in \[1, 3\]"),
+    (lambda: k_jet(wt.normal(), 2.0, 1, "bogus"), ValueError, "unknown method 'bogus'"),
+    (lambda: hazard_jet(wt.WeibullTypeModel(family=wt.Family.CLASSICAL, theta=1.0,
+                                            label="log-pdf-only", **_LOG_SF_AND_PDF), 2.0, 1),
+     TailUnderflowError, "no analytic hazard derivatives"),
+    (lambda: wt.weibull_type(2.0, wt.constant(1.0), support_lower=-1.0), ValueError,
+     "support_lower must be >= 0"),
+    (lambda: wt.weibull_type(2.0, wt.log_power(1.0), support_lower=1.0), ValueError,
+     "support_lower must not undercut the slowly varying domain"),
+], ids=["order-0", "order-4", "method-bogus", "hazard-jet-log-pdf-only", "support-negative",
+        "support-below-l-domain"])
+def test_refusal_branches(call, error, message):
+    # a usage error is a ValueError; a numeric refusal is typed, with its code
+    with pytest.raises(error, match=message):
+        call()
 
 
 @pytest.mark.parametrize("fields, message", [

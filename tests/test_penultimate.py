@@ -21,7 +21,6 @@ from weibtail.errors import (
 )
 from weibtail.model import Family, k_function
 from weibtail.norming import locate
-from weibtail.arrays import _maxima_curve
 from weibtail.penultimate import REMAINDER_DENOMINATOR_CUTOFF, Classification
 
 
@@ -168,6 +167,16 @@ def test_errors_grid_validation():
         wt.error_comparison(wt.normal(), 10.0, (-3.0, 6.0, 50))
 
 
+@pytest.mark.parametrize("kwargs, error, message", [
+    ({"grid_spec": (3.0, 3.0, 100)}, InsufficientGridError, "grid needs lo < hi"),
+    ({"gamma_mode": "bogus"}, ValueError, "unknown gamma_mode 'bogus'"),
+], ids=["grid-empty-window", "gamma-mode-bogus"])
+def test_refusal_branches(kwargs, error, message):
+    # an empty window is refused with its code, an unknown mode as a usage error
+    with pytest.raises(error, match=message):
+        wt.error_comparison(wt.normal(), 10.0, **kwargs)
+
+
 @pytest.mark.parametrize("lo, hi", [(-3.0, math.inf), (-math.inf, 6.0), (-3.0, math.nan),
                                     (-1e308, 1e308)])
 def test_errors_grid_refuses_non_finite_window(lo, hi):
@@ -179,6 +188,13 @@ def test_errors_grid_refuses_non_finite_window(lo, hi):
 
 
 # ----------------------------------------------------- array maxima curve
+
+def _maxima_curve(model, log_n, xs, b, a):
+    """F^n(a x + b) over the grid array, in the floating-point context of
+    ``arrays.curve``, where overflow to inf is the saturation expected."""
+    with np.errstate(over="ignore"):
+        return arrays._maxima(model, log_n, xs, b, a)
+
 
 def _scalar_maxima_curve(model, log_n, xs, b, a):
     # the point-by-point evaluation the array path replaces

@@ -159,3 +159,13 @@ def test_log_shift_negative_d_domain():
     spec = log_shift(1.0, -2.0)
     assert spec.domain_lower > math.exp(2.0)
     assert spec.value(spec.domain_lower) > 0.0
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: constant(0.0), "constant l must be positive"),
+    (lambda: log_shift(c=0.0), "c must be positive"),
+    (lambda: constant(1.0).deriv(5, 3.0), r"derivative order must be in \[1, 4\]"),
+], ids=["constant-zero", "log-shift-c-zero", "deriv-order-5"])
+def test_refusal_branches(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

@@ -81,6 +81,16 @@ def test_sweep_grid_validation():
         condition_sweep(wt.extended_weibull(beta=2.0), [1.0, 1e4, 1e6, 1e8, 1e10])
 
 
+@pytest.mark.parametrize("t_grid, message", [
+    ([1e2, 1e4, 1e3, 1e8, 1e10], "grid must be strictly ascending"),
+    ([1e2, 1e4, 1e4, 1e8, 1e10], "grid must be strictly ascending"),
+], ids=["descending-step", "repeated-point"])
+def test_refusal_branches(t_grid, message):
+    with pytest.raises(InsufficientGridError, match=message) as info:
+        condition_sweep(wt.pure_weibull(theta=2.0), t_grid)
+    assert info.value.code == "insufficient_grid"
+
+
 def test_anderson_consistent_with_rv_ratios():
     # k''/(k k') == (r2/r1)/(t k): same content, independently assembled
     m = wt.pure_weibull(theta=2.0)
