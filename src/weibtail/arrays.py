@@ -3,8 +3,8 @@ error curves and the array forms of the built-in models.
 
 This is the one module that imports numpy, and no other module imports it
 at load time.  It holds only what the library calls, reached lazily from
-two places: the array branch of ``penultimate._curve`` (:func:`grid` and
-:func:`curve`, for grids of more than 1000 points), and the forms that
+two places: the array branch of ``penultimate._curve`` (:func:`curve`, for
+grids of more than 1000 points), and the forms that
 :func:`weibtail.slowly_varying.array_form` builds, which the stock slowly
 varying functions and the catalog models hand out as ``value_array`` and
 ``classical_log_sf_array``.  A process that never takes the array pass
@@ -13,7 +13,8 @@ never loads numpy.
 Each kernel is its scalar twin's formula over a float array.  A constant
 the two share is defined once, in the scalar module, and imported here.
 A kernel never writes into its arguments: it allocates its own result
-and runs its ufunc chain in that storage with ``out=``.
+and runs its ufunc chain in that storage with ``out=``.  The one state is
+:func:`grid_terms`'s memo of the last grid's points, G_0 and g_0.
 """
 
 from __future__ import annotations
@@ -475,7 +476,8 @@ def _coordinate(model: WeibullTypeModel, xs: np.ndarray) -> np.ndarray:
     highest = h.max()
     if not (_POSITIVE[0] <= lowest and highest <= _POSITIVE[1]):
         inside = lambda h: piecewise(within(h, _SERIES_SWITCH), _log_neg_log_series, _log_neg_log_closed, h)
-        return piecewise(within(h, *_POSITIVE), inside, _saturate, h)
+        # the mask within(h, *_POSITIVE) would build, without its min
+        return piecewise((h > 0.0) & (h < math.inf), inside, _saturate, h)
     if lowest >= _SERIES_SWITCH:
         return _log_neg_log_series(h)
     if highest < _SERIES_SWITCH:
@@ -523,25 +525,43 @@ def grid(grid_spec: Tuple[float, float, int]) -> np.ndarray:
     return xs
 
 
-def curve(model: WeibullTypeModel, log_n: float, xs: np.ndarray,
+_GRID_TERMS: dict = {}  # the last grid spec's terms, keyed on its repr: its ends' exact bits
+clear_grid_terms = _GRID_TERMS.clear  # frees the kept terms
+
+
+def grid_terms(grid_spec: Tuple[float, float, int], points_only: bool = False) -> tuple:
+    """(x, G_0, g_0) on the checked grid, read-only, kept for the last spec
+    until another spec or ``clear_grid_terms()``; (x,) on a new grid if
+    ``points_only``.  G_0 and g_0 take the caller's floating-point context."""
+    terms = _GRID_TERMS.get(repr(grid_spec))
+    if terms is None:
+        _GRID_TERMS.clear()  # the last grid's arrays go before the new ones come
+        terms = _GRID_TERMS[repr(grid_spec)] = [grid(grid_spec)]
+        terms[0].flags.writeable = False
+    if len(terms) == 1 and not points_only:
+        density = _neg_exp_neg(terms[0])
+        cdf = np.exp(density)
+        density -= terms[0]
+        np.exp(density, out=density)
+        cdf.flags.writeable = density.flags.writeable = False
+        terms[1:] = cdf, density  # a concurrent build writes the same bits
+    return tuple(terms)
+
+
+def curve(model: WeibullTypeModel, log_n: float, grid_spec: Tuple[float, float, int],
           b: float, a: float, gamma: float, rate: float) -> _Curve:
-    """The error curve over the grid array ``xs``, in numpy, under one
-    floating-point context: overflow to inf is the saturation the formulas
-    expect (e^-x past the double range gives G_0 = g_0 = 0)."""
+    """The error curve over the checked grid ``grid_spec``, in numpy, under
+    one floating-point context: overflow to inf is the saturation the
+    formulas expect (e^-x past the double range gives G_0 = g_0 = 0)."""
     with np.errstate(over="ignore"):
+        xs = grid_terms(grid_spec, points_only=True)[0]
         fn = _maxima(model, log_n, xs, b, a)
         if gamma != 0.0:
             sup_pen, arg_pen, n_clipped = _penultimate_sup(xs, fn, gamma)
-        # -e^-x, shared by G_0 = exp(-e^-x) and g_0 = exp(-e^-x - x)
-        density = _neg_exp_neg(xs)
-        # F^n - G_0, shared by the remainder ratio and the ultimate sup
-        diff = np.exp(density)
-        np.subtract(fn, diff, out=diff)
-        del fn  # the rest needs only diff
+        _, cdf, density = grid_terms(grid_spec)  # a new grid's, past F^n's and G_gamma's peak
+        diff = np.subtract(fn, cdf, out=fn)  # F^n - G_0, for the remainder and the ultimate sup
         dev = None
         if rate != 0.0:  # at rate 0 every denominator is +-0, below the cutoff
-            density -= xs
-            np.exp(density, out=density)
             dev = _remainder_deviation(xs, diff, density, rate)
         i_ult, sup_ult = _argmax_abs(diff)
     arg_ult = float(xs[i_ult])
@@ -597,27 +617,26 @@ def _remainder_deviation(xs: np.ndarray, diff: np.ndarray, density: np.ndarray,
     """max |R - 1| with R = (F^n - G_0) / ((x^2/2) rate g_0(x)), rate = k'(b)/k^2(b),
     given ``diff`` = F^n - G_0 and ``density`` = g_0 on the grid, over the
     points where the denominator passes the cutoff; None where it passes
-    nowhere.  The denominator and the ratio are formed in ``density``'s
-    storage, and the points below the cutoff are masked, not gathered.
-
+    nowhere.  The ratio is formed in the denominator's storage, masked only
+    where some point fails the cutoff.  The denominator is taken with |rate|:
+    |den| to the bit, so R - 1 = -(diff/|den| + 1) exactly where rate < 0.
     g_0(x) is 0 beyond |x| = 1e3, so x^2 is taken on the ascending grid
     clipped there: x^2 stays finite in a window wide enough to overflow it,
-    and the denominator is 0 there rather than inf * 0.
-    """
+    and the denominator is 0 there rather than inf * 0."""
     if xs[0] < -1e3 or xs[-1] > 1e3:
         xs = np.clip(xs, -1e3, 1e3)
-    scratch = np.multiply(xs, 0.5)
-    scratch *= xs
-    scratch *= rate
-    den = np.multiply(density, scratch, out=density)
+    den = np.multiply(xs, 0.5)
+    den *= xs
+    den *= abs(rate)
+    den *= density
     # |den| > the cutoff, as the bound within() takes
-    where = within(np.abs(den, out=scratch), math.nextafter(REMAINDER_DENOMINATOR_CUTOFF, 1.0))
-    del scratch
+    where = within(den, math.nextafter(REMAINDER_DENOMINATOR_CUTOFF, 1.0))
     if where is not np.True_ and not where.any():
         return None
-    ratio = np.divide(diff, den, out=den, where=where)
-    ratio -= 1.0
-    return float(np.maximum.reduce(np.abs(ratio, out=ratio), where=where, initial=0.0))
+    masked = {} if where is np.True_ else {"where": where}
+    ratio = np.divide(diff, den, out=den, **masked)
+    ratio -= math.copysign(1.0, rate)
+    return float(np.maximum.reduce(np.abs(ratio, out=ratio), initial=0.0, **masked))
 
 
 # The generalized extreme value cdf over arrays

@@ -425,6 +425,7 @@ def k_jet(model: WeibullTypeModel, x: float, order: int = 3, method: str = "auto
             j,
             levels=4 if j == 3 and not model.analytic_k_path else 3,
             tol=1e-5,
+            lower=model.support_lower,
         )
         for j in range(1, order + 1)
     ]

@@ -84,6 +84,7 @@ def derivative(
     order: int,
     levels: int = 3,
     tol: Optional[float] = None,
+    lower: float = -math.inf,
 ) -> DerivativeEstimate:
     """Order-th derivative of ``f`` at ``x`` by Richardson-extrapolated
     central differences.
@@ -97,12 +98,16 @@ def derivative(
     eps**(1/(order+2)) would under-step by several orders.  The reported
     ``error`` is the difference of the last two extrapolation levels; when
     ``tol`` is given and the estimate exceeds ``tol * max(1, |value|)`` the
-    result is flagged ``low_confidence`` (but still returned).
+    result is flagged ``low_confidence`` (but still returned).  A stencil
+    reaching below ``lower`` refuses unevaluated, as StencilFailureError.
     """
     if order not in _STENCILS:
         raise ValueError(f"order {order} outside [1, 4]")
     h = _EPS ** (1.0 / (order + 2 * levels)) * max(abs(x), 1.0)
     h = (x + h) - x  # snap to a step representable relative to x
+    if x + _STENCILS[order][-1][0] * h < lower:  # the first, widest stencil's lowest point
+        raise StencilFailureError(
+            f"order {order} stencil at x={x!r} with step {h!r} reaches below the end {lower!r}")
     table = [_stencil(f, x, h / 2.0**level, order) for level in range(levels)]
     for j in range(1, len(table)):
         factor = 4.0**j

@@ -168,13 +168,14 @@ def _curve(model: WeibullTypeModel, log_n: float, grid_spec: Tuple[float, float,
 
     The choice depends on the configuration only, so equal configurations
     print equal bytes; the two paths differ in the last bits (libm against
-    numpy's exp and log, and each model's own scalar and array T).
+    numpy's exp and log, and each model's own scalar and array T).  The
+    array pass takes the spec, and reuses its grid's terms while it repeats.
     """
     if _takes_scalar_path(model, grid_spec[2]):
         return _scalar_curve(model, log_n, _linspace(*grid_spec), b, a, gamma, rate)
     from . import arrays
 
-    return arrays.curve(model, log_n, arrays.grid(grid_spec), b, a, gamma, rate)
+    return arrays.curve(model, log_n, grid_spec, b, a, gamma, rate)
 
 
 def _takes_scalar_path(model: WeibullTypeModel, count: int) -> bool:

@@ -24,6 +24,7 @@ from weibtail import arrays, catalog, numerics
 from weibtail.arrays import gumbel_coordinate_array
 from weibtail.model import Family, _saturated_coordinate
 from weibtail.norming import locate
+from weibtail.penultimate import REMAINDER_DENOMINATOR_CUTOFF
 
 
 def _in_curve_context(fn, *args):
@@ -464,15 +465,119 @@ def test_zero_gamma_curve_is_the_ultimate_one(name):
     # denominator is +-0, below the cutoff
     model = _catalog_model(name)
     log_n, b, jet = locate(model, 20.0)
-    xs = arrays.grid((-3.0, 6.0, 3000))
+    spec = (-3.0, 6.0, 3000)
+    xs = arrays.grid(spec)
     for gamma in (0.0, -0.0):
         gumbel = _in_curve_context(lambda x: np.exp(arrays._neg_exp_neg(x)), xs)
         assert _gev_cdf(gamma, xs).tobytes() == gumbel.tobytes()
         for rate in (0.0, -0.0, 0.25):
             sup_ult, arg_ult, sup_pen, arg_pen, n_clipped, dev = arrays.curve(
-                model, log_n, xs, b, 1.0 / jet.values[0], gamma, rate)
+                model, log_n, spec, b, 1.0 / jet.values[0], gamma, rate)
             assert (sup_pen.hex(), arg_pen.hex(), n_clipped) == (sup_ult.hex(), arg_ult.hex(), 0)
             assert (dev is None) == (rate == 0.0)
+
+
+# ------------------------------------------------------------ grid terms
+
+MEMO_GRID = (-3.0, 6.0, 2000)
+
+
+def _same(terms, others):
+    """Whether two grid_terms results hold the same array objects."""
+    return len(terms) == len(others) and all(a is b for a, b in zip(terms, others))
+
+
+@pytest.mark.parametrize("name", sorted(wt.CATALOG))
+def test_grid_terms_reused_across_models_bit_for_bit(name):
+    # a curve on the terms another model's curve built equals, on every
+    # field, a curve on terms built afresh for it
+    model = _catalog_model(name)
+    other = _catalog_model("logistic" if name == "normal" else "normal")
+    for log_n in (10.0, 40.0):
+        for mode in ("exact", "asymptotic"):
+            if mode == "asymptotic" and model.theta_is_one:
+                continue
+            arrays.clear_grid_terms()
+            fresh = wt.error_comparison(model, log_n, MEMO_GRID, mode)
+            arrays.clear_grid_terms()
+            wt.error_comparison(other, 20.0, MEMO_GRID)
+            terms = arrays.grid_terms(MEMO_GRID)
+            assert repr(wt.error_comparison(model, log_n, MEMO_GRID, mode)) == repr(fresh)
+            assert _same(arrays.grid_terms(MEMO_GRID), terms)
+
+
+def test_grid_terms_read_only_and_unchanged_by_curves():
+    arrays.clear_grid_terms()
+    terms = arrays.grid_terms(MEMO_GRID)
+    xs, cdf, density = terms
+    # the terms as the curve formed them per call
+    neg_exp_neg = arrays._neg_exp_neg(arrays.grid(MEMO_GRID))
+    want = [arrays.grid(MEMO_GRID), np.exp(neg_exp_neg), np.exp(neg_exp_neg - xs)]
+    assert [a.tobytes() for a in terms] == [a.tobytes() for a in want]
+    assert not any(a.flags.writeable for a in terms)
+    with pytest.raises(ValueError, match="read-only"):
+        cdf[0] = 0.0
+    for name in sorted(wt.CATALOG):
+        model = _catalog_model(name)
+        for mode in ("exact", "asymptotic"):
+            if not (mode == "asymptotic" and model.theta_is_one):
+                wt.error_comparison(model, 20.0, MEMO_GRID, mode)
+    assert _same(arrays.grid_terms(MEMO_GRID), terms)
+    assert [a.tobytes() for a in terms] == [a.tobytes() for a in want]
+
+
+def test_grid_terms_keyed_on_exact_bits():
+    # ends of -0.0 and 0.0 compare equal but are different grids: each
+    # keeps the sign of its last point, and the one entry is the last spec
+    negative = arrays.grid_terms((-3.0, -0.0, 2000))
+    positive = arrays.grid_terms((-3.0, 0.0, 2000))
+    assert not _same(positive, negative)
+    assert math.copysign(1.0, negative[0][-1]) == -1.0
+    assert math.copysign(1.0, positive[0][-1]) == 1.0
+    assert list(arrays._GRID_TERMS) == [repr((-3.0, 0.0, 2000))]
+    assert _same(arrays.grid_terms((-3.0, 0.0, 2000)), positive)
+    assert not _same(arrays.grid_terms((-3.0, -0.0, 2000)), negative)
+
+
+@pytest.mark.parametrize("other", [(-3.0, 6.0, 2001), (-3.0, 6.5, 2000), (-2.5, 6.0, 2000),
+                                   (-3.0, math.nextafter(6.0, 7.0), 2000)],
+                         ids=["count", "hi", "lo", "hi-ulp"])
+def test_grid_terms_rebuilt_for_another_spec(other):
+    terms = arrays.grid_terms(MEMO_GRID)
+    assert _same(arrays.grid_terms(MEMO_GRID), terms)
+    rebuilt = arrays.grid_terms(other)
+    assert not _same(rebuilt, terms)
+    assert rebuilt[0].tobytes() == arrays.grid(other).tobytes()
+    assert list(arrays._GRID_TERMS) == [repr(other)]
+
+
+def test_grid_points_kept_before_the_gumbel_terms():
+    # a curve takes a new grid's points first and its G_0 and g_0 later,
+    # into the same entry
+    arrays.clear_grid_terms()
+    (xs,) = arrays.grid_terms(MEMO_GRID, points_only=True)
+    assert not xs.flags.writeable
+    terms = arrays.grid_terms(MEMO_GRID)
+    assert len(terms) == 3 and terms[0] is xs
+    assert _same(arrays.grid_terms(MEMO_GRID, points_only=True), terms)
+
+
+@pytest.mark.parametrize("grid", [(-4.0, 4.0, 2049), (-5e3, 5e3, 2001), (-3.0, 6.0, 2000)],
+                         ids=["through-zero", "wide", "default-span"])
+def test_remainder_deviation_is_the_signed_formula(grid):
+    # the denominator taken with |rate| gives the bits of (x^2/2) rate g_0
+    # taken with its sign, masked at the cutoff
+    with np.errstate(over="ignore"):  # e^-x past the doubles, as in a curve
+        xs, cdf, density = arrays.grid_terms(grid)
+        diff = np.subtract(np.exp(-np.exp(-0.9 * xs)), cdf)
+    clipped = np.clip(xs, -1e3, 1e3)
+    for rate in (1e-6, 0.3, -2.0, -1e-290):
+        den = clipped * 0.5 * clipped * rate * density
+        keep = np.abs(den) > REMAINDER_DENOMINATOR_CUTOFF
+        want = float(np.abs(diff[keep] / den[keep] - 1.0).max()) if keep.any() else None
+        got = arrays._remainder_deviation(xs, diff, density, rate)
+        assert (got is None) == (want is None)
+        assert got is None or got.hex() == want.hex()
 
 
 # ------------------------------------------------------------- ownership
@@ -512,6 +617,7 @@ def test_no_writes_into_caller_or_array_form_arrays(kind, monkeypatch):
     model = _ownership_models()[kind]
     grids = []
     validate = arrays.grid
+    monkeypatch.setattr(arrays, "_GRID_TERMS", {})  # every grid is built here
 
     def read_only_grid(spec):
         xs = _read_only(validate(spec))
@@ -538,35 +644,46 @@ def test_no_writes_into_caller_or_array_form_arrays(kind, monkeypatch):
 # ---------------------------------------------------------------- memory
 
 # tracemalloc peak of one error_comparison at log n 20 on a 1e5-point grid,
-# in units of one grid array (8e5 bytes), rounded up to a half; masked
-# kernels that allocated a new array per step peaked at 13.4 (tail
-# families), 11.3 (Normal, Logistic, Exponential, Gumbel fixture) and
-# 19.3 (gamma)
+# in units of one grid array (8e5 bytes), rounded up to a half: (warm, cold).
+# Warm: the grid's terms were built by an earlier curve, so the three arrays
+# the memo keeps resident (x, G_0, g_0) are not counted; measured 4.0 (tail
+# families), 6.0 (Normal), 4.13 (Exponential, Logistic), 6.25 (gamma) and
+# 2.0 (Gumbel fixture).  Cold: the memo was cleared, so the call builds the
+# terms and every array counts; measured 5.13, 7.0, 5.13, 7.25 and 4.0, the
+# terms formed past the peak of F^n and G_gamma.  Masked kernels that
+# allocated a new array per step peaked at 13.4 (tail families), 11.3
+# (Normal, Logistic, Exponential, Gumbel fixture) and 19.3 (gamma).
 PEAK_GRID_ARRAYS = {
-    "pure-weibull": (lambda: catalog.pure_weibull(theta=2.0), 5.5),
-    "extended-weibull": (lambda: catalog.extended_weibull(2.0), 5.5),
-    "normal": (catalog.normal, 7.5),
-    "exponential": (catalog.exponential, 6.5),
-    "logistic": (catalog.logistic, 6.5),
-    "gamma": (lambda: catalog.gamma_model(2.0), 7.5),
-    "gumbel-fixture": (catalog.gumbel_fixture, 6.5),
+    "pure-weibull": (lambda: catalog.pure_weibull(theta=2.0), 4.5, 5.5),
+    "extended-weibull": (lambda: catalog.extended_weibull(2.0), 4.5, 5.5),
+    "normal": (catalog.normal, 6.5, 7.5),
+    "exponential": (catalog.exponential, 4.5, 5.5),
+    "logistic": (catalog.logistic, 4.5, 5.5),
+    "gamma": (lambda: catalog.gamma_model(2.0), 6.5, 7.5),
+    "gumbel-fixture": (catalog.gumbel_fixture, 2.5, 4.5),
 }
 
 
-@pytest.mark.parametrize("name", sorted(PEAK_GRID_ARRAYS))
-def test_error_comparison_peak_memory(name):
-    build, limit = PEAK_GRID_ARRAYS[name]
+@pytest.mark.parametrize("name, cold", [(name, cold) for cold in (False, True)
+                                        for name in sorted(PEAK_GRID_ARRAYS)],
+                         ids=[name + suffix for suffix in ("", "-cold-grid")
+                              for name in sorted(PEAK_GRID_ARRAYS)])
+def test_error_comparison_peak_memory(name, cold):
+    build, warm_limit, cold_limit = PEAK_GRID_ARRAYS[name]
     model = build()
     grid = (-3.0, 6.0, 100_000)
-    wt.error_comparison(model, 20.0, grid)  # warm: imports and cached tables
+    wt.error_comparison(model, 20.0, grid)  # warm: imports, cached tables, the grid's terms
+    if cold:
+        arrays.clear_grid_terms()
+    limit = cold_limit if cold else warm_limit
     tracemalloc.start()
     try:
         wt.error_comparison(model, 20.0, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    arrays = peak / (8 * grid[2])
-    assert arrays <= limit, f"{name}: peak {arrays:.2f} grid arrays > {limit}"
+    used = peak / (8 * grid[2])
+    assert used <= limit, f"{name}: peak {used:.2f} grid arrays > {limit}"
 
 
 # ------------------------------------------------------------- loop work

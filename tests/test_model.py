@@ -15,6 +15,7 @@ from weibtail.errors import (
     BelowRangeError,
     BelowSupportError,
     EvalFailureError,
+    StencilFailureError,
     TailUnderflowError,
     WeibtailError,
 )
@@ -395,6 +396,29 @@ def test_k_log_pdf_route_reads_log_sf_once_per_point():
     calls.clear()
     k_jet(bare, 4.0, 3)
     assert len(calls) == 32
+
+
+def test_numeric_stencil_below_the_support_end_is_a_stencil_failure():
+    # x inside the support, but the numeric route's first stencil reaches
+    # below its end: the step does not fit, and the refusal names x, the
+    # step and the end, before any evaluation past it
+    weibull = wt.pure_weibull(theta=0.5)
+    with pytest.raises(StencilFailureError, match=r"x=1e-09 with step 0\.0058\d* reaches below the end 0\.0"):
+        k_jet(weibull, 1e-9, 1, method="numeric")
+    assert all(map(math.isfinite, k_jet(weibull, 1e-9, 1).values))
+    # a classical model with a log pdf only takes the numeric route by default
+    shifted = wt.WeibullTypeModel(
+        family=wt.Family.CLASSICAL,
+        theta=1.0,
+        label="shifted-exponential",
+        support_lower=1.0,
+        classical_log_sf=lambda x: 1.0 - x if x > 1.0 else 0.0,
+        classical_log_pdf=lambda x: 1.0 - x if x >= 1.0 else -math.inf,
+    )
+    for order in (1, 2, 3):
+        with pytest.raises(StencilFailureError, match=r"x=1\.001 with step .* below the end 1\.0"):
+            k_jet(shifted, 1.001, order)
+    assert k_jet(shifted, 4.0, 3).method == "numeric"
 
 
 def test_k_tail_underflow_classical():

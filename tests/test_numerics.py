@@ -88,6 +88,12 @@ def test_stencil_failure():
         derivative(lambda x: math.sqrt(x), 0.0, 1)  # negative side of stencil
     with pytest.raises(StencilFailureError):
         derivative(lambda x: math.nan, 1.0, 1)
+    # a stencil past the domain's lower end refuses before it evaluates f
+    calls = []
+    with pytest.raises(StencilFailureError, match="reaches below the end 0.0"):
+        derivative(lambda x: calls.append(x) or 1.0, 1e-3, 1, lower=0.0)
+    assert calls == []
+    assert derivative(math.sqrt, 1.0, 1, lower=0.0).value == pytest.approx(0.5, rel=1e-9)
 
 
 def test_low_confidence_flag():

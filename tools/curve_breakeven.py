@@ -8,9 +8,11 @@ parametrized ones at pure-weibull theta = 2, extended-weibull beta = 2 and
 gamma shape 2) this prints the warm time of one curve on each path over the
 default window at 200, 1000, 2000 and 5000 points, at log n 20: both paths
 run on the same Location, and each time is the min over 7 repeats of the
-mean of a timed batch.  Then it prints the cold cost of ``import numpy``:
-the median wall time of ``python -c "import numpy"`` minus that of
-``python -c pass`` over 11 alternating subprocess pairs.  The last column
+mean of a timed batch, so the array path reads the grid's terms that its
+first call built, as every curve after the first on a grid does.  Then it
+prints the cold cost of ``import numpy``: the median wall time of
+``python -c "import numpy"`` minus that of ``python -c pass`` over 11
+alternating subprocess pairs.  The last column
 is the number of curves after which a process that imported numpy for the
 array path would have caught up, import / (scalar - array).
 """
@@ -74,8 +76,7 @@ def main() -> None:
             grid = (*WINDOW, count)
             scalar = curve_seconds(lambda: penultimate._scalar_curve(
                 model, log_n, penultimate._linspace(*grid), b, a, gamma, rate))
-            array = curve_seconds(lambda: arrays.curve(
-                model, log_n, arrays.grid(grid), b, a, gamma, rate))
+            array = curve_seconds(lambda: arrays.curve(model, log_n, grid, b, a, gamma, rate))
             rows.append((name, count, scalar, array))
     cold = import_numpy_seconds()
 
