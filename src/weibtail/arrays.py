@@ -14,7 +14,10 @@ Each kernel is its scalar twin's formula over a float array.  A constant
 the two share is defined once, in the scalar module, and imported here.
 A kernel never writes into its arguments: it allocates its own result
 and runs its ufunc chain in that storage with ``out=``.  The one state is
-:func:`grid_terms`'s memo of the last grid's points, G_0 and g_0.
+:func:`grid_terms`'s memo of the last grid's points, G_0 and g_0, and, on
+a grid of at most ``KEEP_MAX_POINTS`` points, the gamma-free half of the
+last :func:`curve` on it (F^n, the ultimate sup and argmax, the
+remainder); a new grid spec or :func:`clear_grid_terms` frees both.
 """
 
 from __future__ import annotations
@@ -526,7 +529,10 @@ def grid(grid_spec: Tuple[float, float, int]) -> np.ndarray:
 
 
 _GRID_TERMS: dict = {}  # the last grid spec's terms, keyed on its repr: its ends' exact bits
-clear_grid_terms = _GRID_TERMS.clear  # frees the kept terms
+clear_grid_terms = _GRID_TERMS.clear  # frees the kept terms and the kept curve
+_CURVE = "curve"  # the key of the kept curve, which no spec's repr can be
+# the most grid points whose F^n a curve keeps for the next: 512 KB of doubles
+KEEP_MAX_POINTS = 65_536
 
 
 def grid_terms(grid_spec: Tuple[float, float, int], points_only: bool = False) -> tuple:
@@ -552,24 +558,50 @@ def curve(model: WeibullTypeModel, log_n: float, grid_spec: Tuple[float, float, 
           b: float, a: float, gamma: float, rate: float) -> _Curve:
     """The error curve over the checked grid ``grid_spec``, in numpy, under
     one floating-point context: overflow to inf is the saturation the
-    formulas expect (e^-x past the double range gives G_0 = g_0 = 0)."""
+    formulas expect (e^-x past the double range gives G_0 = g_0 = 0).
+
+    Only G_gamma depends on gamma.  The rest (F^n, the ultimate sup and
+    argmax, the remainder) is kept with the grid's terms for the last curve
+    on a grid of at most ``KEEP_MAX_POINTS`` points, keyed on the model
+    object and the exact bits of log n, b, a, rate and the spec; a curve
+    that repeats them, in the other gamma mode say, forms only G_gamma."""
+    key = repr((log_n, b, a, rate, grid_spec))
     with np.errstate(over="ignore"):
         xs = grid_terms(grid_spec, points_only=True)[0]
-        fn = _maxima(model, log_n, xs, b, a)
+        kept = _GRID_TERMS.get(_CURVE)
+        if kept is not None and kept[0] is model and kept[1] == key:
+            fn, ultimate = kept[2], kept[3:]
+        else:
+            fn, ultimate = _maxima(model, log_n, xs, b, a), None
         if gamma != 0.0:
             sup_pen, arg_pen, n_clipped = _penultimate_sup(xs, fn, gamma)
-        _, cdf, density = grid_terms(grid_spec)  # a new grid's, past F^n's and G_gamma's peak
-        diff = np.subtract(fn, cdf, out=fn)  # F^n - G_0, for the remainder and the ultimate sup
-        dev = None
-        if rate != 0.0:  # at rate 0 every denominator is +-0, below the cutoff
-            dev = _remainder_deviation(xs, diff, density, rate)
-        i_ult, sup_ult = _argmax_abs(diff)
-    arg_ult = float(xs[i_ult])
+        if ultimate is None:
+            ultimate = _ultimate(model, key, grid_spec, fn, rate)
+    sup_ult, arg_ult, dev = ultimate
     if gamma == 0.0:
         # G_gamma's series gives w = x (1 - 0 + 0) = x, so G_gamma is G_0
         # to the bit and clips no point
         sup_pen, arg_pen, n_clipped = sup_ult, arg_ult, 0
     return sup_ult, arg_ult, sup_pen, arg_pen, n_clipped, dev
+
+
+def _ultimate(model: WeibullTypeModel, key: str, grid_spec: Tuple[float, float, int],
+              fn: np.ndarray, rate: float) -> Tuple[float, float, Optional[float]]:
+    """(sup |F^n - G_0|, its argmax, the remainder's max |R - 1| or None),
+    kept with F^n, read-only, as one tuple where the grid has at most
+    ``KEEP_MAX_POINTS`` points; elsewhere F^n - G_0 takes F^n's storage."""
+    xs, cdf, density = grid_terms(grid_spec)  # a new grid's, past F^n's and G_gamma's peak
+    keep = fn.size <= KEEP_MAX_POINTS
+    diff = np.subtract(fn, cdf, out=None if keep else fn)  # for the remainder and the sup
+    dev = None
+    if rate != 0.0:  # at rate 0 every denominator is +-0, below the cutoff
+        dev = _remainder_deviation(xs, diff, density, rate)
+    i_ult, sup_ult = _argmax_abs(diff)
+    ultimate = sup_ult, float(xs[i_ult]), dev
+    if keep:
+        fn.flags.writeable = False
+        _GRID_TERMS[_CURVE] = (model, key, fn, *ultimate)
+    return ultimate
 
 
 def _maxima(model: WeibullTypeModel, log_n: float, xs: np.ndarray,

@@ -169,7 +169,8 @@ def _curve(model: WeibullTypeModel, log_n: float, grid_spec: Tuple[float, float,
     The choice depends on the configuration only, so equal configurations
     print equal bytes; the two paths differ in the last bits (libm against
     numpy's exp and log, and each model's own scalar and array T).  The
-    array pass takes the spec, and reuses its grid's terms while it repeats.
+    array pass takes the spec, and reuses its grid's terms while it repeats
+    and the last curve's gamma-free half while all but gamma repeats.
     """
     if _takes_scalar_path(model, grid_spec[2]):
         return _scalar_curve(model, log_n, _linspace(*grid_spec), b, a, gamma, rate)
@@ -244,7 +245,11 @@ def error_comparison(
     "exact" (default) uses -k'(b)/k^2(b); "asymptotic" uses (theta-1)/log n,
     reproducing the leading-order statements (refused at theta = 1).
     Grid points outside the support of G_{gamma_n} are clipped from the
-    penultimate sup and counted in ``n_clipped``.
+    penultimate sup and counted in ``n_clipped``.  Everything but
+    G_{gamma_n} is the same in both modes: on an array-pass grid of at
+    most ``arrays.KEEP_MAX_POINTS`` points, the call right after this one
+    on the same model object, log n and grid, in the other mode, reuses
+    F^n, the ultimate sup and the remainder bit for bit.
     """
     _check_grid(grid_spec)  # a bad grid is refused before a bad log n
     return error_comparison_at(model, locate(model, log_n), grid_spec, gamma_mode)
@@ -297,7 +302,10 @@ def remainder_profile(
 
     Shrinks as log n grows when the remainder expansion applies; raises
     ``DegenerateProfileError`` when the denominator vanishes on the whole
-    grid (the exact-Gumbel fixture).
+    grid (the exact-Gumbel fixture).  It is the remainder of the exact
+    :func:`error_comparison` on the same model object, log n and grid, and
+    either call right after the other reuses it on an array-pass grid of
+    at most ``arrays.KEEP_MAX_POINTS`` points.
     """
     _check_grid(grid_spec)
     _, b, jet = locate(model, log_n)

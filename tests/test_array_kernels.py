@@ -22,6 +22,7 @@ import pytest
 import weibtail as wt
 from weibtail import arrays, catalog, numerics
 from weibtail.arrays import gumbel_coordinate_array
+from weibtail.errors import WeibtailError
 from weibtail.model import Family, _saturated_coordinate
 from weibtail.norming import locate
 from weibtail.penultimate import REMAINDER_DENOMINATOR_CUTOFF
@@ -562,6 +563,96 @@ def test_grid_points_kept_before_the_gumbel_terms():
     assert _same(arrays.grid_terms(MEMO_GRID, points_only=True), terms)
 
 
+# ------------------------------------------------------------- kept curve
+
+# around the cap on the grids whose F^n a curve keeps
+KEEP_GRIDS = [(-3.0, 6.0, 1001), (-3.0, 6.0, 5000), (-3.0, 6.0, arrays.KEEP_MAX_POINTS),
+              (-3.0, 6.0, arrays.KEEP_MAX_POINTS + 1)]
+
+
+def _outcome(call):
+    """repr of every field of a result, or the code of the refusal."""
+    try:
+        return repr(call())
+    except WeibtailError as exc:
+        return exc.code
+
+
+def _afresh(call):
+    arrays.clear_grid_terms()
+    return _outcome(call)
+
+
+@pytest.mark.parametrize("name", sorted(wt.CATALOG))
+def test_kept_curve_reused_bit_for_bit(name):
+    # a curve that reuses the gamma-free half of the one before it, in
+    # either mode order, equals a curve computed on a cleared memo
+    model = _catalog_model(name)
+    for grid in KEEP_GRIDS:
+        for log_n in (1.0, 20.0, 300.0):
+            ops = {mode: (lambda mode=mode: wt.error_comparison(model, log_n, grid, mode))
+                   for mode in ("exact", "asymptotic")}
+            want = {mode: _afresh(op) for mode, op in ops.items()}
+            for first, then in (("exact", "asymptotic"), ("asymptotic", "exact")):
+                assert _afresh(ops[first]) == want[first], (grid, log_n, first)
+                assert _outcome(ops[then]) == want[then], (grid, log_n, first, then)
+            profile = lambda: wt.remainder_profile(model, log_n, grid)
+            want_profile = _afresh(profile)
+            assert _afresh(profile) == want_profile
+            assert _outcome(ops["exact"]) == want["exact"], (grid, log_n, "after the profile")
+            assert _outcome(profile) == want_profile, (grid, log_n, "after exact")
+
+
+def test_kept_curve_misses_recompute(monkeypatch):
+    calls = []  # the log n of each F^n formed
+    maxima = arrays._maxima
+    monkeypatch.setattr(arrays, "_maxima", lambda *args: calls.append(args[1]) or maxima(*args))
+    model, twin = wt.pure_weibull(theta=2.0), wt.pure_weibull(theta=2.0)
+    arrays.clear_grid_terms()
+    wt.error_comparison(model, 20.0, MEMO_GRID, "exact")
+    wt.error_comparison(model, 20.0, MEMO_GRID, "asymptotic")
+    wt.remainder_profile(model, 20.0, MEMO_GRID)
+    assert calls == [20.0]
+    # an equal model that is another object, another log n, another grid
+    wt.error_comparison(twin, 20.0, MEMO_GRID, "asymptotic")
+    wt.error_comparison(twin, 21.0, MEMO_GRID, "asymptotic")
+    wt.error_comparison(twin, 21.0, (-3.0, 6.0, 2001), "asymptotic")
+    assert calls == [20.0, 20.0, 21.0, 21.0]
+    wt.error_comparison(twin, 21.0, (-3.0, 6.0, 2001), "exact")
+    assert len(calls) == 4
+    # a direct caller's b, a or rate, each alone, then gamma alone
+    args = [twin, 21.0, MEMO_GRID, 4.5, 0.1, 0.05, -0.05]
+    arrays.curve(*args)
+    for i in (3, 4, 6):
+        args[i] = -args[i]
+        arrays.curve(*args)
+        arrays.curve(*args[:5], 0.0, args[6])
+    assert len(calls) == 4 + 4
+
+
+def test_kept_curve_lifetime():
+    model = wt.pure_weibull(theta=0.5)  # gamma < 0 clips the right end at log n 1
+    arrays.clear_grid_terms()
+    exact = wt.error_comparison(model, 1.0, MEMO_GRID, "exact")
+    kept = arrays._GRID_TERMS[arrays._CURVE]
+    fn = kept[2]
+    before = fn.tobytes()
+    assert not fn.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        fn[0] = 0.0
+    assert wt.error_comparison(model, 1.0, MEMO_GRID, "asymptotic").n_clipped > 0
+    assert wt.error_comparison(model, 1.0, MEMO_GRID, "exact") == exact
+    assert arrays._GRID_TERMS[arrays._CURVE] is kept and fn.tobytes() == before
+    arrays.clear_grid_terms()
+    assert not arrays._GRID_TERMS
+    wt.error_comparison(model, 20.0, MEMO_GRID, "exact")
+    wt.error_comparison(model, 20.0, (-3.0, 6.0, 2001), "exact")  # a new grid frees it
+    assert arrays._GRID_TERMS[arrays._CURVE][1].endswith("(-3.0, 6.0, 2001))")
+    # above the cap a curve keeps nothing
+    wt.error_comparison(model, 20.0, KEEP_GRIDS[-1], "exact")
+    assert list(arrays._GRID_TERMS) == [repr(KEEP_GRIDS[-1])]
+
+
 @pytest.mark.parametrize("grid", [(-4.0, 4.0, 2049), (-5e3, 5e3, 2001), (-3.0, 6.0, 2000)],
                          ids=["through-zero", "wide", "default-span"])
 def test_remainder_deviation_is_the_signed_formula(grid):
@@ -684,6 +775,41 @@ def test_error_comparison_peak_memory(name, cold):
         tracemalloc.stop()
     used = peak / (8 * grid[2])
     assert used <= limit, f"{name}: peak {used:.2f} grid arrays > {limit}"
+
+
+# tracemalloc of one error_comparison at log n 21 on a grid whose terms a
+# curve at log n 20 built, in grid arrays.  At KEEP_MAX_POINTS points the
+# call keeps its F^n for the next curve: one grid array (512 KB) stays
+# allocated after it, measured 1.0005-1.0009, and one point above the cap
+# nothing.  F^n - G_0 takes new storage where F^n is kept, past the peak
+# inside T, so the peak stays within PEAK_GRID_ARRAYS' warm limit on both
+# grids (measured 4.0, 4.0, 6.0, 4.13, 4.13, 6.26 and 2.0, with the kept
+# curve and without it).  The asymptotic curve after it forms only G_gamma: measured 1.0
+# grid array, where the parent's whole curve peaked at 4.0 or 6.0.
+KEPT_CURVE_HIT_PEAK = 1.5
+
+
+@pytest.mark.parametrize("name, count", [(name, arrays.KEEP_MAX_POINTS + above)
+                                         for above in (0, 1) for name in sorted(PEAK_GRID_ARRAYS)])
+def test_kept_curve_memory(name, count):
+    build, warm_limit, _ = PEAK_GRID_ARRAYS[name]
+    model = build()
+    grid = (-3.0, 6.0, count)
+    kept_limit = 1.01 if count <= arrays.KEEP_MAX_POINTS else 0.01
+    wt.error_comparison(model, 20.0, grid)  # the grid's terms
+    modes = ["exact"] if model.theta_is_one else ["exact", "asymptotic"]
+    for mode, peak_limit in zip(modes, (warm_limit, KEPT_CURVE_HIT_PEAK)):
+        tracemalloc.start()
+        try:
+            wt.error_comparison(model, 21.0, grid, mode)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        if mode == "asymptotic" and count > arrays.KEEP_MAX_POINTS:
+            peak_limit = warm_limit  # nothing kept: a whole curve
+        peak, kept = peak / (8 * count), kept / (8 * count)
+        assert peak <= peak_limit, f"{name} {mode}: peak {peak:.2f} grid arrays > {peak_limit}"
+        assert kept <= (kept_limit if mode == "exact" else 0.01), f"{name} {mode}: kept {kept:.4f}"
 
 
 # ------------------------------------------------------------- loop work

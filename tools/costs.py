@@ -15,7 +15,11 @@ which takes the array pass, and prints:
   this column cannot compare two codes that trade one for the other;
 - ``steps``: the steps gamma's series and continued fraction take, over
   both loops;
-- ``rows``: the sum over those steps of the rows each step updates.
+- ``rows``: the sum over those steps of the rows each step updates;
+- ``twin``: for the models with theta != 1, the numpy calls of the
+  asymptotic-mode curve run right after that exact one on the same model,
+  log n and grid, which differs from it only in gamma (``-`` at
+  theta = 1, where that mode is refused).
 
 A second table runs one ``norming`` per model and log n, which solves
 b_asymptotic (H(b) = log n) and then b_exact (T(b) = log n), and prints
@@ -124,8 +128,8 @@ class _NumpyProxy:
         return _Counted(value, name, self._counts)
 
 
-def costs(model, log_n: float):
-    """(numpy calls, loop steps, live rows) of one curve, or the refusal code."""
+def _counted(call):
+    """(numpy calls, loop steps, live rows) of ``call()``."""
     calls = collections.Counter()
     loop = collections.Counter()
     until_converged = arrays._until_converged
@@ -140,12 +144,23 @@ def costs(model, log_n: float):
 
     arrays.np, arrays._until_converged = _NumpyProxy(calls), counted_until_converged
     try:
-        wt.error_comparison(model, log_n, GRID)
-    except WeibtailError as exc:
-        return exc.code
+        call()
     finally:
         arrays.np, arrays._until_converged = numpy, until_converged
     return sum(calls.values()), loop["steps"], loop["rows"]
+
+
+def costs(model, log_n: float):
+    """(numpy calls, loop steps, live rows) of one exact-mode curve and the
+    numpy calls of the asymptotic curve after it (None at theta = 1), or
+    the refusal code."""
+    try:
+        exact = _counted(lambda: wt.error_comparison(model, log_n, GRID))
+        twin = None if model.theta_is_one else _counted(
+            lambda: wt.error_comparison(model, log_n, GRID, "asymptotic"))[0]
+    except WeibtailError as exc:
+        return exc.code
+    return (*exact, twin)
 
 
 # the statements of catalog.py that gamma's scalar series and continued
@@ -275,8 +290,9 @@ def cold_costs(argv):
 
 
 def main() -> None:
-    print(f"error_comparison on {GRID[0]:g}:{GRID[1]:g}:{GRID[2]}, exact gamma mode")
-    print(f"{'model':24s} {'log n':>6s} {'numpy':>6s} {'steps':>6s} {'rows':>8s}")
+    print(f"error_comparison on {GRID[0]:g}:{GRID[1]:g}:{GRID[2]}, exact gamma mode; "
+          "twin: the asymptotic one after it")
+    print(f"{'model':24s} {'log n':>6s} {'numpy':>6s} {'steps':>6s} {'rows':>8s} {'twin':>5s}")
     labelled = [(" ".join([name, *(f"{k}={v:g}" for k, v in params.items())]),
                  wt.build_model(name, **params)) for name, params in MODELS]
     for label, model in labelled:
@@ -285,7 +301,9 @@ def main() -> None:
             if isinstance(counts, str):
                 print(f"{label:24s} {log_n:6g} refused {counts}")
             else:
-                print(f"{label:24s} {log_n:6g} {counts[0]:6d} {counts[1]:6d} {counts[2]:8d}")
+                twin = "-" if counts[3] is None else counts[3]
+                print(f"{label:24s} {log_n:6g} {counts[0]:6d} {counts[1]:6d} {counts[2]:8d} "
+                      f"{twin:>5}")
     print()
     print("norming: the solve for b_asymptotic, then the one for b_exact")
     print(f"{'model':24s} {'log n':>6s} {'evals':>6s} {'steps':>6s} {'evals':>6s} {'steps':>6s}")
