@@ -548,6 +548,39 @@ def test_vonmises_underflowing_k_is_a_typed_point_failure():
     assert report.point_codes == ("eval_failure",) * len(cli.DEFAULT_T_GRID)
 
 
+# ------------------------------------------------------------ usage bytes
+
+USAGE_DIR = Path(__file__).resolve().parent / "golden" / "usage"
+SUBCOMMANDS = ("models", "norming", "penultimate", "errors", "vonmises", "report")
+
+# golden file -> argv: every --help page (``.out``: stdout, exit 0) and one
+# parse-time usage error per subcommand (``.err``: stderr, exit 2).  The
+# bytes are argparse's, pinned to one interpreter (3.11.7) as the golden
+# gate is pinned to one libm
+USAGE_CASES = {
+    "weibtail-help.out": ["--help"],
+    **{f"{command}-help.out": [command, "--help"] for command in SUBCOMMANDS},
+    "models-format-xml.err": ["models", "--format", "xml"],
+    "norming-unknown-model.err": ["norming", "--model", "no-such-model", "--log-n", "10"],
+    "penultimate-no-model.err": ["penultimate", "--log-n", "10"],
+    "errors-unknown-model.err": ["errors", "--model", "no-such-model"],
+    "vonmises-no-model.err": ["vonmises", "--theta", "2"],
+    "report-unknown-model.err": ["report", "--model", "no-such-model", "--format", "json"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(USAGE_CASES))
+def test_usage_bytes(monkeypatch, name):
+    # argparse wraps usage and help to the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = (USAGE_DIR / name).read_text(encoding="utf-8")
+    code, out, err = run_cli(USAGE_CASES[name])
+    if name.endswith(".out"):
+        assert (code, out, err) == (0, expected, "")
+    else:
+        assert (code, out, err) == (2, "", expected)
+
+
 # ------------------------------------------------------ exit codes under fuzz
 
 # argv drawn as a fuzzer draws it: every model command and catalog model,

@@ -125,7 +125,8 @@ def test_golden_bytes(name):
 def regenerate():
     GOLDEN_DIR.mkdir(exist_ok=True)
     for old in GOLDEN_DIR.iterdir():
-        old.unlink()
+        if old.is_file():  # usage/ holds test_cli.py's usage bytes
+            old.unlink()
     for name, argv in sorted(CASES.items()):
         suffix, data = run_case(argv)
         golden_path(name, suffix).write_bytes(data)
