@@ -436,7 +436,6 @@ def gamma_model(shape: float = 2.0) -> WeibullTypeModel:
 
 
 class CatalogEntry(NamedTuple):
-    name: str
     build: Callable[..., WeibullTypeModel]
     params: Tuple[str, ...]
     family: str
@@ -447,7 +446,6 @@ class CatalogEntry(NamedTuple):
 
 CATALOG: Dict[str, CatalogEntry] = {
     "pure-weibull": CatalogEntry(
-        name="pure-weibull",
         build=pure_weibull,
         params=("theta", "alpha", "scale"),
         family=Family.TAIL_EXP.value,
@@ -455,7 +453,6 @@ CATALOG: Dict[str, CatalogEntry] = {
         theta_is_one=False,
     ),
     "extended-weibull": CatalogEntry(
-        name="extended-weibull",
         build=extended_weibull,
         params=("beta", "delta"),
         family=Family.TAIL_EXP.value,
@@ -464,7 +461,6 @@ CATALOG: Dict[str, CatalogEntry] = {
         required=("beta",),
     ),
     "normal": CatalogEntry(
-        name="normal",
         build=normal,
         params=(),
         family=Family.CLASSICAL.value,
@@ -472,7 +468,6 @@ CATALOG: Dict[str, CatalogEntry] = {
         theta_is_one=False,
     ),
     "exponential": CatalogEntry(
-        name="exponential",
         build=exponential,
         params=(),
         family=Family.CLASSICAL.value,
@@ -480,7 +475,6 @@ CATALOG: Dict[str, CatalogEntry] = {
         theta_is_one=True,
     ),
     "logistic": CatalogEntry(
-        name="logistic",
         build=logistic,
         params=(),
         family=Family.CLASSICAL.value,
@@ -488,7 +482,6 @@ CATALOG: Dict[str, CatalogEntry] = {
         theta_is_one=True,
     ),
     "gamma": CatalogEntry(
-        name="gamma",
         build=gamma_model,
         params=("shape",),
         family=Family.CLASSICAL.value,
@@ -496,7 +489,6 @@ CATALOG: Dict[str, CatalogEntry] = {
         theta_is_one=True,
     ),
     "gumbel-fixture": CatalogEntry(
-        name="gumbel-fixture",
         build=gumbel_fixture,
         params=(),
         family=Family.LOG_CDF_EXP.value,

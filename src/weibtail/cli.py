@@ -1,10 +1,14 @@
 """Deterministic CSV/JSON command-line front end.
 
 Commands: models, norming, penultimate, errors, vonmises, report.
+``COMMANDS`` is the one place a subcommand is declared: its help text, the
+flag groups it takes and its rows builder.  The parser is built from that
+table, and one runner takes every command from its arguments to bytes.
 Identical configurations produce byte-identical output: no timestamps,
 fixed column orders, version metadata isolated in the JSON meta header.
-Exit codes: 0 success, 2 usage error, 3 numeric failure (JSON error
-object with the machine-readable code on stderr).
+Exit codes: 0 success, 2 usage error (under the invoked subcommand's
+usage line), 3 numeric failure (JSON error object with the
+machine-readable code on stderr).
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import json
 import math
 import os
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
 from . import numerics
@@ -105,61 +109,6 @@ def _parse_grid(text: str):
         raise argparse.ArgumentTypeError(f"--grid expects lo:hi:count, got {text!r}")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="weibtail",
-        description="Penultimate extreme-value approximation for Weibull-type tails.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, with_log_n=True, with_grid=False, with_t_grid=False):
-        p.add_argument("--model", required=True, choices=sorted(CATALOG))
-        for flag in MODEL_PARAM_FLAGS:
-            p.add_argument(f"--{flag}", type=float, default=None)
-        if with_log_n:
-            group = p.add_mutually_exclusive_group()
-            group.add_argument("--log-n", type=str, default=None,
-                               help="comma list of log n values (positive reals)")
-            group.add_argument("--n", type=str, default=None,
-                               help="comma list of integer block sizes, converted to log n")
-        if with_grid:
-            p.add_argument("--grid", type=_parse_grid, default=pen_mod.DEFAULT_GRID,
-                           help="lo:hi:count evaluation window (default -3:6:1000)")
-        if with_t_grid:
-            p.add_argument("--t-grid", type=str, default=None,
-                           help="comma list of diverging t values (default 1e2..1e10)")
-        p.add_argument("--gamma-mode", choices=("exact", "asymptotic"), default="exact")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--out", type=str, default=None, help="output path (default stdout)")
-
-    p_models = sub.add_parser("models", help="list the built-in model catalog")
-    p_models.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_models.add_argument("--out", type=str, default=None)
-    p_models.set_defaults(func=cmd_models)
-
-    p_norm = sub.add_parser("norming", help="norming constants per block size")
-    add_common(p_norm)
-    p_norm.set_defaults(func=cmd_table)
-
-    p_pen = sub.add_parser("penultimate", help="penultimate tail index per block size")
-    add_common(p_pen)
-    p_pen.set_defaults(func=cmd_table)
-
-    p_err = sub.add_parser("errors", help="ultimate vs penultimate sup errors")
-    add_common(p_err, with_grid=True)
-    p_err.set_defaults(func=cmd_table)
-
-    p_vm = sub.add_parser("vonmises", help="condition sweep along a diverging grid")
-    add_common(p_vm, with_log_n=False, with_t_grid=True)
-    p_vm.set_defaults(func=cmd_table)
-
-    p_rep = sub.add_parser("report", help="combined JSON report (all sections)")
-    add_common(p_rep, with_grid=True, with_t_grid=True)
-    p_rep.set_defaults(func=cmd_report)
-
-    return parser
-
-
 def _resolve(args, parser: argparse.ArgumentParser) -> WeibullTypeModel:
     """Parse the list flags onto ``args`` (``log_n``, ``t_grid``), collect the
     given model parameters in ``args.params`` and build the model."""
@@ -185,19 +134,6 @@ def _resolve(args, parser: argparse.ArgumentParser) -> WeibullTypeModel:
         parser.error(str(exc))
 
 
-def _emit(path: Optional[str], text: str, parser: argparse.ArgumentParser) -> None:
-    try:
-        if path:
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-            sys.stdout.flush()
-    except OSError as exc:
-        where = f"--out: cannot write {path!r}" if path else "stdout: cannot write"
-        parser.error(f"{where} ({exc.strerror})")
-
-
 def _render_csv(command: str, rows: List[Dict]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -208,51 +144,42 @@ def _render_csv(command: str, rows: List[Dict]) -> str:
     return buf.getvalue()
 
 
-def _meta(command: str, model_meta: Optional[Dict]) -> Dict:
+def _render_json(args, model: Optional[WeibullTypeModel], body: Dict) -> str:
+    """One document: the shared meta header, with the model's entry (if
+    the command has a model) and then the body's own meta keys (report's
+    inputs) after it, and the body's other keys."""
     meta = {
         "tool": "weibtail",
         "version": __version__,
-        "command": command,
+        "command": args.command,
         "norming_convention": NORMING_CONVENTION,
         "tolerances": TOLERANCES,
     }
-    if model_meta:
-        meta["model"] = model_meta
-    return meta
+    if model is not None:
+        meta["model"] = {
+            "name": args.model,
+            "label": model.label,
+            "family": model.family.value,
+            "theta": model.theta,
+            "parameters": args.params,
+            "gamma_mode": args.gamma_mode,
+        }
+    meta.update(body.pop("meta", {}))
+    return json.dumps({"meta": meta, **body}, indent=2, allow_nan=False) + "\n"
 
 
-def _render_json(command: str, model_meta: Optional[Dict], rows) -> str:
-    doc = {"meta": _meta(command, model_meta), "rows": rows}
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
-
-
-def _model_meta(args, model: WeibullTypeModel) -> Dict:
-    return {
-        "name": args.model,
-        "label": model.label,
-        "family": model.family.value,
-        "theta": model.theta,
-        "parameters": args.params,
-        "gamma_mode": args.gamma_mode,
-    }
-
-
-def cmd_models(args, parser) -> int:
+def _models_rows(model, args):  # takes neither
     rows = [
         {
-            "name": entry.name,
+            "name": name,
             "family": entry.family,
             "parameters": ",".join(entry.params) if entry.params else "-",
             "theta_reference": entry.theta_reference,
             "theta_is_one": entry.theta_is_one,
         }
-        for _, entry in sorted(CATALOG.items())
+        for name, entry in sorted(CATALOG.items())
     ]
-    if args.format == "json":
-        _emit(args.out, _render_json("models", None, rows), parser)
-    else:
-        _emit(args.out, _render_csv("models", rows), parser)
-    return 0
+    return rows, {"rows": rows}
 
 
 def _row(command: str, result) -> Dict:
@@ -264,7 +191,7 @@ def _row(command: str, result) -> Dict:
 
 def _norming_rows(model: WeibullTypeModel, args):
     rows = [_row("norming", norming(model, ln)) for ln in args.log_n]
-    return rows, rows
+    return rows, {"rows": rows}
 
 
 def _penultimate_json(idx: pen_mod.PenultimateIndex) -> Dict:
@@ -288,13 +215,13 @@ def _penultimate_json(idx: pen_mod.PenultimateIndex) -> Dict:
 def _penultimate_rows(model: WeibullTypeModel, args):
     indices = [pen_mod.penultimate_index(model, ln) for ln in args.log_n]
     flat = [_row("penultimate", idx) for idx in indices]
-    return flat, [_penultimate_json(idx) for idx in indices]
+    return flat, {"rows": [_penultimate_json(idx) for idx in indices]}
 
 
 def _error_rows(model: WeibullTypeModel, args):
     rows = [_row("errors", pen_mod.error_comparison(model, ln, args.grid, args.gamma_mode))
             for ln in args.log_n]
-    return rows, rows
+    return rows, {"rows": rows}
 
 
 def _vonmises_rows(model: WeibullTypeModel, args):
@@ -324,30 +251,10 @@ def _vonmises_rows(model: WeibullTypeModel, args):
         "gomes84_theoretical": _jsonable(report.gomes84_theoretical),
         "gomes84_relative_gap": _jsonable(report.gomes84_relative_gap),
     }
-    return point_rows + [verdict_row], json_payload
+    return point_rows + [verdict_row], {"rows": json_payload}
 
 
-# command -> rows builder: (model, args) -> (CSV rows, JSON rows)
-_TABLE_ROWS = {
-    "norming": _norming_rows,
-    "penultimate": _penultimate_rows,
-    "errors": _error_rows,
-    "vonmises": _vonmises_rows,
-}
-
-
-def cmd_table(args, parser) -> int:
-    model = _resolve(args, parser)
-    csv_rows, json_payload = _TABLE_ROWS[args.command](model, args)
-    if args.format == "json":
-        _emit(args.out, _render_json(args.command, _model_meta(args, model), json_payload), parser)
-    else:
-        _emit(args.out, _render_csv(args.command, csv_rows), parser)
-    return 0
-
-
-def cmd_report(args, parser) -> int:
-    model = _resolve(args, parser)
+def _report(model: WeibullTypeModel, args):
     # one Location per log n, made in the norming pass: b_exact is solved once
     located = [norming_located(model, ln) for ln in args.log_n]
     indices = [pen_mod.penultimate_index_at(model, loc) for _, loc in located]
@@ -360,11 +267,8 @@ def cmd_report(args, parser) -> int:
             row["sup_error_penultimate"] / abs(rate) if rate else None
         )
         error_rows.append(row)
-    _, vm_payload = _vonmises_rows(model, args)
-
-    doc = {
+    return None, {
         "meta": {
-            **_meta("report", _model_meta(args, model)),
             "log_n": list(args.log_n),
             "grid": {"lo": args.grid[0], "hi": args.grid[1], "count": args.grid[2]},
             "t_grid": list(args.t_grid),
@@ -372,10 +276,79 @@ def cmd_report(args, parser) -> int:
         "norming": [_row("norming", nc) for nc, _ in located],
         "penultimate": [_penultimate_json(idx) for idx in indices],
         "errors": error_rows,
-        "vonmises": vm_payload,
+        "vonmises": _vonmises_rows(model, args)[1]["rows"],
     }
-    _emit(args.out, json.dumps(doc, indent=2, allow_nan=False) + "\n", parser)
-    return 0
+
+
+# name -> (help text, flag groups, rows builder), in --help's order.  The
+# flag groups are "log_n" (--log-n or --n), "grid" and "t_grid"; None is a
+# command without a model, so without the model, parameter and
+# --gamma-mode flags.  A builder maps (model, args) to (CSV rows, JSON
+# body); CSV rows of None write the JSON body whatever --format says.
+COMMANDS = {
+    "models": ("list the built-in model catalog", None, _models_rows),
+    "norming": ("norming constants per block size", ("log_n",), _norming_rows),
+    "penultimate": ("penultimate tail index per block size", ("log_n",), _penultimate_rows),
+    "errors": ("ultimate vs penultimate sup errors", ("log_n", "grid"), _error_rows),
+    "vonmises": ("condition sweep along a diverging grid", ("t_grid",), _vonmises_rows),
+    "report": ("combined JSON report (all sections)", ("log_n", "grid", "t_grid"), _report),
+}
+
+
+def build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
+    """The ``weibtail`` parser and its subparsers by name, from ``COMMANDS``."""
+    parser = argparse.ArgumentParser(
+        prog="weibtail",
+        description="Penultimate extreme-value approximation for Weibull-type tails.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, groups, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if groups is not None:
+            p.add_argument("--model", required=True, choices=sorted(CATALOG))
+            for flag in MODEL_PARAM_FLAGS:
+                p.add_argument(f"--{flag}", type=float, default=None)
+            if "log_n" in groups:
+                group = p.add_mutually_exclusive_group()
+                group.add_argument("--log-n", type=str, default=None,
+                                   help="comma list of log n values (positive reals)")
+                group.add_argument("--n", type=str, default=None,
+                                   help="comma list of integer block sizes, converted to log n")
+            if "grid" in groups:
+                p.add_argument("--grid", type=_parse_grid, default=pen_mod.DEFAULT_GRID,
+                               help="lo:hi:count evaluation window (default -3:6:1000)")
+            if "t_grid" in groups:
+                p.add_argument("--t-grid", type=str, default=None,
+                               help="comma list of diverging t values (default 1e2..1e10)")
+            p.add_argument("--gamma-mode", choices=("exact", "asymptotic"), default="exact")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        # models' --out has never had a help line
+        p.add_argument("--out", type=str, default=None,
+                       help=None if groups is None else "output path (default stdout)")
+    return parser, sub.choices
+
+
+def _run(args, parser: argparse.ArgumentParser) -> None:
+    """Resolve the model (none for ``models``), build the rows and write
+    CSV or one JSON document; ``parser`` is the invoked subcommand's, so
+    a usage error found here names it as argparse's own errors do."""
+    _, groups, build = COMMANDS[args.command]
+    model = None if groups is None else _resolve(args, parser)
+    csv_rows, body = build(model, args)
+    if args.format == "csv" and csv_rows is not None:
+        text = _render_csv(args.command, csv_rows)
+    else:
+        text = _render_json(args, model, body)
+    try:
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        where = f"--out: cannot write {args.out!r}" if args.out else "stdout: cannot write"
+        parser.error(f"{where} ({exc.strerror})")
 
 
 def _join_grid_flag(argv: Sequence[str]) -> List[str]:
@@ -396,16 +369,17 @@ def _join_grid_flag(argv: Sequence[str]) -> List[str]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    parser, subparsers = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(_join_grid_flag(argv))
     try:
-        return args.func(args, parser)
+        _run(args, subparsers[args.command])
     except WeibtailError as exc:
         payload = {"error": {"code": exc.code, "message": exc.message}}
         sys.stderr.write(json.dumps(payload) + "\n")
         return 3
+    return 0
 
 
 def entrypoint() -> None:

@@ -183,6 +183,14 @@ def test_report_exponential_theta_one_code():
     )
 
 
+def test_report_ignores_format_csv():
+    # report has no CSV form: it writes its one JSON document either way
+    argv = ["report", "--model", "normal", "--log-n", "10"]
+    json_run = run_cli([*argv, "--format", "json"])
+    assert json_run[0] == 0
+    assert run_cli([*argv, "--format", "csv"]) == json_run
+
+
 def test_report_fixture_zero_errors():
     code, out, _ = run_cli(["report", "--model", "gumbel-fixture", "--log-n", "10,20"])
     assert code == 0
@@ -366,6 +374,25 @@ def test_refusal_order(argv, err):
     # an input that fails two checks is refused by the first one each
     # command makes, with the same code and message bytes
     assert run_cli(argv) == (3, "", err)
+
+
+@pytest.mark.parametrize("argv, message", [
+    # argparse's choice check runs before --log-n is read
+    (["norming", "--model", "no-such-model", "--log-n", "abc"],
+     "argument --model: invalid choice: 'no-such-model' (choose from 'exponential', "
+     "'extended-weibull', 'gamma', 'gumbel-fixture', 'logistic', 'normal', 'pure-weibull')"),
+    # the list flags before the model parameters: normal takes no --theta
+    (["norming", "--model", "normal", "--n", "2.5", "--theta", "2"],
+     "--n expects integers >= 2, got [2.5]"),
+    # the t-grid before the missing --beta
+    (["vonmises", "--model", "extended-weibull", "--t-grid", "1,nan"],
+     "--t-grid: expected finite reals, got '1,nan'"),
+], ids=["choice-before-log-n", "n-before-params", "t-grid-before-beta"])
+def test_usage_refusal_order(argv, message):
+    # an argv that fails two usage checks is refused by the first one made
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == f"weibtail {argv[0]}: error: {message}"
 
 
 @pytest.mark.parametrize("model", [
@@ -553,10 +580,10 @@ def test_vonmises_underflowing_k_is_a_typed_point_failure():
 USAGE_DIR = Path(__file__).resolve().parent / "golden" / "usage"
 SUBCOMMANDS = ("models", "norming", "penultimate", "errors", "vonmises", "report")
 
-# golden file -> argv: every --help page (``.out``: stdout, exit 0) and one
-# parse-time usage error per subcommand (``.err``: stderr, exit 2).  The
-# bytes are argparse's, pinned to one interpreter (3.11.7) as the golden
-# gate is pinned to one libm
+# golden file -> argv: every --help page (``.out``: stdout, exit 0), one
+# parse-time usage error per subcommand and two usage errors found after
+# parsing (``.err``: stderr, exit 2).  The bytes are argparse's, pinned to
+# one interpreter (3.11.7) as the golden gate is pinned to one libm
 USAGE_CASES = {
     "weibtail-help.out": ["--help"],
     **{f"{command}-help.out": [command, "--help"] for command in SUBCOMMANDS},
@@ -566,6 +593,9 @@ USAGE_CASES = {
     "errors-unknown-model.err": ["errors", "--model", "no-such-model"],
     "vonmises-no-model.err": ["vonmises", "--theta", "2"],
     "report-unknown-model.err": ["report", "--model", "no-such-model", "--format", "json"],
+    # found after parsing: under the subcommand's usage line, as argparse's own
+    "norming-n-fraction.err": ["norming", "--model", "normal", "--n", "2.5"],
+    "penultimate-param-refused.err": ["penultimate", "--model", "normal", "--theta", "2"],
 }
 
 

@@ -56,6 +56,9 @@ compiles from source allocates more and counts more), and prints from an
 
 - ``modules``: the modules in ``sys.modules`` beyond those of the same
   probe run without the CLI, listed by name under the table;
+- ``-S``: the same count for the run on a bare interpreter, ``python -S``,
+  where no ``site`` preloads modules (against the probe without the CLI,
+  also under ``-S``), listed under the default lists;
 - ``collections``: ``gc.get_stats()``'s collections of generations 0, 1
   and 2 made before the probe runs, so without those of shutdown;
 - ``frozen``: ``gc.get_freeze_count()``, the objects no collection visits.
@@ -277,14 +280,15 @@ if sys.argv[1:]:
 """
 
 
-def cold_costs(argv):
+def cold_costs(argv, flags=()):
     """(modules loaded, collections per generation, frozen objects) of one
-    cold CLI run, measured at its exit; the CLI's own output is discarded."""
+    cold CLI run under the interpreter ``flags``, measured at its exit; the
+    CLI's own output is discarded."""
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(wt.__file__)))
     env = {**os.environ, "PYTHONHASHSEED": "0", "PYTHONPATH": package_root}
     out = subprocess.run(
-        [sys.executable, "-c", _COLD_PROBE, *argv], env=env, capture_output=True, text=True,
-        timeout=120).stdout
+        [sys.executable, *flags, "-c", _COLD_PROBE, *argv], env=env, capture_output=True,
+        text=True, timeout=120).stdout
     # the CLI's own output comes first on stdout; the probe writes last
     return ast.literal_eval(out[out.rindex("[["):])
 
@@ -334,17 +338,21 @@ def main() -> None:
         print(f"{label:24s} " + " ".join(cells))
     print()
     print("cold CLI runs, counted at exit (before shutdown's collections)")
-    print(f"{'command':24s} {'modules':>7s} {'collections':>13s} {'frozen':>7s}")
+    print(f"{'command':24s} {'modules':>7s} {'-S':>4s} {'collections':>13s} {'frozen':>7s}")
     compileall.compile_dir(os.path.dirname(wt.__file__), quiet=1)
-    base = set(cold_costs(())[0])
-    loaded = collections.defaultdict(list)  # module names -> the commands that load them
+    base = {flags: set(cold_costs((), flags)[0]) for flags in ((), ("-S",))}
+    # (interpreter flags, module names) -> the commands that load them
+    loaded = collections.defaultdict(list)
     for argv in COLD_COMMANDS:
-        modules, stats, frozen = cold_costs(argv)
-        names = " ".join(sorted(set(modules) - base))
-        loaded[names].append(argv[0])
-        print(f"{argv[0]:24s} {len(names.split()):7d} {str(stats):>13s} {frozen:7d}")
-    for names, commands in loaded.items():
-        print(f"{', '.join(commands)}: {names}")
+        runs = {flags: cold_costs(argv, flags) for flags in base}
+        names = {flags: sorted(set(runs[flags][0]) - base[flags]) for flags in base}
+        for flags in base:
+            loaded[" ".join(("python", *flags)), " ".join(names[flags])].append(argv[0])
+        _, stats, frozen = runs[()]
+        print(f"{argv[0]:24s} {len(names[()]):7d} {len(names['-S',]):4d} {str(stats):>13s} "
+              f"{frozen:7d}")
+    for (interpreter, names), commands in loaded.items():
+        print(f"{interpreter}: {', '.join(commands)}: {names}")
 
 
 if __name__ == "__main__":
