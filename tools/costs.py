@@ -341,7 +341,7 @@ def main() -> None:
     print(f"{'command':24s} {'modules':>7s} {'-S':>4s} {'collections':>13s} {'frozen':>7s}")
     compileall.compile_dir(os.path.dirname(wt.__file__), quiet=1)
     base = {flags: set(cold_costs((), flags)[0]) for flags in ((), ("-S",))}
-    # (interpreter flags, module names) -> the commands that load them
+    # (interpreter, module names) -> the commands that load them
     loaded = collections.defaultdict(list)
     for argv in COLD_COMMANDS:
         runs = {flags: cold_costs(argv, flags) for flags in base}
@@ -349,7 +349,7 @@ def main() -> None:
         for flags in base:
             loaded[" ".join(("python", *flags)), " ".join(names[flags])].append(argv[0])
         _, stats, frozen = runs[()]
-        print(f"{argv[0]:24s} {len(names[()]):7d} {len(names['-S',]):4d} {str(stats):>13s} "
+        print(f"{argv[0]:24s} {len(names[()]):7d} {len(names[('-S',)]):4d} {str(stats):>13s} "
               f"{frozen:7d}")
     for (interpreter, names), commands in loaded.items():
         print(f"{interpreter}: {', '.join(commands)}: {names}")
