@@ -27,9 +27,9 @@ from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
-from .catalog import _EPS, _GAMMA_MAX_TERMS, _LENTZ_TINY, _LN2, _SPLITTER, _SQRT1_2
+from .catalog import _GAMMA_MAX_TERMS, _LENTZ_TINY, _SPLITTER, _SQRT1_2
 from .model import Family, WeibullTypeModel, array_form_of, constant_l_value
-from .numerics import _SERIES_SWITCH, _T_EQUALS_H
+from .numerics import _EPS, _LN2, _SERIES_SWITCH, _T_EQUALS_H
 from .penultimate import _GEV_SERIES_GAMMA, _GEV_SERIES_T, REMAINDER_DENOMINATOR_CUTOFF, _Curve
 
 ArrayFormula = Callable[..., np.ndarray]
@@ -434,23 +434,11 @@ def _gamma_outside(x: np.ndarray) -> np.ndarray:
 # T = -log(-log F) over arrays: model.gumbel_coordinate, saturated
 
 
-def gumbel_coordinate_array(model: WeibullTypeModel, xs: np.ndarray) -> np.ndarray:
-    """T(x) = -log(-log F(x)) over an array, saturated rather than raising:
-    -inf where F = 0 (below the support or the slowly varying domain, a
-    non-positive l, or H <= 0) and +inf where F = 1 at double precision.
-
-    In the LOG_CDF_EXP family T = H, so H = 0 at the support endpoint is a
-    finite T = 0.  The model needs an array form (``model.array_form_of``);
-    the error curves of the rest take the scalar
-    ``model._saturated_coordinate`` point by point.  ``xs`` is only read,
-    and the result is always a new array.
-    """
-    with np.errstate(over="ignore"):  # z^c past the doubles: H = inf
-        return _coordinate(model, xs)
-
-
 def _coordinate(model: WeibullTypeModel, xs: np.ndarray) -> np.ndarray:
-    """:func:`gumbel_coordinate_array` inside the caller's floating-point context.
+    """T(x) = -log(-log F(x)) over an array, in the caller's floating-point
+    context, saturated as ``model._saturated_coordinate`` is: -inf where
+    F = 0 and +inf where F = 1.  The model has an array form; ``xs`` is
+    only read, and the result is always a new array.
 
     One min and one max of H decide its regime: T = H from H = 40, and
     on H positive and finite, the series or the closed form when every
@@ -509,25 +497,6 @@ def _saturate(h: np.ndarray) -> np.ndarray:
 # The error curve over a grid array: penultimate._scalar_curve's twin
 
 
-def grid(grid_spec: Tuple[float, float, int]) -> np.ndarray:
-    """The checked grid as a new array: ``penultimate._linspace``'s steps
-    over ``np.arange``, so ``np.linspace`` bit for bit without its per-call
-    overhead."""
-    lo, hi, count = grid_spec
-    div = int(count) - 1
-    span = hi - lo
-    step = span / div
-    xs = np.arange(div + 1, dtype=float)
-    if step == 0.0:
-        xs /= div
-        xs *= span
-    else:
-        xs *= step
-    xs += lo
-    xs[-1] = hi
-    return xs
-
-
 _GRID_TERMS: dict = {}  # the last grid spec's terms, keyed on its repr: its ends' exact bits
 clear_grid_terms = _GRID_TERMS.clear  # frees the kept terms and the kept curve
 _CURVE = "curve"  # the key of the kept curve, which no spec's repr can be
@@ -536,13 +505,15 @@ KEEP_MAX_POINTS = 65_536
 
 
 def grid_terms(grid_spec: Tuple[float, float, int], points_only: bool = False) -> tuple:
-    """(x, G_0, g_0) on the checked grid, read-only, kept for the last spec
-    until another spec or ``clear_grid_terms()``; (x,) on a new grid if
-    ``points_only``.  G_0 and g_0 take the caller's floating-point context."""
+    """(x, G_0, g_0) on the checked grid, x by ``np.linspace``, read-only,
+    kept for the last spec until another spec or ``clear_grid_terms()``;
+    (x,) on a new grid if ``points_only``.  G_0 and g_0 take the caller's
+    floating-point context."""
     terms = _GRID_TERMS.get(repr(grid_spec))
     if terms is None:
         _GRID_TERMS.clear()  # the last grid's arrays go before the new ones come
-        terms = _GRID_TERMS[repr(grid_spec)] = [grid(grid_spec)]
+        lo, hi, count = grid_spec
+        terms = _GRID_TERMS[repr(grid_spec)] = [np.linspace(lo, hi, int(count))]
         terms[0].flags.writeable = False
     if len(terms) == 1 and not points_only:
         density = _neg_exp_neg(terms[0])

@@ -21,12 +21,11 @@ from typing import Callable, Dict, NamedTuple, Optional, Tuple
 from . import numerics
 from . import slowly_varying as sv
 from .model import Family, WeibullTypeModel
+from .numerics import _EPS, _LN2
 
 _SQRT1_2 = math.sqrt(0.5)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-_LN2 = math.log(2.0)
-_EPS = math.ulp(1.0)
 _LOG_DOUBLE_MAX = math.log(sys.float_info.max)
 _LENTZ_TINY = 1e-300
 _GAMMA_MAX_TERMS = 1000

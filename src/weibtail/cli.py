@@ -7,8 +7,8 @@ table, and one runner takes every command from its arguments to bytes.
 Identical configurations produce byte-identical output: no timestamps,
 fixed column orders, version metadata isolated in the JSON meta header.
 Exit codes: 0 success, 2 usage error (under the invoked subcommand's
-usage line), 3 numeric failure (JSON error object with the
-machine-readable code on stderr).
+usage line), 3 numeric failure or a computation that runs out of memory
+(JSON error object with the machine-readable code on stderr).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from . import numerics
 from . import penultimate as pen_mod
 from . import vonmises as vm_mod
 from .catalog import CATALOG, build_model
-from .errors import WeibtailError
+from .errors import OutOfMemoryError, WeibtailError
 from .model import WeibullTypeModel
 from .norming import NORMING_CONVENTION, norming, norming_located
 
@@ -322,9 +322,7 @@ def build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argument
                                help="comma list of diverging t values (default 1e2..1e10)")
             p.add_argument("--gamma-mode", choices=("exact", "asymptotic"), default="exact")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        # models' --out has never had a help line
-        p.add_argument("--out", type=str, default=None,
-                       help=None if groups is None else "output path (default stdout)")
+        p.add_argument("--out", type=str, default=None, help="output path (default stdout)")
     return parser, sub.choices
 
 
@@ -334,7 +332,10 @@ def _run(args, parser: argparse.ArgumentParser) -> None:
     a usage error found here names it as argparse's own errors do."""
     _, groups, build = COMMANDS[args.command]
     model = None if groups is None else _resolve(args, parser)
-    csv_rows, body = build(model, args)
+    try:
+        csv_rows, body = build(model, args)
+    except MemoryError as exc:  # numpy's names the allocation it could not make
+        raise OutOfMemoryError(str(exc)) from exc
     if args.format == "csv" and csv_rows is not None:
         text = _render_csv(args.command, csv_rows)
     else:

@@ -100,3 +100,9 @@ class ThetaOneExcludedError(WeibtailError):
     """Asymptotics in (theta - 1) are undefined at theta = 1."""
 
     code = "theta_one_excluded"
+
+
+class OutOfMemoryError(WeibtailError):
+    """A computation needed more memory than the process could get."""
+
+    code = "out_of_memory"

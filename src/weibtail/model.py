@@ -16,9 +16,9 @@ composition rule from the chain weights in :mod:`weibtail.numerics` and one
 by Richardson differentiation of k for classical models without hazard
 derivatives.
 ``KJet.phi`` = (1/k)' = -k'/k^2 is the one place that shape is formed.
-Everything here is scalar; T over an array is
-``weibtail.arrays.gumbel_coordinate_array``, which saturates as
-:func:`_saturated_coordinate` does.
+Everything here is scalar; the error curves' array pass takes T over an
+array in ``weibtail.arrays``, saturated as :func:`_saturated_coordinate`
+is.
 """
 
 from __future__ import annotations
@@ -40,9 +40,8 @@ from .errors import (
     OutsideTailRegionError,
     TailUnderflowError,
 )
-from .slowly_varying import ArrayFn, SlowlyVaryingSpec
+from .slowly_varying import ArrayFn, ScalarFn, SlowlyVaryingSpec
 
-ScalarFn = Callable[[float], float]
 # (x, m) -> (H, H', ..., H^(m)) of the classical hazard H = -log(1 - F), m in
 # [1, 4], H to the bit -classical_log_sf; H' is the hazard rate f / (1 - F).
 HazardDerivs = Callable[[float, int], Tuple[float, ...]]
@@ -67,7 +66,7 @@ class WeibullTypeModel:
     k-derivative path, see ``HazardDerivs``) or ``classical_log_pdf`` (the
     hazard e^(log pdf - log sf), differentiated numerically), plus optionally
     ``classical_log_sf_array`` (``classical_log_sf`` over a float array)
-    for the array evaluation of ``arrays.gumbel_coordinate_array``.  The
+    for the error curves' array pass in ``weibtail.arrays``.  The
     library never writes into the array it returns, so a read-only array
     or a view will do.
 
@@ -250,8 +249,8 @@ def array_form_of(model: WeibullTypeModel) -> Optional[ArrayFn]:
 
 
 def _saturated_coordinate(model: WeibullTypeModel, x: float) -> float:
-    """:func:`gumbel_coordinate`, saturated as ``arrays.gumbel_coordinate_array``
-    does: -inf where F = 0 and +inf where F = 1 at double precision."""
+    """:func:`gumbel_coordinate`, saturated as the array pass saturates T:
+    -inf where F = 0 and +inf where F = 1 at double precision."""
     try:
         return gumbel_coordinate(model, x)
     except (BelowSupportError, DomainError, OutsideTailRegionError):
@@ -352,14 +351,12 @@ class KJet(NamedTuple):
     """(k, k', ..., k^(order)) at one point and the path that produced it.
 
     On the numeric path ``errors[j - 1]`` is the Richardson error estimate
-    of k^(j) and ``low_confidence`` is set when any order missed its
-    tolerance; the analytic path carries neither.
+    of k^(j); the analytic path carries none.
     """
 
     values: Tuple[float, ...]
     method: str  # "analytic" | "numeric"
     errors: Optional[Tuple[float, ...]] = None
-    low_confidence: bool = False
 
     @property
     def phi(self) -> float:
@@ -424,7 +421,6 @@ def k_jet(model: WeibullTypeModel, x: float, order: int = 3, method: str = "auto
             x,
             j,
             levels=4 if j == 3 and not model.analytic_k_path else 3,
-            tol=1e-5,
             lower=model.support_lower,
         )
         for j in range(1, order + 1)
@@ -433,7 +429,6 @@ def k_jet(model: WeibullTypeModel, x: float, order: int = 3, method: str = "auto
         values=(k0, *(e.value for e in ests)),
         method="numeric",
         errors=tuple(e.error for e in ests),
-        low_confidence=any(e.low_confidence for e in ests),
     )
 
 

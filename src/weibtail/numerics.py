@@ -57,7 +57,6 @@ class DerivativeEstimate(NamedTuple):
 
     value: float
     error: float
-    low_confidence: bool = False
 
 
 def _stencil(f: Callable[[float], float], x: float, h: float, order: int) -> float:
@@ -83,7 +82,6 @@ def derivative(
     x: float,
     order: int,
     levels: int = 3,
-    tol: Optional[float] = None,
     lower: float = -math.inf,
 ) -> DerivativeEstimate:
     """Order-th derivative of ``f`` at ``x`` by Richardson-extrapolated
@@ -96,10 +94,9 @@ def derivative(
     cancels truncation up to h^(2L) while the finest stencil still pays
     eps/h^order in rounding, so the single-stencil optimum
     eps**(1/(order+2)) would under-step by several orders.  The reported
-    ``error`` is the difference of the last two extrapolation levels; when
-    ``tol`` is given and the estimate exceeds ``tol * max(1, |value|)`` the
-    result is flagged ``low_confidence`` (but still returned).  A stencil
-    reaching below ``lower`` refuses unevaluated, as StencilFailureError.
+    ``error`` is the difference of the last two extrapolation levels.  A
+    stencil reaching below ``lower`` refuses unevaluated, as
+    StencilFailureError.
     """
     if order not in _STENCILS:
         raise ValueError(f"order {order} outside [1, 4]")
@@ -115,8 +112,7 @@ def derivative(
             table[i] = (factor * table[i] - table[i - 1]) / (factor - 1.0)
     value = table[-1]
     error = abs(table[-1] - table[-2]) if len(table) >= 2 else math.inf
-    low = tol is not None and error > tol * max(1.0, abs(value))
-    return DerivativeEstimate(value=value, error=error, low_confidence=low)
+    return DerivativeEstimate(value=value, error=error)
 
 
 def solve_increasing(

@@ -21,7 +21,7 @@ degenerate, never silently dropped.
 from __future__ import annotations
 
 import math
-from typing import Dict, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InsufficientGridError, ThetaOneExcludedError, WeibtailError
 from .model import WeibullTypeModel, k_jet
@@ -100,8 +100,9 @@ def condition_sweep(model: WeibullTypeModel, t_grid: Sequence[float]) -> Conditi
     path = "analytic" if model.analytic_k_path else "numeric"
     # the sequence fields follow t_grid in CONDITIONS order
     *sequences, point_codes = zip(*(_functionals(model, t) for t in grid))
-    verdicts = {name: _decay_verdict(seq) for name, seq in zip(CONDITIONS[:-1], sequences)}
-    verdicts["gomes84"] = v = _limit_verdict(sequences[-1])
+    verdicts = {name: _judged(seq, _decay_verdict)
+                for name, seq in zip(CONDITIONS[:-1], sequences)}
+    verdicts["gomes84"] = v = _judged(sequences[-1], _limit_verdict)
 
     theoretical = gap = None
     if not model.theta_is_one:
@@ -126,27 +127,25 @@ def _functionals(model: WeibullTypeModel, t: float) -> Tuple:
             _ratio(phi_p, k * phi_v * phi_v), None)
 
 
-def _split_failures(seq: Sequence[float]):
+def _judged(seq: Sequence[float], judge: Callable[[list], Verdict]) -> Verdict:
+    """``judge`` of the finite values of ``seq``, unless more than
+    ``FAILURE_FRACTION`` of its points failed or fewer than two are finite."""
     finite = [v for v in seq if math.isfinite(v)]
+    if len(seq) - len(finite) <= FAILURE_FRACTION * len(seq) and len(finite) >= 2:
+        return judge(finite)
     n_nan = sum(1 for v in seq if math.isnan(v))
     n_inf = sum(1 for v in seq if math.isinf(v))
-    return finite, n_nan, n_inf
+    return Verdict("not_confirmed", reason="degenerate" if n_nan >= n_inf else "eval_failure")
 
 
-def _decay_verdict(seq: Sequence[float]) -> Verdict:
-    finite, n_nan, n_inf = _split_failures(seq)
-    if len(seq) - len(finite) > FAILURE_FRACTION * len(seq):
-        return Verdict("not_confirmed", reason="degenerate" if n_nan >= n_inf else "eval_failure")
+def _decay_verdict(finite: list) -> Verdict:
     first, last = abs(finite[0]), abs(finite[-1])
     if last < VERDICT_ABS and last <= VERDICT_SHRINK * first:
         return Verdict("confirmed_decaying")
     return Verdict("not_confirmed", reason="no_decay")
 
 
-def _limit_verdict(seq: Sequence[float]) -> Verdict:
-    finite, n_nan, n_inf = _split_failures(seq)
-    if len(seq) - len(finite) > FAILURE_FRACTION * len(seq) or len(finite) < 2:
-        return Verdict("not_confirmed", reason="degenerate" if n_nan >= n_inf else "eval_failure")
+def _limit_verdict(finite: list) -> Verdict:
     prev, lastv = finite[-2], finite[-1]
     if abs(lastv - prev) <= LIMIT_AGREEMENT * max(abs(lastv), _TINY):
         return Verdict("confirmed_limit", value=lastv)

@@ -129,14 +129,6 @@ def test_error_codes_unique_and_in_readme():
     assert [code for code in codes if f"`{code}`" not in readme] == []
 
 
-# top-level functions that no library code references, each with its reason
-NO_LIBRARY_CALLER = {
-    "gumbel_coordinate_array": "T over an array, in its own floating-point context, for "
-                               "callers outside the error curves; the tests check the array T "
-                               "through it",
-}
-
-
 def _unreferenced_functions(src: Path):
     """The top-level functions of the modules in ``src`` that library code
     does not reference outside their own body, by name, attribute or the
@@ -159,4 +151,4 @@ def _unreferenced_functions(src: Path):
 def test_every_function_has_a_library_caller():
     # code that only tests call is code to delete: every top-level function
     # is referenced from library code or public in weibtail.__all__
-    assert _unreferenced_functions(Path(wt.__file__).parent) == set(NO_LIBRARY_CALLER)
+    assert _unreferenced_functions(Path(wt.__file__).parent) == set()

@@ -21,7 +21,6 @@ import pytest
 
 import weibtail as wt
 from weibtail import arrays, catalog, numerics
-from weibtail.arrays import gumbel_coordinate_array
 from weibtail.errors import WeibtailError
 from weibtail.model import Family, _saturated_coordinate
 from weibtail.norming import locate
@@ -33,6 +32,11 @@ def _in_curve_context(fn, *args):
     overflow to inf is the saturation the formulas expect."""
     with np.errstate(over="ignore"):
         return fn(*args)
+
+
+def _coordinate(model, xs):
+    """T over an array, as ``arrays.curve`` forms it."""
+    return _in_curve_context(arrays._coordinate, model, xs)
 
 
 def _gev_cdf(gamma, xs):
@@ -57,7 +61,7 @@ def test_log_neg_log_cdf_pieces_at_series_switch():
     h.sort()
     # the exponential's H is x itself, so its T over the grid is T from H = h
     exponential = wt.exponential()
-    t_of_h = lambda h: gumbel_coordinate_array(exponential, h)
+    t_of_h = lambda h: _coordinate(exponential, h)
     whole = _pieces_agree(t_of_h, h, [numerics._SERIES_SWITCH])
     # H = 0 at x <= 0 takes the masks, and the points inside the switch's
     with_outside = t_of_h(np.concatenate([[-1.0, 0.0], h]))
@@ -276,7 +280,7 @@ def test_tail_coordinate_pieces_at_support_endpoint(model):
     xs = np.linspace(lo - 3.0, lo + 50.0, 2001)
     if not np.any(xs == lo):
         xs = np.sort(np.append(xs, lo))
-    got = _pieces_agree(lambda z: gumbel_coordinate_array(model, z), xs, [lo])
+    got = _pieces_agree(lambda z: _coordinate(model, z), xs, [lo])
     assert np.all(got[xs < lo] == -math.inf) and np.all(np.isfinite(got[xs >= lo]))
 
 
@@ -284,7 +288,7 @@ def test_classical_coordinate_pieces():
     # H = -log sf crosses the series switch and saturates at both ends
     model = catalog.gamma_model(2.0)
     xs = np.concatenate([[-1.0, 0.0], np.geomspace(1e-3, 800.0, 3000), [math.inf]])
-    coordinate = lambda z: gumbel_coordinate_array(model, z)
+    coordinate = lambda z: _coordinate(model, z)
     h7 = float(xs[np.argmax(-model.classical_log_sf_array(xs) >= numerics._SERIES_SWITCH)])
     got = _pieces_agree(coordinate, xs, [1e-300, h7, math.inf])
     assert got[0] == got[1] == -math.inf and got[-1] == math.inf
@@ -301,9 +305,9 @@ def test_nan_point_saturates_to_minus_inf(name):
     # points keep the bits they have without it
     model = _catalog_model(name)
     xs = np.array([3.0, -1.0])
-    got = gumbel_coordinate_array(model, np.insert(xs, 1, math.nan))
+    got = _coordinate(model, np.insert(xs, 1, math.nan))
     assert got[1] == -math.inf
-    assert got[[0, 2]].tobytes() == gumbel_coordinate_array(model, xs).tobytes()
+    assert got[[0, 2]].tobytes() == _coordinate(model, xs).tobytes()
 
 
 @pytest.mark.parametrize("name", [*sorted(wt.CATALOG), "logpow-inv"])
@@ -317,7 +321,7 @@ def test_plus_inf_saturates_to_f_equals_one(name):
         model = _catalog_model(name)
     assert wt.cumulative_hazard(model, math.inf) == math.inf
     assert _saturated_coordinate(model, math.inf) == math.inf
-    assert gumbel_coordinate_array(model, np.array([math.inf])).tolist() == [math.inf]
+    assert _coordinate(model, np.array([math.inf])).tolist() == [math.inf]
 
 
 @pytest.mark.parametrize("gamma", [1e-9, -1e-9])
@@ -348,10 +352,10 @@ def _regime_grids(model):
     else:
         lo = model.support_lower - 1.0
     hi = abs(lo) + 2.0
-    while gumbel_coordinate_array(model, np.array([hi]))[0] < 70.0:
+    while _coordinate(model, np.array([hi]))[0] < 70.0:
         hi *= 2.0
     wide = np.linspace(lo, hi, 601)
-    t = gumbel_coordinate_array(model, wide)
+    t = _coordinate(model, wide)
     t7, t40 = numerics.log_neg_log_cdf_from_H(7.0), 40.0
     if model.family is Family.LOG_CDF_EXP:
         t7 = 7.0
@@ -376,11 +380,11 @@ def test_point_by_point_equals_batched(name):
     # arithmetic of one of its points
     model = _straddle_models()[name]
     for z in _regime_grids(model):
-        batched = gumbel_coordinate_array(model, z)
-        single = [gumbel_coordinate_array(model, z[i:i + 1]) for i in range(z.size)]
+        batched = _coordinate(model, z)
+        single = [_coordinate(model, z[i:i + 1]) for i in range(z.size)]
         assert batched.shape == z.shape
         assert batched.tobytes() == b"".join(s.tobytes() for s in single)
-    assert gumbel_coordinate_array(model, np.empty(0)).shape == (0,)
+    assert _coordinate(model, np.empty(0)).shape == (0,)
 
 
 def test_t_equals_h_from_forty():
@@ -467,7 +471,7 @@ def test_zero_gamma_curve_is_the_ultimate_one(name):
     model = _catalog_model(name)
     log_n, b, jet = locate(model, 20.0)
     spec = (-3.0, 6.0, 3000)
-    xs = arrays.grid(spec)
+    xs = np.linspace(*spec)
     for gamma in (0.0, -0.0):
         gumbel = _in_curve_context(lambda x: np.exp(arrays._neg_exp_neg(x)), xs)
         assert _gev_cdf(gamma, xs).tobytes() == gumbel.tobytes()
@@ -512,8 +516,8 @@ def test_grid_terms_read_only_and_unchanged_by_curves():
     terms = arrays.grid_terms(MEMO_GRID)
     xs, cdf, density = terms
     # the terms as the curve formed them per call
-    neg_exp_neg = arrays._neg_exp_neg(arrays.grid(MEMO_GRID))
-    want = [arrays.grid(MEMO_GRID), np.exp(neg_exp_neg), np.exp(neg_exp_neg - xs)]
+    neg_exp_neg = arrays._neg_exp_neg(np.linspace(*MEMO_GRID))
+    want = [np.linspace(*MEMO_GRID), np.exp(neg_exp_neg), np.exp(neg_exp_neg - xs)]
     assert [a.tobytes() for a in terms] == [a.tobytes() for a in want]
     assert not any(a.flags.writeable for a in terms)
     with pytest.raises(ValueError, match="read-only"):
@@ -548,8 +552,19 @@ def test_grid_terms_rebuilt_for_another_spec(other):
     assert _same(arrays.grid_terms(MEMO_GRID), terms)
     rebuilt = arrays.grid_terms(other)
     assert not _same(rebuilt, terms)
-    assert rebuilt[0].tobytes() == arrays.grid(other).tobytes()
+    assert rebuilt[0].tobytes() == np.linspace(*other).tobytes()
     assert list(arrays._GRID_TERMS) == [repr(other)]
+
+
+@pytest.mark.parametrize("name", ["pure-weibull", "normal"])
+def test_float_count_builds_the_int_count_grid(name):
+    # np.linspace refuses a float count: the memo builds int(count) points
+    model = _catalog_model(name)
+    got = wt.error_comparison(model, 20.0, (-3.0, 6.0, 1075.0))
+    want = wt.error_comparison(model, 20.0, (-3.0, 6.0, 1075))
+    hexed = lambda v: v.hex() if isinstance(v, float) else v
+    fields = [f for f in got._fields if f != "grid_spec"]  # the spec as given
+    assert [hexed(getattr(got, f)) for f in fields] == [hexed(getattr(want, f)) for f in fields]
 
 
 def test_grid_points_kept_before_the_gumbel_terms():
@@ -706,16 +721,7 @@ def _ownership_models():
 @pytest.mark.parametrize("kind", ["tail", "classical"])
 def test_no_writes_into_caller_or_array_form_arrays(kind, monkeypatch):
     model = _ownership_models()[kind]
-    grids = []
-    validate = arrays.grid
     monkeypatch.setattr(arrays, "_GRID_TERMS", {})  # every grid is built here
-
-    def read_only_grid(spec):
-        xs = _read_only(validate(spec))
-        grids.append((xs, xs.copy()))
-        return xs
-
-    monkeypatch.setattr(arrays, "grid", read_only_grid)
     for log_n in (1.0, 20.0):
         # grids above the default size, which take the array curve
         for grid in ((-3.0, 6.0, 2000), (-20.0, 40.0, 1500)):
@@ -724,11 +730,15 @@ def test_no_writes_into_caller_or_array_form_arrays(kind, monkeypatch):
                     continue
                 cmp_ = wt.error_comparison(model, log_n, grid, mode)
                 assert math.isfinite(cmp_.sup_error_ultimate)
-    assert grids and all(np.array_equal(xs, copy) for xs, copy in grids)
+            # the memo built its points read-only: a write into them would
+            # have raised, and they are still the grid
+            terms = arrays.grid_terms(grid)
+            assert not any(a.flags.writeable for a in terms)
+            assert terms[0].tobytes() == np.linspace(*grid).tobytes()
     # the array form's own output is read-only: a write would have raised
     z = _read_only(np.linspace(-3.0, 60.0, 700))
     before = z.copy()
-    gumbel_coordinate_array(model, z)
+    _coordinate(model, z)
     assert np.array_equal(z, before)
 
 

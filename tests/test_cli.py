@@ -430,6 +430,26 @@ def test_exit_code_non_finite_grid(grid):
     assert json.loads(err)["error"]["code"] == "insufficient_grid"
 
 
+# an address-space cap that the interpreter, numpy and a few grid arrays fit under
+_MEMORY_CAP = 400 * 2**20
+
+
+@pytest.mark.parametrize("grid", ["-3:6:10000000", "-3:6:10000000000000"])
+def test_exit_code_out_of_memory(grid):
+    # a grid too large for the memory the process may take is a typed
+    # refusal, not a traceback: the 1e13-point grid fails at its first
+    # array, the 1e7-point one among the curve's arrays after it
+    resource = pytest.importorskip("resource")
+    cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (_MEMORY_CAP, _MEMORY_CAP))
+    # one BLAS thread: each thread's buffers count against the cap
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-m", "weibtail.cli", "errors", "--model", "normal",
+                           "--log-n", "20", "--grid", grid], capture_output=True, text=True,
+                          timeout=120, env=env, preexec_fn=cap)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert json.loads(proc.stderr)["error"]["code"] == "out_of_memory"
+
+
 @pytest.mark.parametrize("model, log_n, grid", [
     (["--model", "normal"], "5", "-1e200:1e200:1000"),  # x^2 overflows
     (["--model", "pure-weibull", "--theta", "2"], "100", "-1e307:1e307:1000"),  # a x overflows
@@ -583,7 +603,8 @@ SUBCOMMANDS = ("models", "norming", "penultimate", "errors", "vonmises", "report
 # golden file -> argv: every --help page (``.out``: stdout, exit 0), one
 # parse-time usage error per subcommand and two usage errors found after
 # parsing (``.err``: stderr, exit 2).  The bytes are argparse's, pinned to
-# one interpreter (3.11.7) as the golden gate is pinned to one libm
+# one interpreter (3.11.7) as the golden gate is pinned to one libm, and
+# rewritten with the golden files by ``tests/test_golden.py --regen``
 USAGE_CASES = {
     "weibtail-help.out": ["--help"],
     **{f"{command}-help.out": [command, "--help"] for command in SUBCOMMANDS},

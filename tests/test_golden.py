@@ -11,7 +11,9 @@ purpose regenerates them with
 
     PYTHONPATH=src python tests/test_golden.py --regen
 
-and says in CHANGES.md which cases changed and why.
+and says in CHANGES.md which cases changed and why.  The same command
+rewrites ``tests/golden/usage/``, the ``--help`` and usage-error bytes of
+``test_cli.USAGE_CASES``, at the 80-column width ``test_cli`` pins.
 """
 
 from __future__ import annotations
@@ -130,6 +132,12 @@ def regenerate():
     for name, argv in sorted(CASES.items()):
         suffix, data = run_case(argv)
         golden_path(name, suffix).write_bytes(data)
+    from test_cli import USAGE_CASES, USAGE_DIR, run_cli
+
+    os.environ["COLUMNS"] = "80"  # argparse wraps usage and help to the terminal width
+    for name, argv in sorted(USAGE_CASES.items()):
+        _, out, err = run_cli(argv)
+        (USAGE_DIR / name).write_text(out if name.endswith(".out") else err, encoding="utf-8")
 
 
 if __name__ == "__main__":
