@@ -33,22 +33,42 @@ from .model import (
     k_function,
 )
 from .norming import NormingConstants, norming
-from .penultimate import (
-    Classification,
-    ErrorComparison,
-    PenultimateIndex,
-    error_comparison,
-    gamma_of_t,
-    penultimate_index,
-    remainder_profile,
-)
 from .slowly_varying import (
     SlowlyVaryingSpec,
     constant,
     log_power,
     log_shift,
 )
-from .vonmises import ConditionReport, Verdict, condition_sweep, gomes84_closed_form
+
+# the names from penultimate and vonmises, which a models or norming run
+# does not need: __getattr__ (PEP 562) imports the module on first use of
+# one of them.  norming stays eager: the package's attribute of that name is
+# the function, which a later first import of the submodule of the same
+# name would rebind to the module.
+_LAZY = {
+    **dict.fromkeys(("Classification", "ErrorComparison", "PenultimateIndex",
+                     "error_comparison", "gamma_of_t", "penultimate_index",
+                     "remainder_profile"), "penultimate"),
+    **dict.fromkeys(("ConditionReport", "Verdict", "condition_sweep",
+                     "gomes84_closed_form"), "vonmises"),
+}
+
+
+def __getattr__(name: str):
+    import importlib
+
+    if name in ("penultimate", "vonmises"):  # the submodule, not yet imported
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    globals()[name] = value  # later reads, such as a warm loop's, skip this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})
+
 
 __all__ = [
     "__version__",

@@ -14,11 +14,9 @@ usage line), 3 numeric failure or a computation that runs out of memory
 from __future__ import annotations
 
 import argparse
-import csv
+import atexit
 import enum
-import gc
 import io
-import json
 import math
 import os
 import sys
@@ -26,8 +24,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
 from . import numerics
-from . import penultimate as pen_mod
-from . import vonmises as vm_mod
 from .catalog import CATALOG, build_model
 from .errors import OutOfMemoryError, WeibtailError
 from .model import WeibullTypeModel
@@ -52,11 +48,11 @@ CSV_HEADERS = {
 
 TOLERANCES = {
     "root_rel_tol": numerics.ROOT_REL_TOL,
-    "verdict_abs": vm_mod.VERDICT_ABS,
-    "verdict_shrink": vm_mod.VERDICT_SHRINK,
-    "limit_agreement": vm_mod.LIMIT_AGREEMENT,
-    "failure_fraction": vm_mod.FAILURE_FRACTION,
-    "remainder_denominator_cutoff": pen_mod.REMAINDER_DENOMINATOR_CUTOFF,
+    "verdict_abs": numerics.VERDICT_ABS,
+    "verdict_shrink": numerics.VERDICT_SHRINK,
+    "limit_agreement": numerics.LIMIT_AGREEMENT,
+    "failure_fraction": numerics.FAILURE_FRACTION,
+    "remainder_denominator_cutoff": numerics.REMAINDER_DENOMINATOR_CUTOFF,
 }
 
 # every catalog parameter, in first-declared order (a model's own parameters
@@ -135,6 +131,8 @@ def _resolve(args, parser: argparse.ArgumentParser) -> WeibullTypeModel:
 
 
 def _render_csv(command: str, rows: List[Dict]) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     header = CSV_HEADERS[command]
@@ -148,6 +146,8 @@ def _render_json(args, model: Optional[WeibullTypeModel], body: Dict) -> str:
     """One document: the shared meta header, with the model's entry (if
     the command has a model) and then the body's own meta keys (report's
     inputs) after it, and the body's other keys."""
+    import json
+
     meta = {
         "tool": "weibtail",
         "version": __version__,
@@ -194,7 +194,8 @@ def _norming_rows(model: WeibullTypeModel, args):
     return rows, {"rows": rows}
 
 
-def _penultimate_json(idx: pen_mod.PenultimateIndex) -> Dict:
+def _penultimate_json(idx) -> Dict:
+    """The JSON entry of one ``PenultimateIndex``."""
     entry = {
         "log_n": idx.log_n,
         "gamma_exact": idx.gamma_exact,
@@ -213,26 +214,32 @@ def _penultimate_json(idx: pen_mod.PenultimateIndex) -> Dict:
 
 
 def _penultimate_rows(model: WeibullTypeModel, args):
-    indices = [pen_mod.penultimate_index(model, ln) for ln in args.log_n]
+    from .penultimate import penultimate_index
+
+    indices = [penultimate_index(model, ln) for ln in args.log_n]
     flat = [_row("penultimate", idx) for idx in indices]
     return flat, {"rows": [_penultimate_json(idx) for idx in indices]}
 
 
 def _error_rows(model: WeibullTypeModel, args):
-    rows = [_row("errors", pen_mod.error_comparison(model, ln, args.grid, args.gamma_mode))
+    from .penultimate import error_comparison
+
+    rows = [_row("errors", error_comparison(model, ln, args.grid, args.gamma_mode))
             for ln in args.log_n]
     return rows, {"rows": rows}
 
 
 def _vonmises_rows(model: WeibullTypeModel, args):
-    report = vm_mod.condition_sweep(model, args.t_grid)
+    from .vonmises import CONDITIONS, condition_sweep
+
+    report = condition_sweep(model, args.t_grid)
     point_rows = [
-        {"row_type": "point", "t": t, **{c: getattr(report, c)[i] for c in vm_mod.CONDITIONS}}
+        {"row_type": "point", "t": t, **{c: getattr(report, c)[i] for c in CONDITIONS}}
         for i, t in enumerate(report.t_grid)
     ]
     verdict_row = {"row_type": "verdict", "t": None}
     verdicts = {}
-    for name in vm_mod.CONDITIONS:
+    for name in CONDITIONS:
         v = report.verdicts[name]
         text = v.kind
         if v.value is not None:
@@ -245,7 +252,7 @@ def _vonmises_rows(model: WeibullTypeModel, args):
         "t_grid": list(report.t_grid),
         "derivative_path": report.derivative_path,
         "sequences": {
-            name: [_jsonable(v) for v in getattr(report, name)] for name in vm_mod.CONDITIONS
+            name: [_jsonable(v) for v in getattr(report, name)] for name in CONDITIONS
         },
         "verdicts": verdicts,
         "gomes84_theoretical": _jsonable(report.gomes84_theoretical),
@@ -255,12 +262,14 @@ def _vonmises_rows(model: WeibullTypeModel, args):
 
 
 def _report(model: WeibullTypeModel, args):
+    from .penultimate import error_comparison_at, penultimate_index_at
+
     # one Location per log n, made in the norming pass: b_exact is solved once
     located = [norming_located(model, ln) for ln in args.log_n]
-    indices = [pen_mod.penultimate_index_at(model, loc) for _, loc in located]
+    indices = [penultimate_index_at(model, loc) for _, loc in located]
     error_rows = []
     for (_, loc), idx in zip(located, indices):
-        row = _row("errors", pen_mod.error_comparison_at(model, loc, args.grid, args.gamma_mode))
+        row = _row("errors", error_comparison_at(model, loc, args.grid, args.gamma_mode))
         # informational only: penultimate residual against the stated rate
         rate = idx.gamma_prime_exact
         row["penultimate_residual_ratio"] = (
@@ -295,8 +304,15 @@ COMMANDS = {
 }
 
 
-def build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
-    """The ``weibtail`` parser and its subparsers by name, from ``COMMANDS``."""
+def build_parser(
+    argv: Sequence[str] = (),
+) -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
+    """The ``weibtail`` parser and its subparsers by name, from ``COMMANDS``.
+
+    Every subcommand is registered with its help line, but only the one
+    ``argv[0]`` names gets its flags, or every one when ``argv[0]`` names
+    none: argparse reads a subcommand's flags only when it is invoked."""
+    invoked = argv[0] if argv and argv[0] in COMMANDS else None
     parser = argparse.ArgumentParser(
         prog="weibtail",
         description="Penultimate extreme-value approximation for Weibull-type tails.",
@@ -304,6 +320,8 @@ def build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argument
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, groups, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
+        if invoked not in (None, name):
+            continue
         if groups is not None:
             p.add_argument("--model", required=True, choices=sorted(CATALOG))
             for flag in MODEL_PARAM_FLAGS:
@@ -315,7 +333,9 @@ def build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argument
                 group.add_argument("--n", type=str, default=None,
                                    help="comma list of integer block sizes, converted to log n")
             if "grid" in groups:
-                p.add_argument("--grid", type=_parse_grid, default=pen_mod.DEFAULT_GRID,
+                from .penultimate import DEFAULT_GRID
+
+                p.add_argument("--grid", type=_parse_grid, default=DEFAULT_GRID,
                                help="lo:hi:count evaluation window (default -3:6:1000)")
             if "t_grid" in groups:
                 p.add_argument("--t-grid", type=str, default=None,
@@ -370,13 +390,14 @@ def _join_grid_flag(argv: Sequence[str]) -> List[str]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser, subparsers = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    args = parser.parse_args(_join_grid_flag(argv))
+    argv = _join_grid_flag(sys.argv[1:] if argv is None else argv)
+    parser, subparsers = build_parser(argv)
+    args = parser.parse_args(argv)
     try:
         _run(args, subparsers[args.command])
     except WeibtailError as exc:
+        import json
+
         payload = {"error": {"code": exc.code, "message": exc.message}}
         sys.stderr.write(json.dumps(payload) + "\n")
         return 3
@@ -386,20 +407,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 def entrypoint() -> None:
     """The ``weibtail`` console script and ``python -m weibtail.cli``.
 
-    The process ends right after ``main``, however it ends (0, argparse's
-    ``SystemExit(2)`` or 3): ``gc.freeze`` moves every tracked object to
-    the permanent generation, so the collections that interpreter shutdown
-    runs do not walk the heap again.  In-process callers of ``main`` keep
-    their collector as it was."""
+    The process ends right after ``main``, with its code (0, argparse's 2
+    or 3), and without the interpreter's teardown, which would only free
+    what the run made: the ``atexit`` handlers run, stdout and stderr are
+    flushed, and ``os._exit`` ends the process.  A stdout that cannot take
+    what a failed write left buffered is ignored: that write has already
+    exited 2 and said why.  An unexpected exception ends the process as
+    Python ends it, with its traceback and exit 1.  In-process callers of
+    ``main`` are not affected."""
     try:
         code = main()
-    finally:
-        gc.freeze()
+    except SystemExit as exc:  # argparse's --help and usage errors
+        code = exc.code
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
         try:
-            sys.stdout.flush()
-        except OSError:  # what a failed write left buffered then goes to the null device
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    sys.exit(code)
+            stream.flush()
+        except OSError:
+            pass
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -46,6 +46,15 @@ _T_EQUALS_H = 40.0
 
 # Residual tolerance of every root solve, relative to |target|.
 ROOT_REL_TOL = 1e-14
+# The von Mises verdicts' thresholds (weibtail.vonmises) and the remainder
+# ratio's denominator cutoff (weibtail.penultimate).  They live here, with
+# ROOT_REL_TOL, because the CLI prints all of them in every JSON meta
+# header, and a run that prints neither quantity should not import them.
+VERDICT_ABS = 0.05
+VERDICT_SHRINK = 0.5
+LIMIT_AGREEMENT = 0.05
+FAILURE_FRACTION = 0.2
+REMAINDER_DENOMINATOR_CUTOFF = 1e-12
 # Upper end past which a bracket is not grown.
 BRACKET_HI_CAP = 1e300
 # Secant/bisection steps a root solve may take after its bracket is grown.

@@ -31,10 +31,10 @@ from .errors import (
 )
 from .model import WeibullTypeModel, _saturated_coordinate, array_form_of
 from .norming import Location, locate
+from .numerics import REMAINDER_DENOMINATOR_CUTOFF
 
 # Default evaluation window: covers all but ~1e-3 of the Gumbel mass.
 DEFAULT_GRID: Tuple[float, float, int] = (-3.0, 6.0, 1000)
-REMAINDER_DENOMINATOR_CUTOFF = 1e-12
 _GEV_SERIES_GAMMA = 1e-8
 # |gamma x| below which the series' first dropped term, (gamma x)^3/4
 # relative, is under an ulp
@@ -130,14 +130,19 @@ def penultimate_index_at(model: WeibullTypeModel, loc: Location) -> PenultimateI
     return PenultimateIndex(log_n, gamma_exact, classification, *asymptotic)
 
 
-def _check_grid(grid_spec: Tuple[float, float, int]) -> None:
+def _check_grid(grid_spec: Tuple[float, float, int]) -> Tuple[float, float, int]:
+    """The spec with an int count (1075.0 and 1075 are one grid, and one
+    memo key), or refused."""
     lo, hi, count = grid_spec
     if count < 100:
         raise InsufficientGridError(f"grid needs at least 100 points, got {count}")
+    if not count % 1 == 0:  # a fraction, or an infinite or NaN count
+        raise InsufficientGridError(f"grid needs a whole number of points, got {count!r}")
     if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(hi - lo)):
         raise InsufficientGridError(f"grid needs finite lo, hi and hi - lo, got {lo!r}:{hi!r}")
     if not lo < hi:
         raise InsufficientGridError("grid needs lo < hi")
+    return lo, hi, int(count)
 
 
 def _linspace(lo: float, hi: float, count: int) -> List[float]:
@@ -251,14 +256,14 @@ def error_comparison(
     on the same model object, log n and grid, in the other mode, reuses
     F^n, the ultimate sup and the remainder bit for bit.
     """
-    _check_grid(grid_spec)  # a bad grid is refused before a bad log n
+    grid_spec = _check_grid(grid_spec)  # a bad grid is refused before a bad log n
     return error_comparison_at(model, locate(model, log_n), grid_spec, gamma_mode)
 
 
 def error_comparison_at(model: WeibullTypeModel, loc: Location,
                         grid_spec: Tuple[float, float, int], gamma_mode: str) -> ErrorComparison:
     """:func:`error_comparison` at a located block size."""
-    _check_grid(grid_spec)
+    grid_spec = _check_grid(grid_spec)
     log_n, b, jet = loc
     if gamma_mode == "exact":
         gamma_n = jet.phi
@@ -282,7 +287,7 @@ def error_comparison_at(model: WeibullTypeModel, loc: Location,
         model, log_n, grid_spec, b, 1.0 / jet.values[0], gamma_n, -jet.phi)
     return ErrorComparison(
         log_n=log_n,
-        grid_spec=tuple(grid_spec),
+        grid_spec=grid_spec,
         sup_error_ultimate=sup_ult,
         sup_error_penultimate=sup_pen,
         argmax_ultimate=arg_ult,
@@ -307,7 +312,7 @@ def remainder_profile(
     either call right after the other reuses it on an array-pass grid of
     at most ``arrays.KEEP_MAX_POINTS`` points.
     """
-    _check_grid(grid_spec)
+    grid_spec = _check_grid(grid_spec)
     _, b, jet = locate(model, log_n)
     # gamma 0 clips no point; only the remainder is read
     dev = _curve(model, log_n, grid_spec, b, 1.0 / jet.values[0], 0.0, -jet.phi)[5]

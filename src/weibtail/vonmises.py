@@ -25,11 +25,8 @@ from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InsufficientGridError, ThetaOneExcludedError, WeibtailError
 from .model import WeibullTypeModel, k_jet
+from .numerics import FAILURE_FRACTION, LIMIT_AGREEMENT, VERDICT_ABS, VERDICT_SHRINK
 
-VERDICT_ABS = 0.05
-VERDICT_SHRINK = 0.5
-LIMIT_AGREEMENT = 0.05
-FAILURE_FRACTION = 0.2
 _TINY = 1e-280
 
 CONDITIONS = ("first_order", "second_order", "penultimate_cond", "anderson", "gomes84")

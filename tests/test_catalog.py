@@ -235,9 +235,16 @@ DENSE_ERRORS = ["errors", "--model", "pure-weibull", "--theta", "2", "--log-n", 
 
 # Every CLI command on every catalog model, the scalar ones first, then the
 # error curves on the default grid and last one dense grid, in one
-# interpreter where a meta-path finder refuses any scipy import.
+# interpreter where a meta-path finder refuses any scipy import.  The entry
+# point ends its process with os._exit; here that raises SystemExit with
+# the code instead, so the next command runs in the same interpreter.
 _CLI_PROBE = """
-import contextlib, importlib.abc, io, runpy, sys
+import contextlib, importlib.abc, io, os, runpy, sys
+
+def exit_to_caller(code):
+    raise SystemExit(code)
+
+os._exit = exit_to_caller
 
 class RefuseScipy(importlib.abc.MetaPathFinder):
     def find_spec(self, name, path=None, target=None):

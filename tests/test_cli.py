@@ -1,5 +1,6 @@
 """CLI contract: formats, determinism, exit codes, report schema."""
 
+import ast
 import csv
 import errno
 import gc
@@ -732,31 +733,98 @@ ENTRYPOINT_CASES = [
 @pytest.mark.parametrize("argv, code", zip(ENTRYPOINT_CASES, (0, 2, 3)),
                          ids=["ok", "usage", "typed"])
 def test_main_keeps_the_callers_collector(argv, code):
-    # only the process entry point freezes the heap
+    # main in process leaves the collector as it found it
     before = gc.isenabled(), gc.get_freeze_count()
     assert run_cli(argv)[0] == code
     assert (gc.isenabled(), gc.get_freeze_count()) == before
 
 
-# runs the module as `python -m weibtail.cli` does, with an atexit probe
-# that writes the frozen object count to the file named by argv[1]
+# runs the module as `python -m weibtail.cli` does.  An atexit handler and
+# a sentinel's __del__, which interpreter teardown would call, each append
+# a line to the file named by argv[1]; both hold what they write with,
+# since teardown clears module globals first.
 _ENTRYPOINT_PROBE = """
-import atexit, gc, runpy, sys
-probe = sys.argv.pop(1)
-atexit.register(lambda: open(probe, "w").write(str(gc.get_freeze_count())))
+import atexit, os, runpy, sys
+
+fd = os.open(sys.argv.pop(1), os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+
+class Sentinel:
+    def __init__(self, write, fd):
+        self.write, self.fd = write, fd
+
+    def __del__(self):
+        self.write(self.fd, b"teardown\\n")
+
+
+sentinel = Sentinel(os.write, fd)
+atexit.register(os.write, fd, b"atexit\\n")
 runpy.run_module("weibtail.cli", run_name="__main__", alter_sys=True)
 """
 
 
 def test_subprocess_entrypoint(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    env.pop("PYTHONUNBUFFERED", None)  # the entry point's flush delivers the output
     results = []
-    for argv in ENTRYPOINT_CASES:
-        probe = tmp_path / "frozen"
+    for i, argv in enumerate(ENTRYPOINT_CASES):
+        probe = tmp_path / f"probe-{i}"
         proc = subprocess.run([sys.executable, "-c", _ENTRYPOINT_PROBE, str(probe), *argv],
                               capture_output=True, text=True, timeout=120, env=env)
         results.append([proc.returncode, proc.stdout, proc.stderr])
         assert results[-1] == list(run_cli(argv)), argv
-        assert int(probe.read_text()) > 0, argv
+        # the handler ran, and no teardown did
+        assert probe.read_text() == "atexit\n", argv
     assert [code for code, _, _ in results] == [0, 2, 3]
     assert any(r["name"] == "normal" for r in json.loads(results[0][1])["rows"])
+
+
+def test_output_through_a_pipe_arrives_whole(monkeypatch):
+    # ~200 KB of rows, past a 64 KB pipe buffer, and the top-level help each
+    # reach the reader before os._exit ends the process
+    monkeypatch.setenv("COLUMNS", "80")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    env.pop("PYTHONUNBUFFERED", None)  # the entry point's flush delivers the output
+    log_n = ",".join(str(1.0 + i / 100) for i in range(3000))
+    rows = ["norming", "--model", "normal", "--log-n", log_n]
+    for argv in (rows, ["--help"]):
+        proc = subprocess.run([sys.executable, "-m", "weibtail.cli", *argv],
+                              capture_output=True, text=True, timeout=120, env=env)
+        assert [proc.returncode, proc.stdout, proc.stderr] == [0, run_cli(argv)[1], ""]
+    assert len(run_cli(rows)[1]) > 200_000
+    assert run_cli(["--help"])[1] == (USAGE_DIR / "weibtail-help.out").read_text(encoding="utf-8")
+
+
+# (argv, the watched modules it loads): penultimate and vonmises only for
+# the commands that print them, csv only for CSV and json only for JSON
+COLD_LOADS = [
+    (["models"], ["csv"]),
+    (["models", "--format", "json"], ["json"]),
+    (["norming", "--model", "normal"], ["csv"]),
+    (["norming", "--model", "normal", "--format", "json"], ["json"]),
+    (["penultimate", "--model", "normal"], ["csv", "weibtail.penultimate"]),
+    (["errors", "--model", "normal"], ["csv", "weibtail.penultimate"]),
+    (["errors", "--model", "normal", "--format", "json"], ["json", "weibtail.penultimate"]),
+    (["vonmises", "--model", "normal"], ["csv", "weibtail.vonmises"]),
+]
+
+# cli.main in a fresh interpreter; prints its exit code and which of the
+# watched modules are loaded after it
+_LOADS_PROBE = """
+import contextlib, io, sys
+from weibtail import cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+watched = ("csv", "json", "weibtail.penultimate", "weibtail.vonmises")
+print(repr((code, [name for name in watched if name in sys.modules])))
+"""
+
+
+@pytest.mark.parametrize("argv, loads", COLD_LOADS, ids=[" ".join(a) for a, _ in COLD_LOADS])
+def test_cold_command_loads_only_what_it_prints(argv, loads):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", _LOADS_PROBE, *argv], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert ast.literal_eval(proc.stdout) == (0, loads)

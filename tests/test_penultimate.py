@@ -167,6 +167,39 @@ def test_errors_grid_validation():
         wt.error_comparison(wt.normal(), 10.0, (-3.0, 6.0, 50))
 
 
+def test_whole_float_grid_count_is_the_int_count_grid():
+    # 1075.0 points is the grid of 1075: the spec echoes the int count and
+    # keys one memo entry, so alternating the two builds the grid, G_0 and
+    # g_0 once
+    model, spec, floated = wt.normal(), (-3.0, 6.0, 1075), (-3.0, 6.0, 1075.0)
+    arrays.clear_grid_terms()
+    first = wt.error_comparison(model, 20.0, spec)
+    terms = arrays._GRID_TERMS[repr(spec)]
+    results = [
+        wt.error_comparison(model, 20.0, floated),
+        penultimate.error_comparison_at(model, locate(model, 20.0), floated, "exact"),
+    ]
+    wt.remainder_profile(model, 20.0, floated)
+    wt.error_comparison(model, 20.0, spec)
+    assert arrays._GRID_TERMS[repr(spec)] is terms
+    for result in results:
+        assert result == first and type(result.grid_spec[2]) is int
+
+
+@pytest.mark.parametrize("count", [1075.5, math.inf, math.nan], ids=["fraction", "inf", "nan"])
+def test_grid_count_must_be_whole(count):
+    # a fractional count is refused, not cut to its integer part
+    model, grid = wt.normal(), (-3.0, 6.0, count)
+    calls = [
+        lambda: wt.error_comparison(model, 20.0, grid),
+        lambda: penultimate.error_comparison_at(model, locate(model, 20.0), grid, "exact"),
+        lambda: wt.remainder_profile(model, 20.0, grid),
+    ]
+    for call in calls:
+        with pytest.raises(InsufficientGridError, match="grid needs a whole number of points"):
+            call()
+
+
 @pytest.mark.parametrize("kwargs, error, message", [
     ({"grid_spec": (3.0, 3.0, 100)}, InsufficientGridError, "grid needs lo < hi"),
     ({"gamma_mode": "bogus"}, ValueError, "unknown gamma_mode 'bogus'"),

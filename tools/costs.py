@@ -60,8 +60,9 @@ compiles from source allocates more and counts more), and prints from an
   where no ``site`` preloads modules (against the probe without the CLI,
   also under ``-S``), listed under the default lists;
 - ``collections``: ``gc.get_stats()``'s collections of generations 0, 1
-  and 2 made before the probe runs, so without those of shutdown;
-- ``frozen``: ``gc.get_freeze_count()``, the objects no collection visits.
+  and 2 made before the probe runs.  The CLI runs the ``atexit`` handlers
+  and then ends its process without the interpreter's teardown, so no
+  collection comes after them.
 
 A refused op prints its code.  The counts do not depend on the machine or
 its load, so two trees that print the same table did the same work.
@@ -272,7 +273,8 @@ import atexit, gc, runpy, sys
 
 def counts():
     stats = [generation["collections"] for generation in gc.get_stats()]
-    sys.__stdout__.write(repr([sorted(sys.modules), stats, gc.get_freeze_count()]))
+    sys.__stdout__.write(repr([sorted(sys.modules), stats]))
+    sys.__stdout__.flush()
 
 atexit.register(counts)
 if sys.argv[1:]:
@@ -281,9 +283,9 @@ if sys.argv[1:]:
 
 
 def cold_costs(argv, flags=()):
-    """(modules loaded, collections per generation, frozen objects) of one
-    cold CLI run under the interpreter ``flags``, measured at its exit; the
-    CLI's own output is discarded."""
+    """(modules loaded, collections per generation) of one cold CLI run
+    under the interpreter ``flags``, measured at its exit; the CLI's own
+    output is discarded."""
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(wt.__file__)))
     env = {**os.environ, "PYTHONHASHSEED": "0", "PYTHONPATH": package_root}
     out = subprocess.run(
@@ -337,8 +339,8 @@ def main() -> None:
             cells.append(f"{jets:4d} {entries:5d} {per_jet:>6s}")
         print(f"{label:24s} " + " ".join(cells))
     print()
-    print("cold CLI runs, counted at exit (before shutdown's collections)")
-    print(f"{'command':24s} {'modules':>7s} {'-S':>4s} {'collections':>13s} {'frozen':>7s}")
+    print("cold CLI runs, counted at exit")
+    print(f"{'command':24s} {'modules':>7s} {'-S':>4s} {'collections':>13s}")
     compileall.compile_dir(os.path.dirname(wt.__file__), quiet=1)
     base = {flags: set(cold_costs((), flags)[0]) for flags in ((), ("-S",))}
     # (interpreter, module names) -> the commands that load them
@@ -348,9 +350,8 @@ def main() -> None:
         names = {flags: sorted(set(runs[flags][0]) - base[flags]) for flags in base}
         for flags in base:
             loaded[" ".join(("python", *flags)), " ".join(names[flags])].append(argv[0])
-        _, stats, frozen = runs[()]
-        print(f"{argv[0]:24s} {len(names[()]):7d} {len(names[('-S',)]):4d} {str(stats):>13s} "
-              f"{frozen:7d}")
+        stats = runs[()][1]
+        print(f"{argv[0]:24s} {len(names[()]):7d} {len(names[('-S',)]):4d} {str(stats):>13s}")
     for (interpreter, names), commands in loaded.items():
         print(f"{interpreter}: {', '.join(commands)}: {names}")
 
