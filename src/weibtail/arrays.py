@@ -505,15 +505,14 @@ KEEP_MAX_POINTS = 65_536
 
 
 def grid_terms(grid_spec: Tuple[float, float, int], points_only: bool = False) -> tuple:
-    """(x, G_0, g_0) on the checked grid, x by ``np.linspace``, read-only,
-    kept for the last spec until another spec or ``clear_grid_terms()``;
-    (x,) on a new grid if ``points_only``.  G_0 and g_0 take the caller's
-    floating-point context."""
+    """(x, G_0, g_0) on the checked grid (its count an int), x by
+    ``np.linspace``, read-only, kept for the last spec until another spec
+    or ``clear_grid_terms()``; (x,) on a new grid if ``points_only``.  G_0
+    and g_0 take the caller's floating-point context."""
     terms = _GRID_TERMS.get(repr(grid_spec))
     if terms is None:
         _GRID_TERMS.clear()  # the last grid's arrays go before the new ones come
-        lo, hi, count = grid_spec
-        terms = _GRID_TERMS[repr(grid_spec)] = [np.linspace(lo, hi, int(count))]
+        terms = _GRID_TERMS[repr(grid_spec)] = [np.linspace(*grid_spec)]
         terms[0].flags.writeable = False
     if len(terms) == 1 and not points_only:
         density = _neg_exp_neg(terms[0])

@@ -558,8 +558,8 @@ def test_grid_terms_rebuilt_for_another_spec(other):
 
 @pytest.mark.parametrize("name", ["pure-weibull", "normal"])
 def test_float_count_builds_the_int_count_grid(name):
-    # np.linspace refuses a float count: the memo builds int(count) points,
-    # and the result echoes the int count
+    # np.linspace refuses a float count: the checked spec gives the memo
+    # the int count, and the result echoes it
     model = _catalog_model(name)
     got = wt.error_comparison(model, 20.0, (-3.0, 6.0, 1075.0))
     want = wt.error_comparison(model, 20.0, (-3.0, 6.0, 1075))
