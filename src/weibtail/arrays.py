@@ -15,9 +15,10 @@ the two share is defined once, in the scalar module, and imported here.
 A kernel never writes into its arguments: it allocates its own result
 and runs its ufunc chain in that storage with ``out=``.  The one state is
 :func:`grid_terms`'s memo of the last grid's points, G_0 and g_0, and, on
-a grid of at most ``KEEP_MAX_POINTS`` points, the gamma-free half of the
-last :func:`curve` on it (F^n, the ultimate sup and argmax, the
-remainder); a new grid spec or :func:`clear_grid_terms` frees both.
+a grid of at most ``KEEP_MAX_POINTS`` points, the last :func:`curve` on it:
+its Location (b_n and the k-jet), F^n, the ultimate sup and argmax and the
+remainder, which :func:`kept_curve` finds by the model object, log n and
+grid; a new grid spec or :func:`clear_grid_terms` frees both.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import numpy as np
 
 from .catalog import _GAMMA_MAX_TERMS, _LENTZ_TINY, _SPLITTER, _SQRT1_2
 from .model import Family, WeibullTypeModel, array_form_of, constant_l_value
+from .norming import Location
 from .numerics import _EPS, _LN2, _SERIES_SWITCH, _T_EQUALS_H
 from .penultimate import _GEV_SERIES_GAMMA, _GEV_SERIES_T, REMAINDER_DENOMINATOR_CUTOFF, _Curve
 
@@ -524,29 +526,38 @@ def grid_terms(grid_spec: Tuple[float, float, int], points_only: bool = False) -
     return tuple(terms)
 
 
-def curve(model: WeibullTypeModel, log_n: float, grid_spec: Tuple[float, float, int],
-          b: float, a: float, gamma: float, rate: float) -> _Curve:
-    """The error curve over the checked grid ``grid_spec``, in numpy, under
-    one floating-point context: overflow to inf is the saturation the
-    formulas expect (e^-x past the double range gives G_0 = g_0 = 0).
+def kept_curve(model: WeibullTypeModel, log_n: float,
+               grid_spec: Tuple[float, float, int]) -> Optional[tuple]:
+    """(Location, F^n, the ultimate sup and argmax, the remainder) of the kept
+    curve on this model object, the exact bits of log n and the checked grid."""
+    kept = _GRID_TERMS.get(_CURVE)
+    if kept is not None and kept[0] is model and kept[1] == repr((log_n, grid_spec)):
+        return kept[2:]
+    return None
+
+
+def curve(model: WeibullTypeModel, loc: Location, grid_spec: Tuple[float, float, int],
+          gamma: float) -> _Curve:
+    """The error curve over the checked grid ``grid_spec`` at ``loc``, in
+    numpy, under one floating-point context: overflow to inf is the
+    saturation the formulas expect (e^-x past the double range gives G_0 = g_0 = 0).
 
     Only G_gamma depends on gamma.  The rest (F^n, the ultimate sup and
-    argmax, the remainder) is kept with the grid's terms for the last curve
-    on a grid of at most ``KEEP_MAX_POINTS`` points, keyed on the model
-    object and the exact bits of log n, b, a, rate and the spec; a curve
-    that repeats them, in the other gamma mode say, forms only G_gamma."""
-    key = repr((log_n, b, a, rate, grid_spec))
+    argmax, the remainder) is kept with ``loc`` and the grid's terms for the
+    last curve on a grid of at most ``KEEP_MAX_POINTS`` points; a curve at
+    that Location object, in the other gamma mode say, forms only G_gamma."""
+    log_n, b, jet = loc
     with np.errstate(over="ignore"):
         xs = grid_terms(grid_spec, points_only=True)[0]
-        kept = _GRID_TERMS.get(_CURVE)
-        if kept is not None and kept[0] is model and kept[1] == key:
-            fn, ultimate = kept[2], kept[3:]
+        kept = kept_curve(model, log_n, grid_spec)
+        if kept is not None and kept[0] is loc:
+            fn, ultimate = kept[1], kept[2:]
         else:
-            fn, ultimate = _maxima(model, log_n, xs, b, a), None
+            fn, ultimate = _maxima(model, log_n, xs, b, 1.0 / jet.values[0]), None
         if gamma != 0.0:
             sup_pen, arg_pen, n_clipped = _penultimate_sup(xs, fn, gamma)
         if ultimate is None:
-            ultimate = _ultimate(model, key, grid_spec, fn, rate)
+            ultimate = _ultimate(model, loc, grid_spec, fn)
     sup_ult, arg_ult, dev = ultimate
     if gamma == 0.0:
         # G_gamma's series gives w = x (1 - 0 + 0) = x, so G_gamma is G_0
@@ -555,22 +566,22 @@ def curve(model: WeibullTypeModel, log_n: float, grid_spec: Tuple[float, float, 
     return sup_ult, arg_ult, sup_pen, arg_pen, n_clipped, dev
 
 
-def _ultimate(model: WeibullTypeModel, key: str, grid_spec: Tuple[float, float, int],
-              fn: np.ndarray, rate: float) -> Tuple[float, float, Optional[float]]:
+def _ultimate(model: WeibullTypeModel, loc: Location, grid_spec: Tuple[float, float, int],
+              fn: np.ndarray) -> Tuple[float, float, Optional[float]]:
     """(sup |F^n - G_0|, its argmax, the remainder's max |R - 1| or None),
-    kept with F^n, read-only, as one tuple where the grid has at most
-    ``KEEP_MAX_POINTS`` points; elsewhere F^n - G_0 takes F^n's storage."""
+    kept with ``loc`` and F^n, read-only, as one tuple where the grid has at
+    most ``KEEP_MAX_POINTS`` points; elsewhere F^n - G_0 takes F^n's storage."""
     xs, cdf, density = grid_terms(grid_spec)  # a new grid's, past F^n's and G_gamma's peak
     keep = fn.size <= KEEP_MAX_POINTS
     diff = np.subtract(fn, cdf, out=None if keep else fn)  # for the remainder and the sup
-    dev = None
+    rate, dev = -loc.jet.phi, None
     if rate != 0.0:  # at rate 0 every denominator is +-0, below the cutoff
         dev = _remainder_deviation(xs, diff, density, rate)
     i_ult, sup_ult = _argmax_abs(diff)
     ultimate = sup_ult, float(xs[i_ult]), dev
     if keep:
         fn.flags.writeable = False
-        _GRID_TERMS[_CURVE] = (model, key, fn, *ultimate)
+        _GRID_TERMS[_CURVE] = (model, repr((loc.log_n, grid_spec)), loc, fn, *ultimate)
     return ultimate
 
 

@@ -65,11 +65,9 @@ DEFAULT_T_GRID = (1e2, 1e4, 1e6, 1e8, 1e10)
 
 def _fmt(value) -> str:
     """CSV cell: floats at 17 significant digits (round-trip safe)."""
-    if value is None:
+    if value is None or (isinstance(value, float) and math.isnan(value)):
         return ""
     if isinstance(value, float):
-        if math.isnan(value):
-            return ""
         return format(value, ".17g")
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -96,12 +94,10 @@ def _parse_float_list(parser: argparse.ArgumentParser, text: str, flag: str) -> 
 
 
 def _parse_grid(text: str):
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"--grid expects lo:hi:count, got {text!r}")
     try:
-        return float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError:
+        lo, hi, count = text.split(":")
+        return float(lo), float(hi), int(count)
+    except ValueError:  # not three fields, or a field that does not parse
         raise argparse.ArgumentTypeError(f"--grid expects lo:hi:count, got {text!r}")
 
 
@@ -378,14 +374,8 @@ def _join_grid_flag(argv: Sequence[str]) -> List[str]:
     out: List[str] = []
     it = iter(argv)
     for tok in it:
-        if tok == "--grid":
-            val = next(it, None)
-            if val is None:
-                out.append(tok)
-            else:
-                out.append(f"--grid={val}")
-        else:
-            out.append(tok)
+        val = next(it, None) if tok == "--grid" else None
+        out.append(tok if val is None else f"--grid={val}")
     return out
 
 

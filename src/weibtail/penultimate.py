@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from typing import List, NamedTuple, Optional, Tuple
 
 from .errors import (
@@ -166,22 +167,22 @@ def _linspace(lo: float, hi: float, count: int) -> List[float]:
 _Curve = Tuple[float, float, float, float, int, Optional[float]]
 
 
-def _curve(model: WeibullTypeModel, log_n: float, grid_spec: Tuple[float, float, int],
-           b: float, a: float, gamma: float, rate: float) -> _Curve:
-    """The error curve on the grid, by the scalar pass up to the default
-    grid size or when the model has no array form, else over arrays.
+def _curve(model: WeibullTypeModel, loc: Location, grid_spec: Tuple[float, float, int],
+           gamma: float) -> _Curve:
+    """The error curve on the grid at ``loc``, by the scalar pass up to the
+    default grid size or when the model has no array form, else over arrays.
 
     The choice depends on the configuration only, so equal configurations
     print equal bytes; the two paths differ in the last bits (libm against
     numpy's exp and log, and each model's own scalar and array T).  The
     array pass takes the spec, and reuses its grid's terms while it repeats
-    and the last curve's gamma-free half while all but gamma repeats.
+    and the last curve's gamma-free half while its Location repeats.
     """
     if _takes_scalar_path(model, grid_spec[2]):
-        return _scalar_curve(model, log_n, _linspace(*grid_spec), b, a, gamma, rate)
+        return _scalar_curve(model, loc, _linspace(*grid_spec), gamma)
     from . import arrays
 
-    return arrays.curve(model, log_n, grid_spec, b, a, gamma, rate)
+    return arrays.curve(model, loc, grid_spec, gamma)
 
 
 def _takes_scalar_path(model: WeibullTypeModel, count: int) -> bool:
@@ -196,10 +197,12 @@ def _maxima_point(model: WeibullTypeModel, log_n: float, z: float) -> float:
         return 0.0
 
 
-def _scalar_curve(model: WeibullTypeModel, log_n: float, xs: List[float],
-                  b: float, a: float, gamma: float, rate: float) -> _Curve:
+def _scalar_curve(model: WeibullTypeModel, loc: Location, xs: List[float],
+                  gamma: float) -> _Curve:
     """``arrays.curve`` in one pass over the grid points in ``math``: the
     same formulas point by point, first-index argmaxes as np.argmax."""
+    log_n, b, jet = loc
+    a, rate = 1.0 / jet.values[0], -jet.phi
     series = abs(gamma) < _GEV_SERIES_GAMMA
     sup_ult = sup_pen = dev = -1.0
     arg_ult = arg_pen = math.nan
@@ -238,12 +241,9 @@ def _scalar_curve(model: WeibullTypeModel, log_n: float, xs: List[float],
     return sup_ult, arg_ult, sup_pen, arg_pen, n_clipped, dev if dev >= 0.0 else None
 
 
-def error_comparison(
-    model: WeibullTypeModel,
-    log_n: float,
-    grid_spec: Tuple[float, float, int] = DEFAULT_GRID,
-    gamma_mode: str = "exact",
-) -> ErrorComparison:
+def error_comparison(model: WeibullTypeModel, log_n: float,
+                     grid_spec: Tuple[float, float, int] = DEFAULT_GRID,
+                     gamma_mode: str = "exact") -> ErrorComparison:
     """Sup |F^n(a x + b) - G_0| and sup |F^n(a x + b) - G_{gamma_n}|.
 
     ``gamma_mode`` selects the shape of the penultimate comparison curve:
@@ -254,24 +254,36 @@ def error_comparison(
     G_{gamma_n} is the same in both modes: on an array-pass grid of at
     most ``arrays.KEEP_MAX_POINTS`` points, the call right after this one
     on the same model object, log n and grid, in the other mode, reuses
-    F^n, the ultimate sup and the remainder bit for bit.
+    b_n and its k-jet, F^n, the ultimate sup and the remainder bit for bit.
     """
     grid_spec = _check_grid(grid_spec)  # a bad grid is refused before a bad log n
-    return error_comparison_at(model, locate(model, log_n), grid_spec, gamma_mode)
+    return _compare(model, _located(model, log_n, grid_spec), grid_spec, gamma_mode)
 
 
 def error_comparison_at(model: WeibullTypeModel, loc: Location,
                         grid_spec: Tuple[float, float, int], gamma_mode: str) -> ErrorComparison:
     """:func:`error_comparison` at a located block size."""
-    grid_spec = _check_grid(grid_spec)
-    log_n, b, jet = loc
+    return _compare(model, loc, _check_grid(grid_spec), gamma_mode)
+
+
+def _located(model: WeibullTypeModel, log_n: float, grid_spec: Tuple[float, float, int]) -> Location:
+    """The Location of the array pass's kept curve on this model object, log
+    n and checked grid, if there is one (none before its first import), else
+    ``locate``'s."""
+    arrays = sys.modules.get(__package__ + ".arrays")
+    kept = arrays.kept_curve(model, log_n, grid_spec) if arrays else None
+    return kept[0] if kept else locate(model, log_n)
+
+
+def _compare(model: WeibullTypeModel, loc: Location,
+             grid_spec: Tuple[float, float, int], gamma_mode: str) -> ErrorComparison:
+    """:func:`error_comparison_at` on a checked grid."""
+    log_n, _, jet = loc
     if gamma_mode == "exact":
         gamma_n = jet.phi
     elif gamma_mode == "asymptotic":
         if model.theta_is_one:
-            raise ThetaOneExcludedError(
-                f"{model.label}: asymptotic gamma undefined at theta = 1"
-            )
+            raise ThetaOneExcludedError(f"{model.label}: asymptotic gamma undefined at theta = 1")
         gamma_n = (model.theta - 1.0) / log_n
         if not math.isfinite(gamma_n):
             raise EvalFailureError(f"{model.label}: asymptotic gamma not finite at log n = {log_n!r}")
@@ -281,28 +293,18 @@ def error_comparison_at(model: WeibullTypeModel, loc: Location,
     lo, hi, _ = grid_spec
     if not max(lo * gamma_n, hi * gamma_n) + 1.0 > 0.0:
         raise GridSupportEmptyError(
-            f"no grid point satisfies 1 + gamma*x > 0 for gamma = {gamma_n!r}"
-        )
-    sup_ult, arg_ult, sup_pen, arg_pen, n_clipped, dev = _curve(
-        model, log_n, grid_spec, b, 1.0 / jet.values[0], gamma_n, -jet.phi)
+            f"no grid point satisfies 1 + gamma*x > 0 for gamma = {gamma_n!r}")
+    sup_ult, arg_ult, sup_pen, arg_pen, n_clipped, dev = _curve(model, loc, grid_spec, gamma_n)
     return ErrorComparison(
-        log_n=log_n,
-        grid_spec=grid_spec,
-        sup_error_ultimate=sup_ult,
-        sup_error_penultimate=sup_pen,
-        argmax_ultimate=arg_ult,
-        argmax_penultimate=arg_pen,
-        remainder_max_deviation=dev,
-        gamma_used=gamma_n,
-        n_clipped=n_clipped,
+        log_n=log_n, grid_spec=grid_spec,
+        sup_error_ultimate=sup_ult, sup_error_penultimate=sup_pen,
+        argmax_ultimate=arg_ult, argmax_penultimate=arg_pen,
+        remainder_max_deviation=dev, gamma_used=gamma_n, n_clipped=n_clipped,
     )
 
 
-def remainder_profile(
-    model: WeibullTypeModel,
-    log_n: float,
-    grid_spec: Tuple[float, float, int] = DEFAULT_GRID,
-) -> float:
+def remainder_profile(model: WeibullTypeModel, log_n: float,
+                      grid_spec: Tuple[float, float, int] = DEFAULT_GRID) -> float:
     """Max deviation of the first-order remainder ratio from 1 (Gumbel branch).
 
     Shrinks as log n grows when the remainder expansion applies; raises
@@ -310,14 +312,11 @@ def remainder_profile(
     grid (the exact-Gumbel fixture).  It is the remainder of the exact
     :func:`error_comparison` on the same model object, log n and grid, and
     either call right after the other reuses it on an array-pass grid of
-    at most ``arrays.KEEP_MAX_POINTS`` points.
+    at most ``arrays.KEEP_MAX_POINTS`` points, b_n and its k-jet with it.
     """
     grid_spec = _check_grid(grid_spec)
-    _, b, jet = locate(model, log_n)
     # gamma 0 clips no point; only the remainder is read
-    dev = _curve(model, log_n, grid_spec, b, 1.0 / jet.values[0], 0.0, -jet.phi)[5]
+    dev = _curve(model, _located(model, log_n, grid_spec), grid_spec, 0.0)[5]
     if dev is None:
-        raise DegenerateProfileError(
-            f"{model.label}: remainder denominator below cutoff everywhere"
-        )
+        raise DegenerateProfileError(f"{model.label}: remainder denominator below cutoff everywhere")
     return dev

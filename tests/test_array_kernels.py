@@ -21,8 +21,9 @@ import pytest
 
 import weibtail as wt
 from weibtail import arrays, catalog, numerics
+from weibtail import model as model_module
 from weibtail.errors import WeibtailError
-from weibtail.model import Family, _saturated_coordinate
+from weibtail.model import Family, KJet, _saturated_coordinate
 from weibtail.norming import locate
 from weibtail.penultimate import REMAINDER_DENOMINATOR_CUTOFF
 
@@ -469,15 +470,18 @@ def test_zero_gamma_curve_is_the_ultimate_one(name):
     # is G_0 to the bit and no point is clipped; at rate +-0 every remainder
     # denominator is +-0, below the cutoff
     model = _catalog_model(name)
-    log_n, b, jet = locate(model, 20.0)
+    loc = locate(model, 20.0)
+    k = loc.jet.values[0]
     spec = (-3.0, 6.0, 3000)
     xs = np.linspace(*spec)
     for gamma in (0.0, -0.0):
         gumbel = _in_curve_context(lambda x: np.exp(arrays._neg_exp_neg(x)), xs)
         assert _gev_cdf(gamma, xs).tobytes() == gumbel.tobytes()
         for rate in (0.0, -0.0, 0.25):
+            # a jet whose rate k'/k^2 = -phi is ``rate``, with its sign at 0
+            at = loc._replace(jet=KJet((k, rate * k * k), "analytic"))
             sup_ult, arg_ult, sup_pen, arg_pen, n_clipped, dev = arrays.curve(
-                model, log_n, spec, b, 1.0 / jet.values[0], gamma, rate)
+                model, at, spec, gamma)
             assert (sup_pen.hex(), arg_pen.hex(), n_clipped) == (sup_ult.hex(), arg_ult.hex(), 0)
             assert (dev is None) == (rate == 0.0)
 
@@ -586,11 +590,14 @@ KEEP_GRIDS = [(-3.0, 6.0, 1001), (-3.0, 6.0, 5000), (-3.0, 6.0, arrays.KEEP_MAX_
 
 
 def _outcome(call):
-    """repr of every field of a result, or the code of the refusal."""
+    """Every field of a result, a float as its float.hex, or the code of the
+    refusal."""
     try:
-        return repr(call())
+        result = call()
     except WeibtailError as exc:
         return exc.code
+    fields = result if isinstance(result, tuple) else (result,)
+    return [v.hex() if isinstance(v, float) else repr(v) for v in fields]
 
 
 def _afresh(call):
@@ -635,14 +642,13 @@ def test_kept_curve_misses_recompute(monkeypatch):
     assert calls == [20.0, 20.0, 21.0, 21.0]
     wt.error_comparison(twin, 21.0, (-3.0, 6.0, 2001), "exact")
     assert len(calls) == 4
-    # a direct caller's b, a or rate, each alone, then gamma alone
-    args = [twin, 21.0, MEMO_GRID, 4.5, 0.1, 0.05, -0.05]
-    arrays.curve(*args)
-    for i in (3, 4, 6):
-        args[i] = -args[i]
-        arrays.curve(*args)
-        arrays.curve(*args[:5], 0.0, args[6])
-    assert len(calls) == 4 + 4
+    # a direct caller's Location, another equal one, one with another b,
+    # each then with gamma alone changed
+    loc = locate(twin, 21.0)
+    for at in (loc, locate(twin, 21.0), loc._replace(b=-loc.b)):
+        arrays.curve(twin, at, MEMO_GRID, 0.05)
+        arrays.curve(twin, at, MEMO_GRID, 0.0)
+    assert len(calls) == 4 + 3
 
 
 def test_kept_curve_lifetime():
@@ -650,7 +656,8 @@ def test_kept_curve_lifetime():
     arrays.clear_grid_terms()
     exact = wt.error_comparison(model, 1.0, MEMO_GRID, "exact")
     kept = arrays._GRID_TERMS[arrays._CURVE]
-    fn = kept[2]
+    loc, fn = kept[2:4]
+    assert arrays.kept_curve(model, 1.0, MEMO_GRID)[0] is loc and loc.b == locate(model, 1.0).b
     before = fn.tobytes()
     assert not fn.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
@@ -666,6 +673,101 @@ def test_kept_curve_lifetime():
     # above the cap a curve keeps nothing
     wt.error_comparison(model, 20.0, KEEP_GRIDS[-1], "exact")
     assert list(arrays._GRID_TERMS) == [repr(KEEP_GRIDS[-1])]
+
+
+@pytest.fixture
+def located_work(monkeypatch):
+    """Counts of the root solves and hazard jets made after the fixture."""
+    counts = {"solves": 0, "jets": 0}
+
+    def counted(key, fn):
+        def call(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(numerics, "solve_increasing",
+                        counted("solves", numerics.solve_increasing))
+    monkeypatch.setattr(model_module, "hazard_jet", counted("jets", model_module.hazard_jet))
+    return counts
+
+
+def _work(counts, call):
+    """The solves and jets of ``call()``, which may be refused."""
+    before = dict(counts)
+    _outcome(call)
+    return {key: counts[key] - before[key] for key in counts}
+
+
+@pytest.mark.parametrize("name", ["normal", "extended-weibull", "gamma"])
+@pytest.mark.parametrize("count", [1001, arrays.KEEP_MAX_POINTS])
+def test_twin_takes_the_kept_location(name, count, located_work):
+    # after the exact curve on an array-pass grid that keeps it, the
+    # asymptotic twin and the remainder profile solve no b_n and form no jet
+    model, grid = _catalog_model(name), (-3.0, 6.0, count)
+    arrays.clear_grid_terms()
+    exact = _work(located_work, lambda: wt.error_comparison(model, 20.0, grid))
+    assert exact == {"solves": 1, "jets": 1}
+    for call in (lambda: wt.error_comparison(model, 20.0, grid, "asymptotic"),
+                 lambda: wt.remainder_profile(model, 20.0, grid),
+                 lambda: wt.error_comparison(model, 20.0, grid)):
+        assert _work(located_work, call) == {"solves": 0, "jets": 0}
+    arrays.clear_grid_terms()
+    assert _work(located_work, lambda: wt.remainder_profile(model, 20.0, grid)) == exact
+    assert _work(located_work, lambda: wt.error_comparison(model, 20.0, grid)) == \
+        {"solves": 0, "jets": 0}
+
+
+@pytest.mark.parametrize("case", ["above-the-cap", "default-grid", "cleared", "equal-model"])
+def test_twin_solves_where_nothing_is_kept(case, located_work):
+    model = _catalog_model("normal")
+    # an equal model, with the same callables, that is another object
+    twin_model = dataclasses.replace(model) if case == "equal-model" else model
+    assert twin_model == model
+    grid = {"above-the-cap": (-3.0, 6.0, arrays.KEEP_MAX_POINTS + 1),
+            "default-grid": wt.penultimate.DEFAULT_GRID}.get(case, MEMO_GRID)
+    exact = _work(located_work, lambda: wt.error_comparison(model, 20.0, grid))
+    if case == "cleared":
+        arrays.clear_grid_terms()
+    twin = _work(located_work, lambda: wt.error_comparison(twin_model, 20.0, grid, "asymptotic"))
+    assert twin == exact == {"solves": 1, "jets": 1}
+
+
+def _gamma_window(model, log_n, refused):
+    """A window that leaves G_gamma some points for one gamma mode and none
+    for the other, ``refused``; None where the two gammas do not allow one."""
+    try:
+        gamma_exact = locate(model, log_n).jet.phi
+    except WeibtailError:
+        return None
+    gammas = {"exact": gamma_exact, "asymptotic": (model.theta - 1.0) / log_n}
+    g_refused, g_kept = gammas[refused], gammas["asymptotic" if refused == "exact" else "exact"]
+    if not (abs(g_refused) > abs(g_kept) and g_refused * g_kept > 0.0):
+        return None
+    edge = -2.0 / (g_refused + g_kept)  # between -1/gamma of each
+    return (edge - 10.0, edge, 2000) if g_refused > 0.0 else (edge, edge + 10.0, 2000)
+
+
+@pytest.mark.parametrize("name", ["pure-weibull", "extended-weibull", "normal", "gamma"])
+def test_twin_refusal_after_a_refused_exact_op(name):
+    # a twin right after a refused op, and an op right after a refused
+    # twin, refuse or return as they do on a cleared memo
+    model = _catalog_model(name)
+    windows = [((-3.0, 6.0, 2000), -1.0), ((-900.0, -500.0, 2000), 20.0),
+               ((500.0, 900.0, 2000), 20.0)]
+    for log_n in (1.0, 2.0, 20.0, 300.0):
+        windows += [(window, log_n) for refused in ("exact", "asymptotic")
+                    if (window := _gamma_window(model, log_n, refused)) is not None]
+    split = []  # the one mode refused, where the other is not
+    for grid, log_n in windows:
+        ops = {mode: (lambda mode=mode: wt.error_comparison(model, log_n, grid, mode))
+               for mode in ("exact", "asymptotic")}
+        want = {mode: _afresh(op) for mode, op in ops.items()}
+        for first, then in (("exact", "asymptotic"), ("asymptotic", "exact")):
+            assert _afresh(ops[first]) == want[first], (grid, log_n, first)
+            assert _outcome(ops[then]) == want[then], (grid, log_n, first, then)
+        split += [mode for mode, got in want.items() if isinstance(got, str)][:len(want) - 1]
+    assert "exact" in split or model.theta_is_one, split
 
 
 @pytest.mark.parametrize("grid", [(-4.0, 4.0, 2049), (-5e3, 5e3, 2001), (-3.0, 6.0, 2000)],

@@ -4,7 +4,6 @@ scipy, and which commands import numpy or scipy."""
 import ast
 import importlib.util
 import math
-import os
 import subprocess
 import sys
 import warnings
@@ -16,6 +15,8 @@ import pytest
 
 import weibtail as wt
 from weibtail import arrays, catalog
+
+from test_cli import child_env
 
 SHAPES = (0.5, 2.0, 5.0)
 
@@ -278,7 +279,7 @@ def _probe(source):
     proc = subprocess.run(
         [sys.executable, "-c", source],
         capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     return ast.literal_eval(proc.stdout)

@@ -35,6 +35,14 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def child_env(**extra):
+    """The environment of a spawned interpreter: this one's, with the package
+    on its path, without PYTHONUNBUFFERED (a host that sets it would run the
+    child unbuffered, as a user's shell does not), plus ``extra``."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONPATH": os.pathsep.join(sys.path), **extra}
+
+
 def parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     header, body = rows[0], rows[1:]
@@ -315,10 +323,7 @@ def test_exit_code_stdout_not_writable(command, buffered):
     # exception ignored at the flush on exit and exit 120 (buffered)
     if not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full on this system")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    env.pop("PYTHONUNBUFFERED", None)
-    if not buffered:
-        env["PYTHONUNBUFFERED"] = "1"
+    env = child_env() if buffered else child_env(PYTHONUNBUFFERED="1")
     with open("/dev/full", "w") as full:
         proc = subprocess.run([sys.executable, "-m", "weibtail.cli", *command], stdout=full,
                               stderr=subprocess.PIPE, text=True, timeout=120, env=env)
@@ -443,7 +448,7 @@ def test_exit_code_out_of_memory(grid):
     resource = pytest.importorskip("resource")
     cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (_MEMORY_CAP, _MEMORY_CAP))
     # one BLAS thread: each thread's buffers count against the cap
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "OPENBLAS_NUM_THREADS": "1"}
+    env = child_env(OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, "-m", "weibtail.cli", "errors", "--model", "normal",
                            "--log-n", "20", "--grid", grid], capture_output=True, text=True,
                           timeout=120, env=env, preexec_fn=cap)
@@ -715,10 +720,9 @@ def test_exit_codes_under_fuzz():
     check()
     assert set(seen) == {0, 2, 3}
     # one draw per exit code through the console entry point: the same bytes
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     for argv, *result in seen.values():
         proc = subprocess.run([sys.executable, "-m", "weibtail.cli", *argv], capture_output=True,
-                              text=True, timeout=120, env=env)
+                              text=True, timeout=120, env=child_env())
         assert [proc.returncode, proc.stdout, proc.stderr] == result, argv
 
 
@@ -764,8 +768,7 @@ runpy.run_module("weibtail.cli", run_name="__main__", alter_sys=True)
 
 
 def test_subprocess_entrypoint(tmp_path):
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    env.pop("PYTHONUNBUFFERED", None)  # the entry point's flush delivers the output
+    env = child_env()  # buffered: the entry point's flush delivers the output
     results = []
     for i, argv in enumerate(ENTRYPOINT_CASES):
         probe = tmp_path / f"probe-{i}"
@@ -783,8 +786,7 @@ def test_output_through_a_pipe_arrives_whole(monkeypatch):
     # ~200 KB of rows, past a 64 KB pipe buffer, and the top-level help each
     # reach the reader before os._exit ends the process
     monkeypatch.setenv("COLUMNS", "80")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    env.pop("PYTHONUNBUFFERED", None)  # the entry point's flush delivers the output
+    env = child_env()  # buffered: the entry point's flush delivers the output
     log_n = ",".join(str(1.0 + i / 100) for i in range(3000))
     rows = ["norming", "--model", "normal", "--log-n", log_n]
     for argv in (rows, ["--help"]):
@@ -823,8 +825,7 @@ print(repr((code, [name for name in watched if name in sys.modules])))
 
 @pytest.mark.parametrize("argv, loads", COLD_LOADS, ids=[" ".join(a) for a, _ in COLD_LOADS])
 def test_cold_command_loads_only_what_it_prints(argv, loads):
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     proc = subprocess.run([sys.executable, "-c", _LOADS_PROBE, *argv], capture_output=True,
-                          text=True, timeout=120, env=env)
+                          text=True, timeout=120, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert ast.literal_eval(proc.stdout) == (0, loads)

@@ -16,10 +16,14 @@ which takes the array pass, and prints:
 - ``steps``: the steps gamma's series and continued fraction take, over
   both loops;
 - ``rows``: the sum over those steps of the rows each step updates;
-- ``twin``: for the models with theta != 1, the numpy calls of the
+- ``twin``: for the models with theta != 1, the work of the
   asymptotic-mode curve run right after that exact one on the same model,
   log n and grid, which differs from it only in gamma (``-`` at
-  theta = 1, where that mode is refused).
+  theta = 1, where that mode is refused): its numpy calls, the residual
+  evaluations of its root solves (``numerics.solve_increasing``) and its
+  calls of ``model.hazard_jet``.  A twin that takes b_n and its k-jet from
+  the kept curve solves nothing and forms no jet; one that locates again
+  repeats the exact curve's solve and jet.
 
 A second table runs one ``norming`` per model and log n, which solves
 b_asymptotic (H(b) = log n) and then b_exact (T(b) = log n), and prints
@@ -133,10 +137,23 @@ class _NumpyProxy:
 
 
 def _counted(call):
-    """(numpy calls, loop steps, live rows) of ``call()``."""
+    """(numpy calls, loop steps, live rows, root-solve residual evaluations,
+    hazard jets) of ``call()``."""
     calls = collections.Counter()
     loop = collections.Counter()
     until_converged = arrays._until_converged
+    solve_increasing, hazard_jet = numerics.solve_increasing, model_module.hazard_jet
+
+    def counted_solve(f, *args):
+        def residual(x):
+            loop["evals"] += 1
+            return f(x)
+
+        return solve_increasing(residual, *args)
+
+    def counted_jet(*args):
+        loop["jets"] += 1
+        return hazard_jet(*args)
 
     def counted_until_converged(steps, advance, state):
         def step(i, state):
@@ -147,24 +164,26 @@ def _counted(call):
         return until_converged(steps, step, state)
 
     arrays.np, arrays._until_converged = _NumpyProxy(calls), counted_until_converged
+    numerics.solve_increasing, model_module.hazard_jet = counted_solve, counted_jet
     try:
         call()
     finally:
         arrays.np, arrays._until_converged = numpy, until_converged
-    return sum(calls.values()), loop["steps"], loop["rows"]
+        numerics.solve_increasing, model_module.hazard_jet = solve_increasing, hazard_jet
+    return sum(calls.values()), loop["steps"], loop["rows"], loop["evals"], loop["jets"]
 
 
 def costs(model, log_n: float):
     """(numpy calls, loop steps, live rows) of one exact-mode curve and the
-    numpy calls of the asymptotic curve after it (None at theta = 1), or
-    the refusal code."""
+    (numpy calls, root-solve evaluations, hazard jets) of the asymptotic
+    curve after it (None at theta = 1), or the refusal code."""
     try:
         exact = _counted(lambda: wt.error_comparison(model, log_n, GRID))
         twin = None if model.theta_is_one else _counted(
-            lambda: wt.error_comparison(model, log_n, GRID, "asymptotic"))[0]
+            lambda: wt.error_comparison(model, log_n, GRID, "asymptotic"))
     except WeibtailError as exc:
         return exc.code
-    return (*exact, twin)
+    return (*exact[:3], twin and (twin[0], *twin[3:]))
 
 
 # the statements of catalog.py that gamma's scalar series and continued
@@ -297,8 +316,9 @@ def cold_costs(argv, flags=()):
 
 def main() -> None:
     print(f"error_comparison on {GRID[0]:g}:{GRID[1]:g}:{GRID[2]}, exact gamma mode; "
-          "twin: the asymptotic one after it")
-    print(f"{'model':24s} {'log n':>6s} {'numpy':>6s} {'steps':>6s} {'rows':>8s} {'twin':>5s}")
+          "twin: the asymptotic one after it, its numpy calls, solve evaluations and jets")
+    print(f"{'model':24s} {'log n':>6s} {'numpy':>6s} {'steps':>6s} {'rows':>8s} "
+          f"{'twin':>5s} {'evals':>5s} {'jets':>4s}")
     labelled = [(" ".join([name, *(f"{k}={v:g}" for k, v in params.items())]),
                  wt.build_model(name, **params)) for name, params in MODELS]
     for label, model in labelled:
@@ -307,9 +327,9 @@ def main() -> None:
             if isinstance(counts, str):
                 print(f"{label:24s} {log_n:6g} refused {counts}")
             else:
-                twin = "-" if counts[3] is None else counts[3]
+                twin = ("-", "-", "-") if counts[3] is None else counts[3]
                 print(f"{label:24s} {log_n:6g} {counts[0]:6d} {counts[1]:6d} {counts[2]:8d} "
-                      f"{twin:>5}")
+                      f"{twin[0]:>5} {twin[1]:>5} {twin[2]:>4}")
     print()
     print("norming: the solve for b_asymptotic, then the one for b_exact")
     print(f"{'model':24s} {'log n':>6s} {'evals':>6s} {'steps':>6s} {'evals':>6s} {'steps':>6s}")

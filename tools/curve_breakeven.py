@@ -75,16 +75,16 @@ def main() -> None:
     rows = []
     for name, params in MODELS.items():
         model = wt.build_model(name, **params)
-        log_n, b, jet = locate(model, LOG_N)
-        a, gamma, rate = 1.0 / jet.values[0], jet.phi, -jet.phi
+        loc = locate(model, LOG_N)
+        gamma = loc.jet.phi
         for count in COUNTS:
             grid = (*WINDOW, count)
             scalar = curve_seconds(lambda: penultimate._scalar_curve(
-                model, log_n, penultimate._linspace(*grid), b, a, gamma, rate))
+                model, loc, penultimate._linspace(*grid), gamma))
 
             def array_curve():
                 arrays._GRID_TERMS.pop(arrays._CURVE, None)  # keep the terms, not the curve
-                return arrays.curve(model, log_n, grid, b, a, gamma, rate)
+                return arrays.curve(model, loc, grid, gamma)
 
             array = curve_seconds(array_curve)
             rows.append((name, count, scalar, array))
