@@ -141,18 +141,19 @@ def _counted(call):
     hazard jets) of ``call()``."""
     calls = collections.Counter()
     loop = collections.Counter()
+    located = collections.Counter()
     until_converged = arrays._until_converged
     solve_increasing, hazard_jet = numerics.solve_increasing, model_module.hazard_jet
 
     def counted_solve(f, *args):
         def residual(x):
-            loop["evals"] += 1
+            located["evals"] += 1
             return f(x)
 
         return solve_increasing(residual, *args)
 
     def counted_jet(*args):
-        loop["jets"] += 1
+        located["jets"] += 1
         return hazard_jet(*args)
 
     def counted_until_converged(steps, advance, state):
@@ -170,7 +171,7 @@ def _counted(call):
     finally:
         arrays.np, arrays._until_converged = numpy, until_converged
         numerics.solve_increasing, model_module.hazard_jet = solve_increasing, hazard_jet
-    return sum(calls.values()), loop["steps"], loop["rows"], loop["evals"], loop["jets"]
+    return sum(calls.values()), loop["steps"], loop["rows"], located["evals"], located["jets"]
 
 
 def costs(model, log_n: float):
@@ -183,7 +184,7 @@ def costs(model, log_n: float):
             lambda: wt.error_comparison(model, log_n, GRID, "asymptotic"))
     except WeibtailError as exc:
         return exc.code
-    return (*exact[:3], twin and (twin[0], *twin[3:]))
+    return (*exact[:3], None if twin is None else (twin[0], *twin[3:]))
 
 
 # the statements of catalog.py that gamma's scalar series and continued
