@@ -14,11 +14,12 @@ Each kernel is its scalar twin's formula over a float array.  A constant
 the two share is defined once, in the scalar module, and imported here.
 A kernel never writes into its arguments: it allocates its own result
 and runs its ufunc chain in that storage with ``out=``.  The one state is
-:func:`grid_terms`'s memo of the last grid's points, G_0 and g_0, and, on
-a grid of at most ``KEEP_MAX_POINTS`` points, the last :func:`curve` on it:
-its Location (b_n and the k-jet), F^n, the ultimate sup and argmax and the
-remainder, which :func:`kept_curve` finds by the model object, log n and
-grid; a new grid spec or :func:`clear_grid_terms` frees both.
+:func:`grid_terms`'s memo of the last grid spec's points, G_0 and g_0, and
+of the kept curve: the gamma-free half of the last :func:`curve` on that
+grid (its Location, F^n, the ultimate sup and argmax and the remainder),
+keyed on the model object, the exact bits of log n and the checked grid
+spec, and kept only on a grid of at most ``KEEP_MAX_POINTS`` points.  A
+new grid spec or :func:`clear_grid_terms` frees both.
 """
 
 from __future__ import annotations
@@ -214,29 +215,25 @@ def _normal_log_sf_array(x: np.ndarray) -> np.ndarray:
     log Q = log1p(-q) with q = Q(|x|) = e^P e^(-x^2/2) / (1 + w), and
     e^(-x^2/2) from exactly split squares as in ``catalog._normal_pdf``.
     """
-    lowest = x.min() if x.size else math.inf
-    if math.isnan(lowest):
-        # log Q = NaN there, which T saturates to -inf as for every model;
-        # a NaN must not reach the table index below
-        out = np.full(x.shape, math.nan)
-        known = ~np.isnan(x)
-        out[known] = _normal_log_sf_array(x[known])
-        return out
     columns = _NORMAL_LOG_SF_COLUMNS
-    any_neg = lowest <= 0.0
+    # a NaN fails > 0 too: it takes this branch and gives log Q = NaN, which
+    # T saturates to -inf as for every model
+    any_neg = not (x.min() if x.size else math.inf) > 0.0
     # few live temporaries, updated in place: each one more of a large grid
     # is memory the allocator hands back and takes again on every call
     w = np.abs(x) if any_neg else x.copy()
     w *= 0.5 * _SQRT1_2
     u = w + 1.0
     np.divide(_NORMAL_LOG_SF_PIECES, u, out=u)
-    k = u.astype(np.intp)  # u > 0: truncation is the floor
+    with np.errstate(invalid="ignore"):  # a NaN casts to an arbitrary index
+        k = u.astype(np.intp)  # u > 0: truncation is the floor
     u -= k
-    p = columns[-1].take(k)
+    # k is in range but at a NaN: clipping handles that without a checked copy
+    p = columns[-1].take(k, mode="clip")
     c = np.empty_like(p)
     for column in columns[-2::-1]:
         p *= u
-        p += column.take(k, out=c, mode="clip")  # k is in range: no checked copy
+        p += column.take(k, out=c, mode="clip")
     if any_neg:
         neg = x <= 0.0
         a = np.minimum(-x[neg], 40.0)  # Q(40) < 1e-349: q = 0 from there
@@ -443,9 +440,10 @@ def _coordinate(model: WeibullTypeModel, xs: np.ndarray) -> np.ndarray:
     only read, and the result is always a new array.
 
     One min and one max of H decide its regime: T = H from H = 40, and
-    on H positive and finite, the series or the closed form when every
-    point lies on one side of the switch.  A NaN or an H outside (0, inf)
-    takes masks: that one, then the switch's on the points inside."""
+    on H positive and finite, the series when every point lies above the
+    switch, else the switch's mask (all False below it: the closed form
+    alone).  A NaN or an H outside (0, inf) takes masks: that one, then
+    the switch's on the points inside."""
     array_form = array_form_of(model)
     if model.family is Family.CLASSICAL:
         h = np.negative(array_form(xs))
@@ -473,8 +471,6 @@ def _coordinate(model: WeibullTypeModel, xs: np.ndarray) -> np.ndarray:
         return piecewise((h > 0.0) & (h < math.inf), inside, _saturate, h)
     if lowest >= _SERIES_SWITCH:
         return _log_neg_log_series(h)
-    if highest < _SERIES_SWITCH:
-        return _log_neg_log_closed(h)
     return piecewise(h >= _SERIES_SWITCH, _log_neg_log_series, _log_neg_log_closed, h)
 
 
@@ -529,7 +525,7 @@ def grid_terms(grid_spec: Tuple[float, float, int], points_only: bool = False) -
 def kept_curve(model: WeibullTypeModel, log_n: float,
                grid_spec: Tuple[float, float, int]) -> Optional[tuple]:
     """(Location, F^n, the ultimate sup and argmax, the remainder) of the kept
-    curve on this model object, the exact bits of log n and the checked grid."""
+    curve if its key matches these, else None."""
     kept = _GRID_TERMS.get(_CURVE)
     if kept is not None and kept[0] is model and kept[1] == repr((log_n, grid_spec)):
         return kept[2:]
@@ -541,11 +537,7 @@ def curve(model: WeibullTypeModel, loc: Location, grid_spec: Tuple[float, float,
     """The error curve over the checked grid ``grid_spec`` at ``loc``, in
     numpy, under one floating-point context: overflow to inf is the
     saturation the formulas expect (e^-x past the double range gives G_0 = g_0 = 0).
-
-    Only G_gamma depends on gamma.  The rest (F^n, the ultimate sup and
-    argmax, the remainder) is kept with ``loc`` and the grid's terms for the
-    last curve on a grid of at most ``KEEP_MAX_POINTS`` points; a curve at
-    that Location object, in the other gamma mode say, forms only G_gamma."""
+    A curve at the kept curve's Location object forms only G_gamma."""
     log_n, b, jet = loc
     with np.errstate(over="ignore"):
         xs = grid_terms(grid_spec, points_only=True)[0]
@@ -569,8 +561,8 @@ def curve(model: WeibullTypeModel, loc: Location, grid_spec: Tuple[float, float,
 def _ultimate(model: WeibullTypeModel, loc: Location, grid_spec: Tuple[float, float, int],
               fn: np.ndarray) -> Tuple[float, float, Optional[float]]:
     """(sup |F^n - G_0|, its argmax, the remainder's max |R - 1| or None),
-    kept with ``loc`` and F^n, read-only, as one tuple where the grid has at
-    most ``KEEP_MAX_POINTS`` points; elsewhere F^n - G_0 takes F^n's storage."""
+    kept with ``loc`` and F^n as the kept curve where the grid may keep one;
+    elsewhere F^n - G_0 takes F^n's storage."""
     xs, cdf, density = grid_terms(grid_spec)  # a new grid's, past F^n's and G_gamma's peak
     keep = fn.size <= KEEP_MAX_POINTS
     diff = np.subtract(fn, cdf, out=None if keep else fn)  # for the remainder and the sup

@@ -300,6 +300,12 @@ COMMANDS = {
 }
 
 
+def _formatter(prog: str) -> argparse.HelpFormatter:
+    # wrap at 78 columns, as an 80-column terminal does, whatever the
+    # terminal: without a width argparse imports shutil to measure it
+    return argparse.HelpFormatter(prog, width=78)
+
+
 def build_parser(
     argv: Sequence[str] = (),
 ) -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
@@ -312,10 +318,11 @@ def build_parser(
     parser = argparse.ArgumentParser(
         prog="weibtail",
         description="Penultimate extreme-value approximation for Weibull-type tails.",
+        formatter_class=_formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, groups, _) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, formatter_class=_formatter)
         if invoked not in (None, name):
             continue
         if groups is not None:

@@ -351,7 +351,9 @@ class KJet(NamedTuple):
     """(k, k', ..., k^(order)) at one point and the path that produced it.
 
     On the numeric path ``errors[j - 1]`` is the Richardson error estimate
-    of k^(j); the analytic path carries none.
+    of k^(j); the analytic path carries none, even where a tail family's
+    spec has no d1..d4 and ``SlowlyVaryingSpec.deriv`` forms l' to l'''' by
+    Richardson differentiation: "analytic" names the route.
     """
 
     values: Tuple[float, ...]
@@ -379,7 +381,8 @@ def k_jet(model: WeibullTypeModel, x: float, order: int = 3, method: str = "auto
 
     ``method``: "analytic" (the composition rule T = g(H) on one hazard
     jet of order ``order`` + 1; tail families always, classical models only
-    with hazard derivatives), "numeric" (Richardson differentiation of k itself, one
+    with hazard derivatives; for a spec without derivatives see
+    :class:`KJet`), "numeric" (Richardson differentiation of k itself, one
     estimate per order up to ``order``), or "auto" preferring analytic.
     Third-order numeric differentiation of classical models without hazard
     derivatives raises the extrapolation depth, since that path is the

@@ -74,11 +74,8 @@ class PenultimateIndex(NamedTuple):
 
 
 class ErrorComparison(NamedTuple):
-    """Sup-norm errors of the ultimate and penultimate approximations.
-
-    ``grid_spec`` is the (lo, hi, count) window; ``grid`` builds its points
-    on demand, so a call that does not read them does not hold them.
-    """
+    """Sup-norm errors of the ultimate and penultimate approximations on
+    the (lo, hi, count) window ``grid_spec``."""
 
     log_n: float
     grid_spec: Tuple[float, float, int]
@@ -89,10 +86,6 @@ class ErrorComparison(NamedTuple):
     remainder_max_deviation: Optional[float]
     gamma_used: float
     n_clipped: int
-
-    @property
-    def grid(self) -> Tuple[float, ...]:
-        return tuple(_linspace(*self.grid_spec))
 
 
 def gamma_of_t(model: WeibullTypeModel, t: float) -> float:
@@ -175,8 +168,7 @@ def _curve(model: WeibullTypeModel, loc: Location, grid_spec: Tuple[float, float
     The choice depends on the configuration only, so equal configurations
     print equal bytes; the two paths differ in the last bits (libm against
     numpy's exp and log, and each model's own scalar and array T).  The
-    array pass takes the spec, and reuses its grid's terms while it repeats
-    and the last curve's gamma-free half while its Location repeats.
+    array pass takes the spec; what it keeps is in ``weibtail.arrays``.
     """
     if _takes_scalar_path(model, grid_spec[2]):
         return _scalar_curve(model, loc, _linspace(*grid_spec), gamma)
@@ -251,10 +243,8 @@ def error_comparison(model: WeibullTypeModel, log_n: float,
     reproducing the leading-order statements (refused at theta = 1).
     Grid points outside the support of G_{gamma_n} are clipped from the
     penultimate sup and counted in ``n_clipped``.  Everything but
-    G_{gamma_n} is the same in both modes: on an array-pass grid of at
-    most ``arrays.KEEP_MAX_POINTS`` points, the call right after this one
-    on the same model object, log n and grid, in the other mode, reuses
-    b_n and its k-jet, F^n, the ultimate sup and the remainder bit for bit.
+    G_{gamma_n} is the same in both modes, so a call in the other mode
+    may take it from the array pass's kept curve (``weibtail.arrays``).
     """
     grid_spec = _check_grid(grid_spec)  # a bad grid is refused before a bad log n
     return _compare(model, _located(model, log_n, grid_spec), grid_spec, gamma_mode)
@@ -267,9 +257,9 @@ def error_comparison_at(model: WeibullTypeModel, loc: Location,
 
 
 def _located(model: WeibullTypeModel, log_n: float, grid_spec: Tuple[float, float, int]) -> Location:
-    """The Location of the array pass's kept curve on this model object, log
-    n and checked grid, if there is one (none before its first import), else
-    ``locate``'s."""
+    """The Location of the array pass's kept curve (``weibtail.arrays``)
+    where its key matches, else ``locate``'s; none is kept before that
+    module is first imported."""
     arrays = sys.modules.get(__package__ + ".arrays")
     kept = arrays.kept_curve(model, log_n, grid_spec) if arrays else None
     return kept[0] if kept else locate(model, log_n)
@@ -310,9 +300,8 @@ def remainder_profile(model: WeibullTypeModel, log_n: float,
     Shrinks as log n grows when the remainder expansion applies; raises
     ``DegenerateProfileError`` when the denominator vanishes on the whole
     grid (the exact-Gumbel fixture).  It is the remainder of the exact
-    :func:`error_comparison` on the same model object, log n and grid, and
-    either call right after the other reuses it on an array-pass grid of
-    at most ``arrays.KEEP_MAX_POINTS`` points, b_n and its k-jet with it.
+    :func:`error_comparison`, so either may take it from the array pass's
+    kept curve (``weibtail.arrays``).
     """
     grid_spec = _check_grid(grid_spec)
     # gamma 0 clips no point; only the remainder is read

@@ -41,7 +41,9 @@ class Verdict(NamedTuple):
 
 
 class ConditionReport(NamedTuple):
-    """The five functionals along ``t_grid`` and their verdicts."""
+    """The five functionals along ``t_grid`` and their verdicts, and the k_jet
+    route that formed them ("analytic" may rest on Richardson l' to l'''':
+    see ``KJet``)."""
 
     t_grid: Tuple[float, ...]
     first_order: Tuple[float, ...]
@@ -76,11 +78,11 @@ def condition_sweep(model: WeibullTypeModel, t_grid: Sequence[float]) -> Conditi
     """Evaluate all five functionals along t_grid and attach verdicts.
 
     Needs >= 5 ascending points spanning >= 4 decades, all interior to the
-    support.  Uses closed-form k-derivatives when the model offers them
-    (all built-ins do), Richardson differentiation of k otherwise; a
-    condition is not confirmed when more than 20% of its points fail.  A
-    point fails on a typed :class:`WeibtailError`, whose code goes to
-    ``point_codes``; any other exception is a bug and propagates.
+    support.  Uses the analytic k route where the model has one (all
+    built-ins do), Richardson differentiation of k otherwise; a condition
+    is not confirmed when more than 20% of its points fail.  A point fails
+    on a typed :class:`WeibtailError`, whose code goes to ``point_codes``;
+    any other exception is a bug and propagates.
     """
     grid = tuple(float(t) for t in t_grid)
     if len(grid) < 5:

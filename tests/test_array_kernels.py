@@ -295,6 +295,17 @@ def test_classical_coordinate_pieces():
     assert got[0] == got[1] == -math.inf and got[-1] == math.inf
 
 
+def test_coordinate_wholly_below_series_switch():
+    # the Normal on -3..2: H from 0.00135 to 3.78, so the switch's mask is
+    # all False and the closed form takes every point
+    model = catalog.normal()
+    xs = np.linspace(-3.0, 2.0, 5001)
+    h = -model.classical_log_sf_array(xs)
+    assert 0.0 < h.min() and h.max() < numerics._SERIES_SWITCH
+    want = _in_curve_context(arrays._log_neg_log_closed, h)
+    assert _coordinate(model, xs).tobytes() == want.tobytes()
+
+
 def _catalog_model(name):
     required = {"pure-weibull": {"theta": 2.0}, "extended-weibull": {"beta": 2.0}}
     return wt.build_model(name, **required.get(name, {}))

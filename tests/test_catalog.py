@@ -428,6 +428,12 @@ def test_normal_log_sf_array_special_values():
     xs = np.array([-math.inf, -38.0, -0.0, 0.0, 38.0, 1e200, math.inf])
     got = _kernel(xs)
     assert got[0] == 0.0 and got[-1] == -math.inf and got[-2] == -math.inf
+    # a NaN gives NaN, without a warning, and the other points their bits
+    with_nan = _kernel(np.insert(xs, 4, math.nan))
+    assert math.isnan(with_nan[4])
+    assert np.delete(with_nan, 4).tobytes() == got.tobytes()
+    positive_nan = _kernel(np.array([38.0, math.nan, 1e200]))
+    assert math.isnan(positive_nan[1]) and positive_nan[[0, 2]].tobytes() == got[[4, 5]].tobytes()
     assert got[2] == got[3] == -math.log(2.0)
     # log Q(-38) = -Q(38), a subnormal
     assert _close(got[1], _mp_log_q(-38.0), 1e-14) and 0.0 > got[1] > -1e-315

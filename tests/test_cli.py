@@ -627,15 +627,24 @@ USAGE_CASES = {
 
 
 @pytest.mark.parametrize("name", sorted(USAGE_CASES))
-def test_usage_bytes(monkeypatch, name):
-    # argparse wraps usage and help to the terminal width
-    monkeypatch.setenv("COLUMNS", "80")
+def test_usage_bytes(name):
     expected = (USAGE_DIR / name).read_text(encoding="utf-8")
     code, out, err = run_cli(USAGE_CASES[name])
     if name.endswith(".out"):
         assert (code, out, err) == (0, expected, "")
     else:
         assert (code, out, err) == (2, "", expected)
+
+
+HELP_PAGES = ["weibtail-help.out", "norming-help.out"]
+
+
+@pytest.mark.parametrize("columns", ["40", "200"])
+@pytest.mark.parametrize("name", HELP_PAGES)
+def test_help_bytes_do_not_follow_the_terminal(monkeypatch, columns, name):
+    # argparse would wrap to COLUMNS - 2; the parser wraps at 78 whatever it says
+    monkeypatch.setenv("COLUMNS", columns)
+    assert run_cli(USAGE_CASES[name]) == (0, (USAGE_DIR / name).read_text(encoding="utf-8"), "")
 
 
 # ------------------------------------------------------ exit codes under fuzz
@@ -782,10 +791,21 @@ def test_subprocess_entrypoint(tmp_path):
     assert any(r["name"] == "normal" for r in json.loads(results[0][1])["rows"])
 
 
-def test_output_through_a_pipe_arrives_whole(monkeypatch):
+@pytest.mark.parametrize("name", HELP_PAGES)
+def test_subprocess_help_arrives(tmp_path, name):
+    # argparse writes --help to a buffered stdout and exits, and no flush of
+    # the library's follows: only the entry point's delivers it
+    probe = tmp_path / "probe"
+    argv = [sys.executable, "-c", _ENTRYPOINT_PROBE, str(probe), *USAGE_CASES[name]]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=120, env=child_env())
+    assert [proc.returncode, proc.stdout, proc.stderr] == [
+        0, (USAGE_DIR / name).read_text(encoding="utf-8"), ""]
+    assert probe.read_text() == "atexit\n"
+
+
+def test_output_through_a_pipe_arrives_whole():
     # ~200 KB of rows, past a 64 KB pipe buffer, and the top-level help each
     # reach the reader before os._exit ends the process
-    monkeypatch.setenv("COLUMNS", "80")
     env = child_env()  # buffered: the entry point's flush delivers the output
     log_n = ",".join(str(1.0 + i / 100) for i in range(3000))
     rows = ["norming", "--model", "normal", "--log-n", log_n]
@@ -811,21 +831,24 @@ COLD_LOADS = [
 ]
 
 # cli.main in a fresh interpreter; prints its exit code and which of the
-# watched modules are loaded after it
+# watched modules are loaded after it.  The watched modules include what
+# argparse imports to measure the terminal, which no command loads
 _LOADS_PROBE = """
 import contextlib, io, sys
 from weibtail import cli
 
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:])
-watched = ("csv", "json", "weibtail.penultimate", "weibtail.vonmises")
+watched = ("csv", "json", "weibtail.penultimate", "weibtail.vonmises",
+           "shutil", "zlib", "bz2", "lzma", "fnmatch")
 print(repr((code, [name for name in watched if name in sys.modules])))
 """
 
 
 @pytest.mark.parametrize("argv, loads", COLD_LOADS, ids=[" ".join(a) for a, _ in COLD_LOADS])
 def test_cold_command_loads_only_what_it_prints(argv, loads):
-    proc = subprocess.run([sys.executable, "-c", _LOADS_PROBE, *argv], capture_output=True,
+    # on a bare interpreter (-S), where no site module preloads any of them
+    proc = subprocess.run([sys.executable, "-S", "-c", _LOADS_PROBE, *argv], capture_output=True,
                           text=True, timeout=120, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert ast.literal_eval(proc.stdout) == (0, loads)

@@ -13,13 +13,17 @@ purpose regenerates them with
 
 and says in CHANGES.md which cases changed and why.  The same command
 rewrites ``tests/golden/usage/``, the ``--help`` and usage-error bytes of
-``test_cli.USAGE_CASES``, at the 80-column width ``test_cli`` pins.
+``test_cli.USAGE_CASES``, which argparse wraps at the parser's 78 columns.
+
+``test_curve_bits_digest`` pins the bits of every result of the
+benchmark's decks the same way, through ``tools/curve_bits.py``.
 """
 
 from __future__ import annotations
 
 import io
 import os
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -124,6 +128,29 @@ def test_golden_bytes(name):
     assert got == path.read_bytes(), f"{name}: CLI bytes differ from {path.name}"
 
 
+# the last line of ``tools/curve_bits.py 1 2 3 17``.  A change that moves
+# these bits on purpose updates it and says why in CHANGES.md, as it does
+# for a golden file
+CURVE_BITS_SHA256 = "0a14eeb517ba0000081fcc8977faa7afd4946ec26b6bb6c46562c176caf395a7"
+
+
+def test_curve_bits_digest():
+    """Every field of every error curve, root solve, k-jet and sweep in the
+    seed 1, 2, 3 and 17 decks, and the fixed gamma and Normal curves, to
+    the bit.  Like the six dense-grid golden cases (ROADMAP item 9), the
+    digest holds for the numpy SIMD dispatch it was recorded under
+    (AVX-512 on x86-64): numpy's exp and log round some points
+    differently under another, and the AVX2 dispatch
+    (``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"``) reads
+    ``aa794b80…``."""
+    tool = Path(__file__).resolve().parents[1] / "tools" / "curve_bits.py"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, str(tool), "1", "2", "3", "17"], capture_output=True,
+                          text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"sha256 {CURVE_BITS_SHA256}"
+
+
 def regenerate():
     GOLDEN_DIR.mkdir(exist_ok=True)
     for old in GOLDEN_DIR.iterdir():
@@ -134,7 +161,6 @@ def regenerate():
         golden_path(name, suffix).write_bytes(data)
     from test_cli import USAGE_CASES, USAGE_DIR, run_cli
 
-    os.environ["COLUMNS"] = "80"  # argparse wraps usage and help to the terminal width
     for name, argv in sorted(USAGE_CASES.items()):
         _, out, err = run_cli(argv)
         (USAGE_DIR / name).write_text(out if name.endswith(".out") else err, encoding="utf-8")

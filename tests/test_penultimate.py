@@ -361,7 +361,7 @@ def test_maxima_curve_scalar_fallback(kind):
             assert (cmp_.sup_error_ultimate, cmp_.argmax_ultimate, cmp_.sup_error_penultimate,
                     cmp_.argmax_penultimate, cmp_.n_clipped,
                     cmp_.remainder_max_deviation) == _reference_curve(model, log_n, grid)
-            assert cmp_.grid == tuple(np.linspace(*grid).tolist())
+            assert cmp_.grid_spec == grid
 
 
 @pytest.mark.parametrize("grid", [(-3.0, 6.0, 1000), (-20.0, 40.0, 5000), (0.1, 0.7, 333),
